@@ -97,7 +97,8 @@ struct FlattenBench
  * Time the two dispatch styles over the same trace. The nested runner
  * reproduces the pre-flattening hot path: an ordered-map lookup per
  * call (the old std::map<VersionKey, ...> at method entry) and a
- * vector-of-vectors walk per edge. The flat runner is the new one:
+ * vector-of-vectors walk per edge, over per-block copies of each
+ * plan's edge table built here. The flat runner is the new one:
  * vector-indexed version lookup, then the cached base pointers.
  */
 FlattenBench
@@ -120,16 +121,23 @@ runFlattenBench(const bytecode::Program &program)
     // all of them. Mirror that shape so the lookup cost is realistic.
     constexpr std::uint32_t kVersions = 4;
     using Key = std::pair<std::uint32_t, std::uint32_t>;
-    std::map<Key, const profile::InstrumentationPlan *> by_map;
+    using NestedTable = std::vector<std::vector<profile::EdgeAction>>;
+    std::vector<NestedTable> nested(states.size());
+    std::map<Key, const NestedTable *> by_map;
     std::vector<std::vector<const profile::InstrumentationPlan *>>
         by_vector(states.size());
     for (std::size_t m = 0; m < states.size(); ++m) {
-        if (!states[m]->plan.enabled)
+        const profile::InstrumentationPlan &plan = states[m]->plan;
+        if (!plan.enabled)
             continue;
+        for (std::size_t b = 0; b + 1 < plan.edgeBase.size(); ++b) {
+            nested[m].emplace_back(
+                plan.flatEdgeActions.begin() + plan.edgeBase[b],
+                plan.flatEdgeActions.begin() + plan.edgeBase[b + 1]);
+        }
         for (std::uint32_t v = 0; v < kVersions; ++v) {
-            by_map[{static_cast<std::uint32_t>(m), v}] =
-                &states[m]->plan;
-            by_vector[m].push_back(&states[m]->plan);
+            by_map[{static_cast<std::uint32_t>(m), v}] = &nested[m];
+            by_vector[m].push_back(&plan);
         }
     }
 
@@ -178,11 +186,11 @@ runFlattenBench(const bytecode::Program &program)
         const auto start = std::chrono::steady_clock::now();
         for (int pass = 0; pass < kPasses; ++pass) {
             for (const TraceCall &call : trace) {
-                const profile::InstrumentationPlan *plan =
-                    by_map.find({call.method, call.version})->second;
+                const NestedTable &table =
+                    *by_map.find({call.method, call.version})->second;
                 for (const cfg::EdgeRef &e : call.edges) {
                     const profile::EdgeAction &action =
-                        plan->edgeActions[e.src][e.index];
+                        table[e.src][e.index];
                     nested_sum += action.increment + action.endAdd;
                 }
             }

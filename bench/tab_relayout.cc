@@ -331,7 +331,7 @@ runPolicy(Policy policy, const bytecode::Program &program,
     }
     machine.compileNow(program.mainMethod, vm::OptLevel::Opt2);
 
-    opt::ReoptDriver driver(machine, window, {});
+    opt::ReoptDriver driver(machine, window);
 
     PolicyResult result;
     profile::EdgeProfileSet lastTruth = machine.truthEdges();

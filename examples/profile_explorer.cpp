@@ -218,7 +218,7 @@ main(int argc, char **argv)
             for (std::uint32_t i = 0;
                  i < cfg.graph.succs(b).size(); ++i) {
                 const profile::EdgeAction &action =
-                    plan.edgeActions[b][i];
+                    plan.flatAction({b, i});
                 if (action.increment != 0) {
                     std::printf("    edge B%u->B%u: r += %llu\n", b,
                                 cfg.graph.succs(b)[i],

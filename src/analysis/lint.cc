@@ -1,19 +1,16 @@
 #include "analysis/lint.hh"
 
 #include "analysis/liveness.hh"
-#include "analysis/verify/engine_equiv.hh"
 #include "analysis/plan_check.hh"
 #include "analysis/stack_const.hh"
 #include "analysis/unreachable.hh"
+#include "analysis/verify/stream_proof.hh"
 #include "bytecode/cfg_builder.hh"
 #include "bytecode/verifier.hh"
 #include "profile/instr_plan.hh"
 #include "profile/numbering.hh"
 #include "profile/pdag.hh"
 #include "profile/spanning_placement.hh"
-#include "vm/compiled_method.hh"
-#include "vm/cost_model.hh"
-#include "vm/decoded_method.hh"
 #include "vm/machine.hh"
 
 namespace pep::analysis {
@@ -72,75 +69,6 @@ checkOnePlan(const bytecode::Method &method,
     checkInstrumentationPlan(input, diagnostics);
 }
 
-/**
- * Check 9: translate the method for the threaded engine exactly as
- * Machine::decodedFor would (full-opt costs, no layout information)
- * and prove the template stream consistent with the canonical plan's
- * flattened tables. The plan's edgeBase is structural — identical
- * across every (mode, scheme, placement) built above — so one
- * representative plan suffices.
- */
-void
-checkTemplates(const bytecode::Method &method,
-               const bytecode::MethodCfg &cfg, bool check_stream,
-               bool check_equivalence, DiagnosticList &diagnostics)
-{
-    const profile::PDag pdag =
-        profile::buildPDag(cfg, DagMode::HeaderSplit);
-    const profile::Numbering numbering =
-        profile::numberPaths(pdag, NumberingScheme::BallLarus, nullptr);
-    const profile::InstrumentationPlan plan =
-        profile::buildInstrumentationPlan(cfg, pdag, numbering);
-
-    const vm::MethodInfo info = vm::buildMethodInfo(method);
-    vm::CompiledMethod cm;
-    cm.level = vm::OptLevel::Opt2;
-    const vm::CostModel cost;
-    cm.scaledCost.resize(bytecode::kNumOpcodes);
-    for (std::size_t op = 0; op < bytecode::kNumOpcodes; ++op)
-        cm.scaledCost[op] =
-            cost.instrCost(static_cast<bytecode::Opcode>(op));
-    cm.branchLayout.assign(cfg.graph.numBlocks(), -1);
-
-    // One translation per fusion selection: checks 9 and 12 plus the
-    // symbolic engine-equivalence pass must hold across the whole
-    // PEP_FUSE matrix (the canonical no-information layout predicts
-    // fall-through everywhere, so `traces` forms real chains here).
-    const vm::FuseOptions fuse_matrix[] = {
-        {false, false}, {true, false}, {false, true}, {true, true}};
-    for (const vm::FuseOptions &fuse : fuse_matrix) {
-        const vm::DecodedMethod decoded =
-            translateMethod(method, info, cm, fuse);
-
-        if (check_stream) {
-            TemplateCheckInput input;
-            input.code = &method;
-            input.cfg = &cfg;
-            input.plan = &plan;
-            input.decoded = &decoded;
-            input.methodName = method.name;
-            checkTemplateStream(input, diagnostics);
-
-            FusedCheckInput fused;
-            fused.decoded = &decoded;
-            fused.methodName = method.name;
-            checkFusedStream(fused, diagnostics);
-        }
-
-        // The symbolic engine-equivalence pass (verify pass 1) on the
-        // same canonical translation.
-        if (check_equivalence) {
-            EngineEquivInput input;
-            input.code = &method;
-            input.info = &info;
-            input.cm = &cm;
-            input.decoded = &decoded;
-            input.methodName = method.name;
-            checkEngineEquivalence(input, diagnostics);
-        }
-    }
-}
-
 } // namespace
 
 DiagnosticList
@@ -163,8 +91,7 @@ lintProgram(bytecode::Program &program, const LintOptions &options)
             return diagnostics;
     }
 
-    if (!options.runMethodPasses && !options.runPlanChecks &&
-        !options.runVerifyPasses)
+    if (!options.runMethodPasses && !options.runPlanChecks)
         return diagnostics;
 
     for (const bytecode::Method &method : program.methods) {
@@ -197,11 +124,9 @@ lintProgram(bytecode::Program &program, const LintOptions &options)
                              PlacementKind::Direct,
                              options.simulateLimit, diagnostics);
             }
-        }
-
-        if (options.runPlanChecks || options.runVerifyPasses) {
-            checkTemplates(method, cfg, options.runPlanChecks,
-                           options.runVerifyPasses, diagnostics);
+            checkTemplateStreams(method, vm::buildMethodInfo(method),
+                                 nullptr, kEveryFuseOption, method.name,
+                                 std::nullopt, diagnostics);
         }
     }
     return diagnostics;

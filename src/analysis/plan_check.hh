@@ -29,19 +29,11 @@
  *     reconstructor; replaying the *plan's* register actions over each
  *     path must reproduce the path's Ball-Larus number, and the numbers
  *     must cover [0, totalPaths) exactly.
- *  8. Flattened-table fidelity: the contiguous flatEdgeActions mirror
- *     the interpreter executes agrees memberwise with the nested
- *     edgeActions the checks above reason about, and edgeBase holds
- *     exact prefix sums of the CFG's successor counts.
- *  9. Template-stream fidelity (checkTemplateStream, docs/ENGINE.md):
- *     the threaded engine's pre-decoded template stream agrees
- *     memberwise with the plan's flattened tables — the structural
- *     flat-edge base burned into every template equals the plan's
- *     edgeBase prefix sums (so `flatBase + successor` indexes
- *     flatEdgeActions exactly like `edgeBase[src] + index`), every pc
- *     maps to a template carrying its opcode, block and branch layout,
- *     control transfers resolve to their targets' templates, and the
- *     folded segment charges conserve the version's scaled costs.
+ *  8. Edge-table shape: edgeBase holds exact prefix sums of the CFG's
+ *     successor counts and flatEdgeActions covers every edge, so the
+ *     (src, index) lookups of checks 4 and 7 — and of both engines —
+ *     address the right action.
+ *
  * 10. k-path id-space audit (checkKPathScheme, docs/KBLPP.md): a
  *     version's KPathScheme must be the arithmetically exact id space
  *     over its plan — base equals the enabled plan's totalPaths, the
@@ -60,16 +52,11 @@
  *     code region (the OSR contract for clones). Combined with checks
  *     1-10 over the synthesized CFG's own plan, this validates
  *     cloned-CFG instrumentation end to end.
- * 12. Fused-stream composition (checkFusedStream, docs/ENGINE.md): a
- *     stream translated under PEP_FUSE must compose exactly from its
- *     constituents — every fused superinstruction is the deterministic
- *     fusion-menu match at its pc with the constituents' operands
- *     burned in and every constituent pc mapping back to it; trace
- *     selection is reproducible from (code, layout, fuse); trace
- *     charge batching conserves the switch engine's per-block costs
- *     (head carries the chain total, interiors zero, guards refund
- *     exactly the unexecuted suffix); and synthetic tops appear only
- *     under the fusion mode that produces them.
+ *
+ * Checks 9 (template-stream fidelity) and 12 (fused-stream
+ * composition) became part of the one template-stream proof
+ * (analysis/verify/stream_proof.hh); their numbers are retired, not
+ * reused.
  *
  * All violations are reported as diagnostics (pass "plan-check"), not
  * panics, so a lint run can show every broken invariant at once.
@@ -87,7 +74,6 @@
 #include "profile/spanning_placement.hh"
 
 namespace pep::vm {
-struct DecodedMethod;
 struct InlinedBody;
 }
 
@@ -125,30 +111,6 @@ struct PlanCheckInput
  */
 bool checkInstrumentationPlan(const PlanCheckInput &input,
                               DiagnosticList &diagnostics);
-
-/** Everything the template-stream check inspects (check 9). `code`
- *  and `cfg` must be the code the stream executes (the inlined body's
- *  when the version has one). */
-struct TemplateCheckInput
-{
-    const bytecode::Method *code = nullptr;
-    const bytecode::MethodCfg *cfg = nullptr;
-    const profile::InstrumentationPlan *plan = nullptr;
-    const vm::DecodedMethod *decoded = nullptr;
-
-    /** Method name used in diagnostics. */
-    std::string methodName;
-};
-
-/**
- * Check 9: prove a translated template stream (vm/decoded_method.hh)
- * is memberwise-consistent with the plan's flattened tables. Static
- * counterpart of the fuzzer's engine cross-check, exactly as check 8
- * is the static counterpart of its flat/nested dispatch check.
- * Returns true if no errors were added.
- */
-bool checkTemplateStream(const TemplateCheckInput &input,
-                         DiagnosticList &diagnostics);
 
 /** Everything the k-path id-space audit inspects (check 10). */
 struct KPathCheckInput
@@ -194,26 +156,6 @@ struct CloneCheckInput
  */
 bool checkClonedBody(const CloneCheckInput &input,
                      DiagnosticList &diagnostics);
-
-/** Everything the fused-stream audit inspects (check 12). The
- *  DecodedMethod's own `code`/`info`/`source` back-pointers supply the
- *  constituents the composition is proved against. */
-struct FusedCheckInput
-{
-    const vm::DecodedMethod *decoded = nullptr;
-
-    /** Method name used in diagnostics. */
-    std::string methodName;
-};
-
-/**
- * Check 12: prove a fused/straightened template stream composes
- * exactly from its constituent opcode templates (docs/ENGINE.md).
- * Complements check 9, which validates the per-instruction fields
- * fusion leaves untouched. Returns true if no errors were added.
- */
-bool checkFusedStream(const FusedCheckInput &input,
-                      DiagnosticList &diagnostics);
 
 } // namespace pep::analysis
 

@@ -1,10 +1,12 @@
-#include "analysis/verify/engine_equiv.hh"
+#include "analysis/verify/stream_proof.hh"
 
 #include <sstream>
 #include <vector>
 
 #include "bytecode/cfg_builder.hh"
+#include "support/panic.hh"
 #include "vm/compiled_method.hh"
+#include "vm/cost_model.hh"
 #include "vm/decoded_method.hh"
 #include "vm/machine.hh"
 
@@ -15,7 +17,7 @@ namespace {
 using bytecode::Opcode;
 using bytecode::TerminatorKind;
 
-/** Caps repeated same-kind findings so a broken version stays readable. */
+/** Caps repeated same-kind findings so a broken stream stays readable. */
 constexpr std::size_t kMaxPerCategory = 8;
 
 /**
@@ -34,11 +36,11 @@ struct ExitEffect
     bool headerEvent = false;  ///< target is a loop-header leader
 };
 
-class EquivChecker
+class StreamProof
 {
   public:
-    EquivChecker(const EngineEquivInput &input,
-                 DiagnosticList &diagnostics)
+    StreamProof(const TemplateCheckInput &input,
+                DiagnosticList &diagnostics)
         : in_(input), diags_(diagnostics), cfg_(input.info->cfg),
           code_(*input.code), cm_(*input.cm), dm_(*input.decoded)
     {
@@ -48,11 +50,16 @@ class EquivChecker
     run()
     {
         const std::size_t before = diags_.errorCount();
-        if (!checkStreamShape())
+        if (!checkShape())
             return diags_.errorCount() == before;
         checkEdgeBase();
+        checkPcMap();
+        checkFallEdges();
+        if (!checkFusionMode())
+            return diags_.errorCount() == before;
+        checkTraceTables();
+        checkFusedTemplates();
         sumTemplateCharges();
-        checkTraceShape();
         for (cfg::BlockId b = 0; b < cfg_.graph.numBlocks(); ++b) {
             if (cfg_.isCodeBlock(b))
                 checkBlock(b);
@@ -68,8 +75,8 @@ class EquivChecker
     stamp(Diagnostic &d, const char *check)
     {
         d.check = check;
-        d.hasVersion = in_.hasVersion;
-        d.version = in_.version;
+        d.hasVersion = in_.version.has_value();
+        d.version = in_.version.value_or(0);
         return d;
     }
 
@@ -115,10 +122,11 @@ class EquivChecker
 
     // ---- prerequisites ------------------------------------------------
 
-    /** The pc->template map must cover the code and stay in bounds;
-     *  everything below indexes through it. */
+    /** The pc->template map must cover the code and stay in bounds,
+     *  and every template must name a code block; everything below
+     *  indexes through them. */
     bool
-    checkStreamShape()
+    checkShape()
     {
         const std::size_t n = code_.code.size();
         if (dm_.pcToTemplate.size() != n) {
@@ -139,10 +147,11 @@ class EquivChecker
             }
         }
         for (const vm::Template &t : dm_.stream) {
-            if (t.block >= cfg_.graph.numBlocks()) {
+            if (t.block >= cfg_.graph.numBlocks() ||
+                !cfg_.isCodeBlock(t.block)) {
                 std::ostringstream os;
-                os << "template at pc " << t.pc
-                   << " names nonexistent block " << t.block;
+                os << "template at pc " << t.pc << " names block "
+                   << t.block << ", which holds no code";
                 error("stream-shape", os.str());
                 return false;
             }
@@ -150,9 +159,10 @@ class EquivChecker
         return true;
     }
 
-    /** Structural flat-edge bases: the stream's burned-in edgeBase must
-     *  be the CFG's successor-count prefix sums — the indices every
-     *  enabled plan's flatEdgeActions are laid out by. */
+    /** Structural flat-edge bases: the stream's burned-in edgeBase and
+     *  every template's flatBase must be the CFG's successor-count
+     *  prefix sums — the indices every enabled plan's flatEdgeActions
+     *  are laid out by. */
     void
     checkEdgeBase()
     {
@@ -168,30 +178,288 @@ class EquivChecker
         std::size_t mismatches = 0;
         if (dm_.edgeBase.size() != refBase_.size()) {
             std::ostringstream os;
-            os << "edgeBase has " << dm_.edgeBase.size()
-               << " entries, CFG implies " << refBase_.size();
+            os << "template edgeBase has " << dm_.edgeBase.size()
+               << " entries, the CFG implies " << refBase_.size();
             error("edge-base", os.str());
-            return;
+        } else {
+            for (std::size_t b = 0; b < refBase_.size(); ++b) {
+                if (dm_.edgeBase[b] != refBase_[b] &&
+                    !capped(mismatches)) {
+                    std::ostringstream os;
+                    os << "template edgeBase[" << b << "] is "
+                       << dm_.edgeBase[b]
+                       << " but the CFG's successor prefix sum is "
+                       << refBase_[b];
+                    error("edge-base", os.str());
+                }
+            }
         }
-        for (std::size_t b = 0; b < refBase_.size(); ++b) {
-            if (dm_.edgeBase[b] != refBase_[b] && !capped(mismatches)) {
+        for (const vm::Template &t : dm_.stream) {
+            if (t.flatBase != refBase_[t.block] && !capped(mismatches)) {
                 std::ostringstream os;
-                os << "edgeBase[" << b << "] = " << dm_.edgeBase[b]
-                   << " but the CFG's successor prefix sum is "
-                   << refBase_[b];
-                error("edge-base", os.str());
+                os << "template at pc " << t.pc << " carries flat base "
+                   << t.flatBase << " for block " << t.block
+                   << ", whose base is " << refBase_[t.block];
+                errorAtPc("edge-base", t.pc, os.str());
             }
         }
     }
 
-    // ---- per-block charge sums ---------------------------------------
+    /** Every pc maps to a template that re-encodes exactly that
+     *  instruction — its opcode (or a fused/guard top covering it),
+     *  its block, and the version's branch layout. */
+    void
+    checkPcMap()
+    {
+        std::size_t mismatches = 0;
+        std::size_t layouts = 0;
+        for (bytecode::Pc pc = 0; pc < code_.code.size(); ++pc) {
+            const vm::Template &t = dm_.stream[dm_.pcToTemplate[pc]];
+            bool op_ok;
+            if (vm::isFusedTop(t.op)) {
+                op_ok = t.pc <= pc && pc < t.pc + t.fuseLen;
+            } else if (vm::isGuardTop(t.op)) {
+                op_ok = t.pc == pc && vm::branchOpcodeOfTop(t.op) ==
+                                          code_.code[pc].op;
+            } else {
+                op_ok = t.pc == pc &&
+                        t.op == static_cast<std::uint8_t>(
+                                    code_.code[pc].op);
+            }
+            const cfg::BlockId block = cfg_.blockOfPc[pc];
+            if ((!op_ok || t.block != block) && !capped(mismatches)) {
+                std::ostringstream os;
+                os << "template for pc " << pc
+                   << " disagrees with the instruction it pre-decodes "
+                      "(stale translation?)";
+                errorAtPc("pc-map", pc, os.str());
+            }
+            if (t.layout != cm_.layoutFor(block) && !capped(layouts)) {
+                std::ostringstream os;
+                os << "template for pc " << pc << " bakes layout "
+                   << t.layout << " but the version's is "
+                   << cm_.layoutFor(block) << " (stale translation?)";
+                errorAtPc("layout", pc, os.str());
+            }
+        }
+    }
+
+    /** Injected fall-through boundaries fire their block's single
+     *  CFG edge. */
+    void
+    checkFallEdges()
+    {
+        std::size_t mismatches = 0;
+        for (const vm::Template &t : dm_.stream) {
+            if (t.op != vm::kTopFallEdge && t.op != vm::kTopTraceFall)
+                continue;
+            if (cfg_.graph.succs(t.block).size() != 1 &&
+                !capped(mismatches)) {
+                std::ostringstream os;
+                os << "fall-edge template at pc " << t.pc
+                   << " fires edge " << t.flatBase << " but block "
+                   << t.block << " has "
+                   << cfg_.graph.succs(t.block).size() << " successors";
+                errorAtPc("control-exit", t.pc, os.str());
+            }
+        }
+    }
+
+    // ---- fusion -------------------------------------------------------
+
+    /** Synthetic tops appear only under the fusion selection that
+     *  produces them, and so do trace tables. */
+    bool
+    checkFusionMode()
+    {
+        for (const vm::Template &t : dm_.stream) {
+            if (vm::isFusedTop(t.op) && !dm_.fuse.pairs) {
+                errorAtPc("fuse-mode", t.pc,
+                          "fused superinstruction present without "
+                          "fuse.pairs");
+                return false;
+            }
+            if ((vm::isGuardTop(t.op) || t.op == vm::kTopTraceFall) &&
+                !dm_.fuse.traces) {
+                errorAtPc("fuse-mode", t.pc,
+                          "trace template present without fuse.traces");
+                return false;
+            }
+        }
+        if (!dm_.fuse.traces && !dm_.traces.empty()) {
+            error("fuse-mode", "trace table present without fuse.traces");
+            return false;
+        }
+        return true;
+    }
+
+    bool
+    inTrace(cfg::BlockId b) const
+    {
+        return tracesUsable_ && dm_.blockTrace[b] >= 0;
+    }
+
+    /** traces / blockTrace must describe each other, and the chains
+     *  must be exactly what selection derives from (code, layout,
+     *  fuse), before the charge comparisons lean on them. */
+    void
+    checkTraceTables()
+    {
+        tracesUsable_ = false;
+        if (dm_.blockTrace.size() != cfg_.graph.numBlocks()) {
+            std::ostringstream os;
+            os << "blockTrace has " << dm_.blockTrace.size()
+               << " entries for " << cfg_.graph.numBlocks() << " blocks";
+            error("trace-shape", os.str());
+            return;
+        }
+        std::vector<std::int32_t> expect(cfg_.graph.numBlocks(), -1);
+        for (std::size_t ti = 0; ti < dm_.traces.size(); ++ti) {
+            for (cfg::BlockId b : dm_.traces[ti]) {
+                if (b >= cfg_.graph.numBlocks() || expect[b] != -1) {
+                    std::ostringstream os;
+                    os << "trace " << ti << " member block " << b
+                       << " is out of range or already in a trace";
+                    error("trace-shape", os.str());
+                    return;
+                }
+                expect[b] = static_cast<std::int32_t>(ti);
+            }
+        }
+        if (dm_.blockTrace != expect) {
+            error("trace-shape",
+                  "blockTrace disagrees with the trace table");
+            return;
+        }
+        const std::vector<std::vector<cfg::BlockId>> want =
+            vm::selectTraces(code_, *in_.info, cm_, dm_.fuse);
+        if (dm_.traces != want) {
+            std::ostringstream os;
+            os << "trace table holds " << dm_.traces.size()
+               << " chains but selection derives " << want.size()
+               << " (stale or tampered trace selection)";
+            error("trace-selection", os.str());
+            return;
+        }
+        tracesUsable_ = true;
+    }
+
+    /** Every fused template is the fusion-menu match at its pc, covers
+     *  exactly its constituent pcs, stays inside one segment and burns
+     *  in the constituents' operands; every guard is the conditional
+     *  branch at an interior predicted-fall-through trace exit. */
+    void
+    checkFusedTemplates()
+    {
+        const std::size_t n = code_.code.size();
+
+        // Segment leaders: block leaders plus post-Invoke resume points
+        // (the fusion barrier).
+        std::vector<bool> seg_leader(n, false);
+        if (n > 0)
+            seg_leader[0] = true;
+        for (bytecode::Pc pc = 0; pc < n; ++pc) {
+            if (in_.info->leaderPc[pc])
+                seg_leader[pc] = true;
+            if (code_.code[pc].op == Opcode::Invoke && pc + 1 < n)
+                seg_leader[pc + 1] = true;
+        }
+
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < dm_.stream.size(); ++i) {
+            const vm::Template &t = dm_.stream[i];
+            if (vm::isFusedTop(t.op)) {
+                const vm::FusionMatch m = vm::matchFusion(code_, t.pc);
+                if (m.top != t.op || m.len != t.fuseLen ||
+                    m.sub != t.sub) {
+                    if (!capped(mismatches)) {
+                        std::ostringstream os;
+                        os << "fused template at pc " << t.pc << " (top "
+                           << static_cast<unsigned>(t.op)
+                           << ") is not the fusion-menu match for its "
+                              "constituents";
+                        errorAtPc("fusion", t.pc, os.str());
+                    }
+                    continue;
+                }
+                bool span_ok = t.pc + t.fuseLen <= n;
+                for (std::uint8_t j = 0; span_ok && j < t.fuseLen; ++j) {
+                    if (dm_.pcToTemplate[t.pc + j] != i ||
+                        cfg_.blockOfPc[t.pc + j] != t.block ||
+                        (j > 0 && seg_leader[t.pc + j]))
+                        span_ok = false;
+                }
+                if (!span_ok) {
+                    if (!capped(mismatches)) {
+                        std::ostringstream os;
+                        os << "fused template at pc " << t.pc
+                           << " crosses a segment boundary or its "
+                              "constituent pcs do not map back to it";
+                        errorAtPc("fusion", t.pc, os.str());
+                    }
+                    continue;
+                }
+                // Operand burn-in (see Template field notes).
+                bool ops_ok = t.a == code_.code[t.pc].a;
+                if (t.fuseLen == 3 || t.op == vm::kTopConstStore ||
+                    t.op == vm::kTopLoadStore || t.op == vm::kTopLoadLoad)
+                    ops_ok = ops_ok && t.b == code_.code[t.pc + 1].a;
+                if (vm::isFusedBranchTop(t.op)) {
+                    const bytecode::Pc last = t.pc + t.fuseLen - 1;
+                    ops_ok = ops_ok &&
+                             t.takenPc == static_cast<bytecode::Pc>(
+                                              code_.code[last].a) &&
+                             t.fallPc == last + 1;
+                }
+                if (!ops_ok && !capped(mismatches)) {
+                    std::ostringstream os;
+                    os << "fused template at pc " << t.pc
+                       << " burned in operands that disagree with its "
+                          "constituent instructions";
+                    errorAtPc("fusion", t.pc, os.str());
+                }
+            } else if (vm::isGuardTop(t.op)) {
+                const Opcode want_op = vm::branchOpcodeOfTop(t.op);
+                if (t.fuseLen != 1 || t.pc >= n ||
+                    code_.code[t.pc].op != want_op ||
+                    t.sub != static_cast<std::uint8_t>(want_op)) {
+                    if (!capped(mismatches)) {
+                        std::ostringstream os;
+                        os << "guard template at pc " << t.pc
+                           << " does not encode the branch instruction "
+                              "at that pc";
+                        errorAtPc("fusion", t.pc, os.str());
+                    }
+                    continue;
+                }
+                // Guards exist only at interior exits of a trace whose
+                // layout predicts fall-through.
+                const bool interior =
+                    inTrace(t.block) &&
+                    dm_.traces[static_cast<std::size_t>(
+                                   dm_.blockTrace[t.block])]
+                            .back() != t.block &&
+                    cfg_.lastPc[t.block] == t.pc;
+                if ((!interior || cm_.layoutFor(t.block) == 1) &&
+                    !capped(mismatches)) {
+                    std::ostringstream os;
+                    os << "guard template at pc " << t.pc
+                       << " is not an interior predicted-fall-through "
+                          "trace exit";
+                    errorAtPc("fusion", t.pc, os.str());
+                }
+            }
+        }
+    }
+
+    // ---- charges ------------------------------------------------------
 
     /** Segment charges are folded onto segment-leader templates, and a
      *  segment never crosses a block boundary (every block leader is a
      *  segment leader), so summing per owning block is exact. Trace
      *  batching moves whole-block sums onto the trace head, so blocks
-     *  inside a trace are excluded here and compared at trace
-     *  granularity by checkTraces() instead. */
+     *  inside a trace are compared at trace granularity by
+     *  checkTraces() instead. */
     void
     sumTemplateCharges()
     {
@@ -209,7 +477,7 @@ class EquivChecker
     }
 
     /** The switch engine's cost of one block (scaled per-instruction
-     *  sums) and its instruction count. */
+     *  sums). */
     std::uint64_t
     refBlockCost(cfg::BlockId b) const
     {
@@ -222,70 +490,13 @@ class EquivChecker
         return cost;
     }
 
-    bool
-    inTrace(cfg::BlockId b) const
-    {
-        return b < dm_.blockTrace.size() && dm_.blockTrace[b] >= 0;
-    }
-
-    /** traces / blockTrace must describe each other before the charge
-     *  comparisons lean on them. */
-    void
-    checkTraceShape()
-    {
-        tracesUsable_ = true;
-        if (dm_.traces.empty() && dm_.blockTrace.empty())
-            return;
-        if (dm_.blockTrace.size() != cfg_.graph.numBlocks()) {
-            std::ostringstream os;
-            os << "blockTrace has " << dm_.blockTrace.size()
-               << " entries for " << cfg_.graph.numBlocks() << " blocks";
-            error("trace-shape", os.str());
-            tracesUsable_ = false;
-            return;
-        }
-        std::vector<std::int32_t> expect(cfg_.graph.numBlocks(), -1);
-        for (std::size_t ti = 0; ti < dm_.traces.size(); ++ti) {
-            if (dm_.traces[ti].size() < 2) {
-                std::ostringstream os;
-                os << "trace " << ti << " has "
-                   << dm_.traces[ti].size()
-                   << " blocks (a trace straightens at least two)";
-                error("trace-shape", os.str());
-                tracesUsable_ = false;
-            }
-            for (cfg::BlockId b : dm_.traces[ti]) {
-                if (b >= cfg_.graph.numBlocks() || expect[b] != -1) {
-                    std::ostringstream os;
-                    os << "trace " << ti
-                       << " member block " << b
-                       << " is out of range or already in a trace";
-                    error("trace-shape", os.str());
-                    tracesUsable_ = false;
-                    continue;
-                }
-                expect[b] = static_cast<std::int32_t>(ti);
-            }
-        }
-        for (cfg::BlockId b = 0;
-             tracesUsable_ && b < cfg_.graph.numBlocks(); ++b) {
-            if (dm_.blockTrace[b] != expect[b]) {
-                std::ostringstream os;
-                os << "blockTrace[" << b << "] = " << dm_.blockTrace[b]
-                   << " but the trace list implies " << expect[b];
-                error("trace-shape", os.str());
-                tracesUsable_ = false;
-            }
-        }
-    }
-
     /**
-     * Trace-granularity charge equivalence: the head leader carries the
-     * whole chain's switch-engine cost, interior leaders carry zero,
-     * and every interior guard's stashed refund equals the
-     * switch-engine cost of the unexecuted suffix — so a mispredicted
-     * exit leaves the clock exactly where per-instruction charging
-     * would have.
+     * Trace-granularity charge equivalence: the head carries the whole
+     * chain's switch-engine cost, interior blocks carry zero, every
+     * interior guard's stashed refund equals the switch-engine cost of
+     * the unexecuted suffix — so a mispredicted exit leaves the clock
+     * exactly where per-instruction charging would have — and every
+     * interior fall-through end is a TraceFall template.
      */
     void
     checkTraces()
@@ -333,18 +544,32 @@ class EquivChecker
                     errorAtPc("trace-cost", cfg_.firstPc[b], os.str());
                 }
                 const cfg::BlockId exit_block = chain[i];
-                if (cfg_.terminator[exit_block] != TerminatorKind::Cond)
+                const bytecode::Pc end_pc = cfg_.lastPc[exit_block];
+                const std::uint32_t end_tpl = dm_.pcToTemplate[end_pc];
+                if (cfg_.terminator[exit_block] != TerminatorKind::Cond) {
+                    // The TraceFall boundary directly follows the
+                    // block-end instruction's template.
+                    const bool tf_ok =
+                        end_tpl + 1 < dm_.stream.size() &&
+                        dm_.stream[end_tpl + 1].op == vm::kTopTraceFall &&
+                        dm_.stream[end_tpl + 1].block == exit_block;
+                    if (!tf_ok && !capped(costMismatches_)) {
+                        std::ostringstream os;
+                        os << "interior fall-through end of trace " << ti
+                           << " at pc " << end_pc
+                           << " is not a TraceFall template";
+                        errorAtPc("trace-guard", end_pc, os.str());
+                    }
                     continue;
-                const vm::Template &gt = dm_.stream[dm_.pcToTemplate[
-                    cfg_.lastPc[exit_block]]];
+                }
+                const vm::Template &gt = dm_.stream[end_tpl];
                 if (!vm::isGuardTop(gt.op)) {
                     std::ostringstream os;
                     os << "trace " << ti << " interior branch of block "
                        << exit_block
                        << " is not a guard template (top "
                        << static_cast<unsigned>(gt.op) << ")";
-                    errorAtPc("trace-guard", cfg_.lastPc[exit_block],
-                              os.str());
+                    errorAtPc("trace-guard", end_pc, os.str());
                     continue;
                 }
                 if ((gt.swFirst != suffix_cost ||
@@ -357,8 +582,7 @@ class EquivChecker
                        << " instructions but the unexecuted suffix "
                           "costs "
                        << suffix_cost << " / " << suffix_ninstr;
-                    errorAtPc("trace-guard", cfg_.lastPc[exit_block],
-                              os.str());
+                    errorAtPc("trace-guard", end_pc, os.str());
                 }
             }
         }
@@ -377,21 +601,16 @@ class EquivChecker
         // charges scaledCost per instruction; the threaded engine
         // charges the folded sums. Equal per block => equal on every
         // execution (both engines execute whole blocks between edges).
-        if (!tracesUsable_ || !inTrace(b)) {
+        if (!inTrace(b)) {
             const std::uint64_t ref_cost = refBlockCost(b);
             const std::uint64_t ref_ninstr = last - first + 1;
-            if (ref_cost != tplCost_[b] && !capped(costMismatches_)) {
-                std::ostringstream os;
-                os << "block " << b << " bytecode cost " << ref_cost
-                   << " != template segment sum " << tplCost_[b];
-                errorAtPc("segment-cost", first, os.str());
-            }
-            if (ref_ninstr != tplNinstr_[b] &&
+            if ((ref_cost != tplCost_[b] || ref_ninstr != tplNinstr_[b]) &&
                 !capped(costMismatches_)) {
                 std::ostringstream os;
-                os << "block " << b << " holds " << ref_ninstr
-                   << " instructions but templates charge "
-                   << tplNinstr_[b];
+                os << "block " << b << " segment charges sum to "
+                   << tplCost_[b] << " cycles / " << tplNinstr_[b]
+                   << " instructions but its code costs " << ref_cost
+                   << " / " << ref_ninstr;
                 errorAtPc("segment-cost", first, os.str());
             }
         }
@@ -436,7 +655,7 @@ class EquivChecker
         // the engines execute (successor lists in convention order).
         checkCfgShape(b, ref);
 
-        // Template exits, plus the layout/baseline reads on branches.
+        // Template exits, plus the baseline read on branches.
         std::vector<ExitEffect> tpl;
         if (!templateExits(b, kind, term, tpl))
             return; // shape errors already reported
@@ -497,26 +716,40 @@ class EquivChecker
         }
     }
 
-    /** Resolve a transfer's target template and prove the dispatch
-     *  lands on the target pc's template. */
+    /** The dispatch must land on the target pc's template, and the
+     *  header hooks it fires must name the target pc's block. */
     void
     checkTransfer(cfg::BlockId b, std::uint32_t target_tpl,
-                  bytecode::Pc target_pc, const char *what)
+                  bytecode::Pc target_pc, cfg::BlockId target_block,
+                  const char *what)
     {
-        if (target_tpl != dm_.pcToTemplate[target_pc] &&
+        if (target_pc >= code_.code.size()) {
+            if (!capped(transferMismatches_)) {
+                std::ostringstream os;
+                os << what << " of block " << b << " targets pc "
+                   << target_pc << ", outside the code";
+                errorAtPc("control-exit", cfg_.lastPc[b], os.str());
+            }
+            return;
+        }
+        if ((target_tpl != dm_.pcToTemplate[target_pc] ||
+             target_block != cfg_.blockOfPc[target_pc]) &&
             !capped(transferMismatches_)) {
             std::ostringstream os;
-            os << what << " of block " << b << " dispatches to template "
-               << target_tpl << " but pc " << target_pc
-               << " lives at template " << dm_.pcToTemplate[target_pc];
+            os << what << " of block " << b
+               << " does not resolve to pc " << target_pc
+               << "'s template (dispatches to template " << target_tpl
+               << " in block " << target_block << ", pc " << target_pc
+               << " lives at template " << dm_.pcToTemplate[target_pc]
+               << ")";
             errorAtPc("control-exit", cfg_.lastPc[b], os.str());
         }
     }
 
     /** Build the template stream's exits for one block and check the
-     *  terminator template's layout/baseline reads. Returns false when
-     *  the stream's shape around the terminator is too broken to
-     *  compare exits. */
+     *  terminator template's baseline read. Returns false when the
+     *  stream's shape around the terminator is too broken to compare
+     *  exits. */
     bool
     templateExits(cfg::BlockId b, TerminatorKind kind,
                   const bytecode::Instr &term, std::vector<ExitEffect> &out)
@@ -558,11 +791,13 @@ class EquivChecker
                           "branch");
                 return false;
             }
-            checkBranchReads(b, tt, last);
+            checkBaselineRead(tt, last);
             push(0, tt.takenPc, tt.flags & vm::kTplTakenHeader);
             push(1, tt.fallPc, tt.flags & vm::kTplFallHeader);
-            checkTransfer(b, tt.taken, tt.takenPc, "taken exit");
-            checkTransfer(b, tt.fall, tt.fallPc, "fall exit");
+            checkTransfer(b, tt.taken, tt.takenPc, tt.takenBlock,
+                          "taken exit");
+            checkTransfer(b, tt.fall, tt.fallPc, tt.fallBlock,
+                          "fall exit");
             return true;
           }
           case TerminatorKind::Switch: {
@@ -571,7 +806,7 @@ class EquivChecker
                           "terminator template is not a Tableswitch");
                 return false;
             }
-            checkBranchReads(b, tt, last);
+            checkBaselineRead(tt, last);
             if (tt.a != term.a) {
                 std::ostringstream os;
                 os << "switch low bound " << tt.a
@@ -596,13 +831,14 @@ class EquivChecker
                 const vm::SwitchCase &sc =
                     dm_.switchCases[tt.swFirst + i];
                 push(i, sc.pc, sc.isHeader != 0);
-                checkTransfer(b, sc.tpl, sc.pc, "switch exit");
+                checkTransfer(b, sc.tpl, sc.pc, sc.block, "switch exit");
             }
             return true;
           }
           case TerminatorKind::Goto:
             push(0, tt.takenPc, tt.flags & vm::kTplTakenHeader);
-            checkTransfer(b, tt.taken, tt.takenPc, "goto exit");
+            checkTransfer(b, tt.taken, tt.takenPc, tt.takenBlock,
+                          "goto exit");
             return true;
           case TerminatorKind::Return: {
             ExitEffect e;
@@ -622,7 +858,8 @@ class EquivChecker
                     return false;
                 }
                 push(0, tt.fallPc, tt.flags & vm::kTplFallHeader);
-                checkTransfer(b, tt.fall, tt.fallPc, "invoke fall");
+                checkTransfer(b, tt.fall, tt.fallPc, tt.fallBlock,
+                              "invoke fall");
                 return true;
             }
             // Plain fall-through: the injected FallEdge template.
@@ -640,7 +877,8 @@ class EquivChecker
             e.targetPc = fe.fallPc;
             e.headerEvent = fe.flags & vm::kTplFallHeader;
             out.push_back(e);
-            checkTransfer(b, fe.fall, fe.fallPc, "fall edge");
+            checkTransfer(b, fe.fall, fe.fallPc, fe.fallBlock,
+                          "fall edge");
             return true;
           }
           case TerminatorKind::None:
@@ -649,20 +887,12 @@ class EquivChecker
         return false;
     }
 
-    /** Layout and baseline-counter reads on Cond/Switch terminators:
-     *  the template's baked copies must equal the version's live state
-     *  (miss penalties and one-time counters fire identically). */
+    /** The one-time-instrumentation flag the threaded engine baked
+     *  into a Cond/Switch terminator must equal the version's, so
+     *  baseline edge counters fire identically. */
     void
-    checkBranchReads(cfg::BlockId b, const vm::Template &tt,
-                     bytecode::Pc last)
+    checkBaselineRead(const vm::Template &tt, bytecode::Pc last)
     {
-        if (tt.layout != cm_.layoutFor(b) && !capped(layoutMismatches_)) {
-            std::ostringstream os;
-            os << "template layout " << tt.layout
-               << " != installed branchLayout " << cm_.layoutFor(b)
-               << " (stale template: layout misses diverge)";
-            errorAtPc("layout", last, os.str());
-        }
         const bool tpl_baseline = tt.flags & vm::kTplBaselineEdge;
         if (tpl_baseline != cm_.baselineEdgeInstr &&
             !capped(baselineMismatches_)) {
@@ -711,7 +941,7 @@ class EquivChecker
         }
     }
 
-    const EngineEquivInput &in_;
+    const TemplateCheckInput &in_;
     DiagnosticList &diags_;
     const bytecode::MethodCfg &cfg_;
     const bytecode::Method &code_;
@@ -722,25 +952,68 @@ class EquivChecker
     std::vector<std::uint64_t> tplCost_;
     std::vector<std::uint64_t> tplNinstr_;
     std::vector<std::int64_t> fallEdgeTpl_;
-    bool tracesUsable_ = true;
+    bool tracesUsable_ = false;
 
     std::size_t costMismatches_ = 0;
     std::size_t cfgMismatches_ = 0;
     std::size_t transferMismatches_ = 0;
-    std::size_t layoutMismatches_ = 0;
     std::size_t baselineMismatches_ = 0;
     std::size_t exitMismatches_ = 0;
     std::size_t headerMismatches_ = 0;
 };
 
+/** The version the static tools prove: full-opt costs, no layout
+ *  information, no baseline instrumentation. */
+vm::CompiledMethod
+canonicalVersion(const bytecode::MethodCfg &cfg)
+{
+    vm::CompiledMethod cm;
+    cm.level = vm::OptLevel::Opt2;
+    const vm::CostModel cost;
+    cm.scaledCost.resize(bytecode::kNumOpcodes);
+    for (std::size_t op = 0; op < bytecode::kNumOpcodes; ++op)
+        cm.scaledCost[op] =
+            cost.instrCost(static_cast<bytecode::Opcode>(op));
+    cm.branchLayout.assign(cfg.graph.numBlocks(), -1);
+    return cm;
+}
+
 } // namespace
 
 bool
-checkEngineEquivalence(const EngineEquivInput &input,
-                       DiagnosticList &diagnostics)
+checkTemplateStream(const TemplateCheckInput &input,
+                    DiagnosticList &diagnostics)
 {
-    EquivChecker checker(input, diagnostics);
-    return checker.run();
+    PEP_ASSERT(input.code && input.info && input.cm && input.decoded);
+    StreamProof proof(input, diagnostics);
+    return proof.run();
+}
+
+bool
+checkTemplateStreams(const bytecode::Method &code,
+                     const vm::MethodInfo &info,
+                     const vm::CompiledMethod *cm,
+                     std::span<const vm::FuseOptions> fuses,
+                     const std::string &method_name,
+                     std::optional<std::uint32_t> version,
+                     DiagnosticList &diagnostics)
+{
+    const std::size_t before = diagnostics.errorCount();
+    const vm::CompiledMethod canonical = canonicalVersion(info.cfg);
+    const vm::CompiledMethod &version_cm = cm ? *cm : canonical;
+    for (const vm::FuseOptions &fuse : fuses) {
+        const vm::DecodedMethod decoded =
+            vm::translateMethod(code, info, version_cm, fuse);
+        TemplateCheckInput input;
+        input.code = &code;
+        input.info = &info;
+        input.cm = &version_cm;
+        input.decoded = &decoded;
+        input.methodName = method_name;
+        input.version = version;
+        checkTemplateStream(input, diagnostics);
+    }
+    return diagnostics.errorCount() == before;
 }
 
 } // namespace pep::analysis

@@ -1,37 +1,13 @@
 #include "analysis/verify/verify.hh"
 
 #include "analysis/plan_check.hh"
-#include "analysis/verify/engine_equiv.hh"
-#include "analysis/verify/invariants.hh"
-#include "bytecode/cfg_builder.hh"
+#include "analysis/verify/stream_proof.hh"
 #include "bytecode/verifier.hh"
 #include "vm/compiled_method.hh"
-#include "vm/cost_model.hh"
-#include "vm/decoded_method.hh"
 #include "vm/inliner.hh"
 #include "vm/machine.hh"
 
 namespace pep::analysis {
-
-namespace {
-
-/** The canonical translation pep_lint's check 9 also uses: full-opt
- *  costs, no layout information, no baseline instrumentation. */
-vm::CompiledMethod
-canonicalVersion(const bytecode::MethodCfg &cfg)
-{
-    vm::CompiledMethod cm;
-    cm.level = vm::OptLevel::Opt2;
-    const vm::CostModel cost;
-    cm.scaledCost.resize(bytecode::kNumOpcodes);
-    for (std::size_t op = 0; op < bytecode::kNumOpcodes; ++op)
-        cm.scaledCost[op] =
-            cost.instrCost(static_cast<bytecode::Opcode>(op));
-    cm.branchLayout.assign(cfg.graph.numBlocks(), -1);
-    return cm;
-}
-
-} // namespace
 
 bool
 verifyProgram(bytecode::Program &program, DiagnosticList &diagnostics)
@@ -50,94 +26,52 @@ verifyProgram(bytecode::Program &program, DiagnosticList &diagnostics)
     if (!verified.ok)
         return false;
 
-    // The equivalence proof must hold under every fusion selection —
-    // fused segments included (under the canonical all-fall-through
-    // layout `traces` straightens real chains).
-    const vm::FuseOptions fuse_matrix[] = {
-        {false, false}, {true, false}, {false, true}, {true, true}};
     for (const bytecode::Method &method : program.methods) {
-        const vm::MethodInfo info = vm::buildMethodInfo(method);
-        const vm::CompiledMethod cm = canonicalVersion(info.cfg);
-        for (const vm::FuseOptions &fuse : fuse_matrix) {
-            const vm::DecodedMethod decoded =
-                vm::translateMethod(method, info, cm, fuse);
-
-            EngineEquivInput input;
-            input.code = &method;
-            input.info = &info;
-            input.cm = &cm;
-            input.decoded = &decoded;
-            input.methodName = method.name;
-            checkEngineEquivalence(input, diagnostics);
-
-            FusedCheckInput fused;
-            fused.decoded = &decoded;
-            fused.methodName = method.name;
-            checkFusedStream(fused, diagnostics);
-        }
+        checkTemplateStreams(method, vm::buildMethodInfo(method),
+                             nullptr, kEveryFuseOption, method.name,
+                             std::nullopt, diagnostics);
     }
     return diagnostics.errorCount() == before;
 }
 
 bool
-verifyMachine(const vm::Machine &machine, DiagnosticList &diagnostics,
-              const VerifyOptions &options)
+verifyMachine(const vm::Machine &machine, DiagnosticList &diagnostics)
 {
     const std::size_t before = diagnostics.errorCount();
+    const vm::FuseOptions live_fuse[] = {machine.params().fuse};
 
-    if (options.checkEquivalence) {
-        for (bytecode::MethodId m = 0; m < machine.numMethods(); ++m) {
-            for (std::uint32_t v = 0; v < machine.numVersions(m); ++v) {
-                const vm::CompiledMethod *cm = machine.versionAt(m, v);
-                // The version executes its inlined body's code when it
-                // has one; all block ids refer to that CFG.
-                const bytecode::Method *code =
-                    cm->inlinedBody ? &cm->inlinedBody->method
-                                    : &machine.program().methods[m];
-                const vm::MethodInfo *info = cm->inlinedBody
-                                                 ? &cm->inlinedBody->info
-                                                 : &machine.info(m);
-                // Verify under the machine's live fusion selection —
-                // the streams the threaded engine actually executes.
-                const vm::DecodedMethod decoded = vm::translateMethod(
-                    *code, *info, *cm, machine.params().fuse);
+    for (bytecode::MethodId m = 0; m < machine.numMethods(); ++m) {
+        const std::string &name = machine.program().methods[m].name;
+        for (std::uint32_t v = 0; v < machine.numVersions(m); ++v) {
+            const vm::CompiledMethod *cm = machine.versionAt(m, v);
+            // The version executes its inlined body's code when it has
+            // one; all block ids refer to that CFG. Verify under the
+            // machine's live fusion selection — the streams the
+            // threaded engine actually executes.
+            const vm::InlinedBody *body = cm->inlinedBody.get();
+            checkTemplateStreams(
+                body ? body->method : machine.program().methods[m],
+                body ? body->info : machine.info(m), cm, live_fuse, name,
+                v, diagnostics);
 
-                EngineEquivInput input;
-                input.code = code;
-                input.info = info;
-                input.cm = cm;
-                input.decoded = &decoded;
-                input.methodName = machine.program().methods[m].name;
-                input.hasVersion = true;
-                input.version = v;
-                checkEngineEquivalence(input, diagnostics);
-
-                FusedCheckInput fused;
-                fused.decoded = &decoded;
-                fused.methodName = machine.program().methods[m].name;
-                checkFusedStream(fused, diagnostics);
+            // Check 11 over every clone-synthesized body.
+            if (!cm->cloneApplied)
+                continue;
+            if (!body) {
+                Diagnostic &d = diagnostics.report(
+                    Severity::Error, "plan-check", name,
+                    "clone-applied version carries no synthesized body");
+                d.check = "clone-body";
+                d.hasVersion = true;
+                d.version = v;
+                continue;
             }
-        }
-    }
-
-    if (options.checkCachedStreams)
-        auditMachineDecoded(machine, diagnostics);
-    if (options.checkJournal)
-        auditMutationJournal(machine, diagnostics);
-    if (options.checkClones) {
-        auditCloneJournal(machine, diagnostics);
-        for (bytecode::MethodId m = 0; m < machine.numMethods(); ++m) {
-            for (std::uint32_t v = 0; v < machine.numVersions(m); ++v) {
-                const vm::CompiledMethod *cm = machine.versionAt(m, v);
-                if (!cm->cloneApplied || !cm->inlinedBody)
-                    continue;
-                CloneCheckInput input;
-                input.rootMethod = m;
-                input.originalCfg = &machine.info(m).cfg;
-                input.body = cm->inlinedBody.get();
-                input.methodName = machine.program().methods[m].name;
-                checkClonedBody(input, diagnostics);
-            }
+            CloneCheckInput input;
+            input.rootMethod = m;
+            input.originalCfg = &machine.info(m).cfg;
+            input.body = body;
+            input.methodName = name;
+            checkClonedBody(input, diagnostics);
         }
     }
 

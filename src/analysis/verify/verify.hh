@@ -5,27 +5,27 @@
  * @file
  * Driver for the pep-verify passes (docs/ANALYSIS.md):
  *
- *  1. engine equivalence  (verify/engine_equiv.hh)
+ *  1. the template-stream proof (verify/stream_proof.hh)
  *  2. profile realizability (verify/realizability.hh)
- *  3. invariant escape audits (verify/invariants.hh)
  *
  * Two entry points:
  *
  *  - verifyProgram: static, no VM. Runs the bytecode verifier, then
- *    translates every method for the threaded engine exactly as the
- *    VM would at full opt (no layout information) and proves the
- *    template stream equivalent to the bytecode. This is what
- *    `pep_lint --verify` and `pep-verify --static-only` run.
+ *    proves the canonical full-opt translation of every method under
+ *    every fusion selection. This is what `pep-verify --static-only`
+ *    runs (pep_lint runs the same proof).
  *
  *  - verifyMachine: inspects a live VM after (or during) a run. For
- *    every installed compiled version it re-translates the version
- *    (using the inlined body's code when the version has one) and
- *    proves engine equivalence against the *installed* state — baked
- *    layouts included — then audits cached template streams and the
- *    escape/sanitize journal. Realizability of recorded profiles is
- *    checked by the callers that own the profilers (the pep-verify
- *    tool and the differ), since the analysis layer does not depend
- *    on the profiler runtime.
+ *    every installed compiled version it translates the version under
+ *    the machine's fusion selection (using the inlined body's code
+ *    when the version has one) and proves the stream against the
+ *    *installed* state — baked layouts included — then audits every
+ *    clone-synthesized body (plan-checker check 11). Installed
+ *    versions never change, so a stream cached at install time is the
+ *    stream proved here. Realizability of recorded profiles is checked
+ *    by the callers that own the profilers (the pep-verify tool and
+ *    the differ), since the analysis layer does not depend on the
+ *    profiler runtime.
  */
 
 #include "analysis/diagnostics.hh"
@@ -37,36 +37,22 @@ class Machine;
 
 namespace pep::analysis {
 
-/** Which verifyMachine audits to run (all on by default). */
-struct VerifyOptions
-{
-    bool checkEquivalence = true;
-    bool checkCachedStreams = true;
-    bool checkJournal = true;
-
-    /** Clone discipline: compile-journal agreement for every version
-     *  (auditCloneJournal) plus the check-11 origin audit of every
-     *  clone-synthesized body. */
-    bool checkClones = true;
-};
-
 /**
- * Static verification of a program: bytecode verifier + engine
- * equivalence of the canonical full-opt translation of every method.
- * The program is mutated only the way verification mutates it
- * (maxStack is filled in). Returns true if no errors were added.
+ * Static verification of a program: bytecode verifier + the stream
+ * proof of the canonical full-opt translation of every method. The
+ * program is mutated only the way verification mutates it (maxStack
+ * is filled in). Returns true if no errors were added.
  */
 bool verifyProgram(bytecode::Program &program,
                    DiagnosticList &diagnostics);
 
 /**
- * Verify a live machine's installed versions: engine equivalence per
- * version, cached-stream freshness, journal discipline. Returns true
- * if no errors were added.
+ * Verify a live machine's installed versions: the stream proof per
+ * version and the origin audit of every cloned body. Returns true if
+ * no errors were added.
  */
 bool verifyMachine(const vm::Machine &machine,
-                   DiagnosticList &diagnostics,
-                   const VerifyOptions &options = {});
+                   DiagnosticList &diagnostics);
 
 } // namespace pep::analysis
 

@@ -1,5 +1,7 @@
 #include "core/baseline_profilers.hh"
 
+#include "vm/inliner.hh"
+
 namespace pep::core {
 
 FullPathProfiler::FullPathProfiler(vm::Machine &machine,
@@ -71,12 +73,19 @@ edgeProfileFromPaths(vm::Machine &machine, PathEngine &engine)
     profile::EdgeProfileSet result(cfgs);
 
     for (auto &[key, vp] : engine.versionProfiles()) {
-        if (!vp->state->reconstructor)
+        const MethodProfilingState &state = *vp->state;
+        if (!state.reconstructor)
             continue;
-        profile::accumulateEdgeProfile(result.perMethod[key.first],
-                                       vp->paths,
-                                       *vp->state->reconstructor,
-                                       &vp->state->kpath);
+        // A synthesized (inlined or cloned) version's paths run over
+        // its own CFG; they fold onto the bytecode tables like truth.
+        const vm::InlinedBody *inlined =
+            state.compiled ? state.compiled->inlinedBody.get() : nullptr;
+        vp->paths.ensureExpanded(*state.reconstructor, &state.kpath);
+        for (const auto &[number, record] : vp->paths.paths()) {
+            for (const cfg::EdgeRef &edge : record.cfgEdges)
+                vm::foldEdge(result, key.first, inlined, edge,
+                             record.count);
+        }
     }
     return result;
 }

@@ -98,30 +98,12 @@ void
 PepProfiler::recordEdges(const MethodProfilingState &state,
                          const std::vector<cfg::EdgeRef> &cfg_edges)
 {
+    // Inlined or cloned code: several compiled branches map to one
+    // bytecode branch and share its counters (Section 4.3).
     const vm::InlinedBody *inlined =
         state.compiled ? state.compiled->inlinedBody.get() : nullptr;
-    if (!inlined) {
-        profile::MethodEdgeProfile &method_edges =
-            edges_.perMethod[state.method];
-        for (const cfg::EdgeRef &edge : cfg_edges)
-            method_edges.addEdge(edge);
-        return;
-    }
-    // Inlined code: several compiled branches map to one bytecode
-    // branch; update the shared original-method counters (Section
-    // 4.3). Synthesized control flow has no original identity.
-    for (const cfg::EdgeRef &edge : cfg_edges) {
-        const auto kind = inlined->info.cfg.terminator[edge.src];
-        if (kind != bytecode::TerminatorKind::Cond &&
-            kind != bytecode::TerminatorKind::Switch) {
-            continue;
-        }
-        const vm::BlockOrigin &origin = inlined->blockOrigin[edge.src];
-        if (!origin.valid())
-            continue;
-        edges_.perMethod[origin.method].addEdge(
-            cfg::EdgeRef{origin.block, edge.index});
-    }
+    for (const cfg::EdgeRef &edge : cfg_edges)
+        vm::foldEdge(edges_, state.method, inlined, edge);
 }
 
 const profile::MethodEdgeProfile *

@@ -87,7 +87,7 @@ class PepProfiler final : public PathEngine, public vm::LayoutSource
      * Mutable access to the continuous edge profile, for fault
      * injection only (the differ's `impossible-profile` self-test
      * corrupts one count to prove the realizability checker rejects
-     * it). Mirrors Machine::versionForUpdate's role for plan state.
+     * it).
      */
     profile::EdgeProfileSet &edgeProfileForInjection() { return edges_; }
 

@@ -18,9 +18,10 @@
  *      the clone builder pinned, overlaid last so the cloned path is
  *      straight-line regardless of what the averaged profile says.
  *
- * Because passes run inside Machine::compile() before observers and
- * template translation, the template rule holds by construction and
- * the PEP instrumentation plan is built for the CFG the pass produced.
+ * Because passes run inside Machine::compile() before the version is
+ * installed, observed or translated, the PEP instrumentation plan and
+ * the threaded engine's templates are built for the CFG the pass
+ * produced.
  *
  * The PEP_OPT environment variable selects passes for a whole test
  * run: a comma list of "layout" and "clone", or "none". Unset means

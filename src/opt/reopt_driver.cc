@@ -49,9 +49,8 @@ quantizedHotDir(bytecode::TerminatorKind kind,
 } // namespace
 
 ReoptDriver::ReoptDriver(vm::Machine &machine,
-                         const runtime::WindowedProfile &window,
-                         ReoptOptions options)
-    : machine_(machine), window_(window), options_(options),
+                         const runtime::WindowedProfile &window)
+    : machine_(machine), window_(window),
       snapshots_(machine.numMethods())
 {
 }
@@ -106,7 +105,7 @@ ReoptDriver::poll()
                 snap.hotDir[b] != best_index)
                 changed_mass += block_mass;
         }
-        if (total_mass < options_.minMass)
+        if (total_mass < kReoptMinMass)
             continue;
 
         // First sighting applies the initial profile-guided layout;
@@ -114,46 +113,15 @@ ReoptDriver::poll()
         // recompile.
         const bool shift =
             snap.valid &&
-            changed_mass > options_.shiftThreshold * total_mass;
+            changed_mass > kReoptShiftThreshold * total_mass;
         if (snap.valid && !shift)
             continue;
         if (snap.valid && window_.advances() - snap.atAdvance <
-                              options_.minAdvancesBetween)
+                              kReoptMinAdvancesBetween)
             continue;
 
-        // In-place relayout writes original-method block ids; a
-        // version compiled with an inlined body has its own block
-        // numbering, so only a full recompile can retarget it.
-        if (options_.action == ReoptAction::Recompile ||
-            current->inlinedBody) {
-            machine_.compileNow(method, current->level);
-            ++stats_.recompiles;
-        } else {
-            // Retranslate: install the window's hot directions as the
-            // current version's branch layout in place, then discharge
-            // the escape with an invalidation so the threaded engine
-            // retranslates (and re-straightens its traces) against
-            // them. Branches the window has no mass for keep their
-            // installed prediction.
-            vm::CompiledMethod *cm =
-                machine_.versionForUpdate(method, current->version);
-            for (cfg::BlockId b = 0; b < hot_dir.size(); ++b) {
-                if (hot_dir[b] < 0 || b >= cm->branchLayout.size())
-                    continue;
-                if (method_cfg.terminator[b] ==
-                    bytecode::TerminatorKind::Cond) {
-                    // quantizedHotDir speaks successor indices
-                    // (0 = taken); layout speaks prediction
-                    // (1 = predict taken).
-                    cm->branchLayout[b] = hot_dir[b] == 0 ? 1 : 0;
-                } else {
-                    cm->branchLayout[b] =
-                        static_cast<std::int16_t>(hot_dir[b]);
-                }
-            }
-            machine_.invalidateDecoded(method, current->version);
-            ++stats_.retranslations;
-        }
+        machine_.compileNow(method, current->level);
+        ++stats_.recompiles;
         if (shift)
             ++stats_.phaseShifts;
         snap.hotDir = std::move(hot_dir);

@@ -9,9 +9,9 @@
  * than a threshold of the method's branch mass since the layout it
  * last applied, recompiles the method through Machine::compileNow() —
  * which re-runs the whole pass pipeline, so the new version picks up
- * chain layout and cloning for the *current* phase. Because every
- * reoptimization is an ordinary compile, the template rule holds by
- * construction and the compile journal records it for the clone audit.
+ * chain layout and cloning for the *current* phase. Every
+ * reoptimization is an ordinary compile that installs a new version;
+ * installed versions are never edited.
  *
  * Not thread-safe: poll() must run on the machine's thread, between
  * iterations (the windowed profile is typically fed by a transport
@@ -27,41 +27,15 @@
 
 namespace pep::opt {
 
-/**
- * What the driver does when it decides a method's phase changed.
- *
- *  - Recompile: Machine::compileNow() — re-runs the whole pass
- *    pipeline (layout, chain layout, cloning) and installs a fresh
- *    version.
- *  - Retranslate: rewrite the *installed* version's branch layout in
- *    place from the window's hot directions and invalidate its cached
- *    template stream (the escape/sanitize pair). The next execution
- *    retranslates against the new layout, so the threaded engine's
- *    fused traces re-straighten along the current phase's hot paths —
- *    without paying for a full recompile or creating a new version.
- */
-enum class ReoptAction : std::uint8_t
-{
-    Recompile,
-    Retranslate,
-};
+/** Recompile when more than this fraction of a method's branch mass
+ *  changed its hot direction since the last applied layout. */
+constexpr double kReoptShiftThreshold = 0.25;
 
-/** Phase-change detection knobs. */
-struct ReoptOptions
-{
-    /** Recompile when more than this fraction of a method's branch
-     *  mass changed its hot direction since the last applied layout. */
-    double shiftThreshold = 0.25;
+/** Ignore methods whose windowed branch mass is below this. */
+constexpr double kReoptMinMass = 1.0;
 
-    /** Response to a detected shift (and to a first sighting). */
-    ReoptAction action = ReoptAction::Recompile;
-
-    /** Ignore methods whose windowed branch mass is below this. */
-    double minMass = 1.0;
-
-    /** Minimum window advances between recompiles of one method. */
-    std::uint64_t minAdvancesBetween = 1;
-};
+/** Minimum window advances between recompiles of one method. */
+constexpr std::uint64_t kReoptMinAdvancesBetween = 1;
 
 /** Drives recompilation from a windowed profile. */
 class ReoptDriver
@@ -75,17 +49,11 @@ class ReoptDriver
          *  first, snapshot-establishing recompile is not a shift). */
         std::uint64_t phaseShifts = 0;
         std::uint64_t recompiles = 0;
-
-        /** In-place relayout + template invalidations (the
-         *  ReoptAction::Retranslate response; counted in `recompiles`'
-         *  place, never in addition to it). */
-        std::uint64_t retranslations = 0;
     };
 
     /** Both the machine and the window must outlive the driver. */
     ReoptDriver(vm::Machine &machine,
-                const runtime::WindowedProfile &window,
-                ReoptOptions options = {});
+                const runtime::WindowedProfile &window);
 
     /**
      * Check every optimized method against the window and recompile
@@ -110,7 +78,6 @@ class ReoptDriver
 
     vm::Machine &machine_;
     const runtime::WindowedProfile &window_;
-    ReoptOptions options_;
     std::vector<MethodSnapshot> snapshots_;
     std::uint64_t lastPollAdvance_ = ~0ull;
     Stats stats_;

@@ -4,24 +4,6 @@
 
 namespace pep::profile {
 
-void
-InstrumentationPlan::rebuildFlat()
-{
-    edgeBase.resize(edgeActions.size() + 1);
-    std::uint32_t next = 0;
-    for (std::size_t b = 0; b < edgeActions.size(); ++b) {
-        edgeBase[b] = next;
-        next += static_cast<std::uint32_t>(edgeActions[b].size());
-    }
-    edgeBase.back() = next;
-
-    flatEdgeActions.clear();
-    flatEdgeActions.reserve(next);
-    for (const std::vector<EdgeAction> &block : edgeActions)
-        flatEdgeActions.insert(flatEdgeActions.end(), block.begin(),
-                               block.end());
-}
-
 InstrumentationPlan
 buildInstrumentationPlan(const bytecode::MethodCfg &method_cfg,
                          const PDag &pdag, const Numbering &numbering)
@@ -31,13 +13,17 @@ buildInstrumentationPlan(const bytecode::MethodCfg &method_cfg,
     InstrumentationPlan plan;
     plan.mode = pdag.mode;
     plan.headerActions.assign(graph.numBlocks(), HeaderAction{});
-    plan.edgeActions.resize(graph.numBlocks());
-    for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b)
-        plan.edgeActions[b].assign(graph.succs(b).size(), EdgeAction{});
+    plan.edgeBase.resize(graph.numBlocks() + 1);
+    std::uint32_t next = 0;
+    for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b) {
+        plan.edgeBase[b] = next;
+        next += static_cast<std::uint32_t>(graph.succs(b).size());
+    }
+    plan.edgeBase.back() = next;
+    plan.flatEdgeActions.assign(next, EdgeAction{});
 
     if (numbering.overflow) {
         plan.enabled = false;
-        plan.rebuildFlat();
         return plan;
     }
     plan.totalPaths = numbering.totalPaths;
@@ -49,7 +35,8 @@ buildInstrumentationPlan(const bytecode::MethodCfg &method_cfg,
             if (dag_edge.src == cfg::kInvalidBlock)
                 continue; // truncated back edge; handled below
             const std::uint64_t value = numbering.edgeValue(dag_edge);
-            plan.edgeActions[b][i].increment = value;
+            plan.flatEdgeActions[plan.flatEdgeId({b, i})].increment =
+                value;
             if (value != 0)
                 ++plan.numInstrumentedEdges;
         }
@@ -69,7 +56,8 @@ buildInstrumentationPlan(const bytecode::MethodCfg &method_cfg,
     } else {
         for (std::size_t k = 0; k < method_cfg.backEdges.size(); ++k) {
             const cfg::EdgeRef back = method_cfg.backEdges[k];
-            EdgeAction &action = plan.edgeActions[back.src][back.index];
+            EdgeAction &action =
+                plan.flatEdgeActions[plan.flatEdgeId(back)];
             action.endsPath = true;
             action.endAdd =
                 numbering.edgeValue(pdag.backEdgeDummyExit[k]);
@@ -79,7 +67,6 @@ buildInstrumentationPlan(const bytecode::MethodCfg &method_cfg,
         }
     }
 
-    plan.rebuildFlat();
     return plan;
 }
 

@@ -75,11 +75,6 @@ struct InstrumentationPlan
     /** Total acyclic paths in the method's P-DAG. */
     std::uint64_t totalPaths = 0;
 
-    /** Per CFG edge, parallel to CFG successor lists. This is the
-     *  build/analysis representation; the interpreter hot path reads
-     *  the flattened mirror below. */
-    std::vector<std::vector<EdgeAction>> edgeActions;
-
     /** Per CFG block; endsPath only for headers in HeaderSplit mode. */
     std::vector<HeaderAction> headerActions;
 
@@ -87,12 +82,12 @@ struct InstrumentationPlan
     std::size_t numInstrumentedEdges = 0;
 
     /**
-     * Flattened mirror of edgeActions: one contiguous array indexed by
-     * the dense edge id edgeBase[src] + index, where edgeBase holds
-     * prefix sums of per-block successor counts (numBlocks + 1 entries,
-     * so edgeBase.back() == total edge count). Derived purely from
-     * edgeActions by rebuildFlat(); anything that mutates edgeActions
-     * must call rebuildFlat() before the plan is executed.
+     * Per CFG edge: one contiguous array indexed by the dense edge id
+     * edgeBase[src] + index, where edgeBase holds prefix sums of
+     * per-block successor counts (numBlocks + 1 entries, so
+     * edgeBase.back() == total edge count). This is the only edge
+     * table: builders write it, the checker proves it and the engines
+     * execute it.
      */
     std::vector<EdgeAction> flatEdgeActions;
     std::vector<std::uint32_t> edgeBase;
@@ -104,15 +99,12 @@ struct InstrumentationPlan
         return edgeBase[edge.src] + edge.index;
     }
 
-    /** Action for a CFG edge, via the flattened table. */
+    /** Action for a CFG edge. */
     const EdgeAction &
     flatAction(cfg::EdgeRef edge) const
     {
         return flatEdgeActions[flatEdgeId(edge)];
     }
-
-    /** Recompute edgeBase/flatEdgeActions from edgeActions. */
-    void rebuildFlat();
 };
 
 /** Build the runtime plan from a numbered P-DAG. */

@@ -177,7 +177,8 @@ applySpanningPlacement(const bytecode::MethodCfg &method_cfg,
             const cfg::EdgeRef dag_edge = pdag.dagEdgeForCfgEdge[b][i];
             if (dag_edge.src == cfg::kInvalidBlock)
                 continue; // truncated back edge: handled below
-            EdgeAction &action = plan.edgeActions[b][i];
+            EdgeAction &action =
+                plan.flatEdgeActions[plan.flatEdgeId({b, i})];
             action.increment = inc_of(dag_edge);
             if (action.increment != 0)
                 ++plan.numInstrumentedEdges;
@@ -195,14 +196,13 @@ applySpanningPlacement(const bytecode::MethodCfg &method_cfg,
     } else {
         for (std::size_t k = 0; k < method_cfg.backEdges.size(); ++k) {
             const cfg::EdgeRef back = method_cfg.backEdges[k];
-            EdgeAction &action = plan.edgeActions[back.src][back.index];
+            EdgeAction &action =
+                plan.flatEdgeActions[plan.flatEdgeId(back)];
             action.endAdd = inc_of(pdag.backEdgeDummyExit[k]);
             const cfg::BlockId header = graph.edgeDst(back);
             action.restart = inc_of(pdag.headerDummyEntry[header]);
         }
     }
-
-    plan.rebuildFlat();
 }
 
 } // namespace pep::profile

@@ -7,7 +7,6 @@
 
 #include "analysis/diagnostics.hh"
 #include "analysis/plan_check.hh"
-#include "analysis/verify/invariants.hh"
 #include "analysis/verify/realizability.hh"
 #include "analysis/verify/verify.hh"
 #include "bytecode/disassembler.hh"
@@ -21,7 +20,6 @@
 #include "runtime/request_stream.hh"
 #include "runtime/throughput.hh"
 #include "support/panic.hh"
-#include "testing/nested_profiler.hh"
 #include "testing/oracle.hh"
 #include "vm/inliner.hh"
 #include "vm/machine.hh"
@@ -51,157 +49,26 @@ keyName(core::VersionKey key)
     return os.str();
 }
 
-/** Apply the configured fault to every not-yet-injected enabled plan
+/** The corrupt-increment fault: bump the first nonzero,
+ *  non-path-ending increment of every not-yet-corrupted enabled plan
  *  of the full profiler. Idempotent per version. */
 void
-applyInjection(vm::Machine &machine, core::FullPathProfiler &full,
-               const DiffOptions &opts,
-               std::set<core::VersionKey> &done)
+corruptIncrements(core::FullPathProfiler &full,
+                  std::set<core::VersionKey> &done)
 {
     for (auto &[key, vp] : full.versionProfiles()) {
         if (!vp->state || !vp->state->plan.enabled)
             continue;
         if (!done.insert(key).second)
             continue;
-        core::MethodProfilingState &st = *vp->state;
-        switch (opts.inject) {
-          case InjectKind::None:
-            break;
-          case InjectKind::StaleFlatAfterSpanning: {
-            if (opts.placement != profile::PlacementKind::SpanningTree)
+        for (profile::EdgeAction &action :
+             vp->state->plan.flatEdgeActions) {
+            if (action.increment != 0 && !action.endsPath) {
+                ++action.increment;
                 break;
-            // Rebuild the plan the direct pass produced and keep *its*
-            // flat mirror, exactly what execution would read if
-            // applySpanningPlacement forgot rebuildFlat().
-            const vm::InlinedBody *inlined =
-                st.compiled ? st.compiled->inlinedBody.get() : nullptr;
-            const bytecode::MethodCfg &version_cfg =
-                inlined ? inlined->info.cfg
-                        : machine.info(key.first).cfg;
-            profile::InstrumentationPlan direct =
-                profile::buildInstrumentationPlan(version_cfg, st.pdag,
-                                                  st.numbering);
-            st.plan.flatEdgeActions =
-                std::move(direct.flatEdgeActions);
-            break;
-          }
-          case InjectKind::CorruptFlatIncrement: {
-            for (profile::EdgeAction &action :
-                 st.plan.flatEdgeActions) {
-                if (action.increment != 0 && !action.endsPath) {
-                    ++action.increment;
-                    break;
-                }
-            }
-            break;
-          }
-          case InjectKind::StaleTemplate:
-            // Applied inside the engine cross-check (check 7), where
-            // two machines exist to diverge; the main run's profilers
-            // all observe one consistent event stream and stay clean.
-            break;
-          case InjectKind::ImpossibleProfile:
-          case InjectKind::SkippedInvalidate:
-            // Applied after the final iteration (see runDiff): these
-            // model corruption that happens when nothing further
-            // executes, which is exactly what the static verify
-            // passes exist to catch.
-            break;
-          case InjectKind::RingLostSample:
-            // Threaded differ only: applied inside runThreadedDiff's
-            // ring-transport check, never to single-machine plans.
-            break;
-          case InjectKind::TruncatedWindow:
-            // Applied in runDiff via setTruncateWindowInjection: the
-            // fault lives in the engine's window flush, not in any
-            // per-version plan.
-            break;
-          case InjectKind::BadCloneFold:
-            // Applied in runDiff via corruptCloneFold: the fault lives
-            // in an installed version's BlockOrigin map, not in any
-            // profiler's plan.
-            break;
-          case InjectKind::StaleFusion:
-            // Applied like stale-template (mid-run on the engine
-            // cross-check machines) plus post-run on the main machine
-            // (see runDiff), so both check 7 and the static
-            // cached-stream audit reject the skipped retranslation.
-            break;
-        }
-    }
-}
-
-/**
- * The stale-template fault: flip the branch layout of every installed
- * version in place and deliberately skip Machine::invalidateDecoded().
- * The switch engine reads branchLayout live and sees the flip at the
- * next branch; the threaded engine keeps dispatching templates with
- * the old layout baked in, so miss counts — and therefore cycles —
- * diverge. The correct protocol (flip + invalidate, byte-identical
- * again) is unit-tested in tests/vm/engine_test.cc.
- */
-void
-flipInstalledLayouts(vm::Machine &machine,
-                     std::set<core::VersionKey> &done)
-{
-    for (std::size_t m = 0; m < machine.numMethods(); ++m) {
-        const bytecode::MethodId method =
-            static_cast<bytecode::MethodId>(m);
-        const vm::CompiledMethod *current =
-            machine.currentVersion(method);
-        if (!current)
-            continue;
-        if (!done.insert({method, current->version}).second)
-            continue;
-        vm::CompiledMethod *cm =
-            machine.versionForUpdate(method, current->version);
-        for (std::int16_t &layout : cm->branchLayout)
-            layout = layout == 1 ? 0 : 1;
-    }
-}
-
-/**
- * The bad-clone-fold fault: invalidate the BlockOrigin of one
- * clone-region branch block of the first clone-applied version, as if
- * the cloning pass lost track of where a duplicated branch's counters
- * belong. The escape is discharged with invalidateDecoded so the
- * mutation journal and template audits stay clean — only the fold
- * checks (check 1 while the version keeps executing, check 9 always,
- * and the static check-11 origin audit) may catch it. Returns false
- * when no cloned version exists yet.
- */
-bool
-corruptCloneFold(vm::Machine &machine)
-{
-    for (std::size_t m = 0; m < machine.numMethods(); ++m) {
-        const bytecode::MethodId method =
-            static_cast<bytecode::MethodId>(m);
-        const std::size_t original_size =
-            machine.program().methods[m].code.size();
-        for (std::uint32_t v = 0; v < machine.numVersions(method); ++v) {
-            const vm::CompiledMethod *cm = machine.versionAt(method, v);
-            if (!cm->cloneApplied || !cm->inlinedBody)
-                continue;
-            const bytecode::MethodCfg &cfg = cm->inlinedBody->info.cfg;
-            for (cfg::BlockId b = 0; b < cfg.graph.numBlocks(); ++b) {
-                if (!cfg.isCodeBlock(b) ||
-                    cfg.firstPc[b] < original_size)
-                    continue;
-                const auto kind = cfg.terminator[b];
-                if (kind != bytecode::TerminatorKind::Cond &&
-                    kind != bytecode::TerminatorKind::Switch)
-                    continue;
-                if (!cm->inlinedBody->blockOrigin[b].valid())
-                    continue;
-                vm::CompiledMethod *mut =
-                    machine.versionForUpdate(method, v);
-                mut->inlinedBody->blockOrigin[b] = vm::BlockOrigin{};
-                machine.invalidateDecoded(method, v);
-                return true;
             }
         }
     }
-    return false;
 }
 
 /** Branch counts of one original CFG, keyed by (block, successor
@@ -484,6 +351,9 @@ runEngineOnce(const bytecode::Program &program, const DiffOptions &opts,
     params.enableInlining = opts.enableInlining;
     params.maxCyclesPerIteration = opts.maxCyclesPerIteration;
     params.fuse = opts.fuse;
+    if (opts.inject == InjectKind::EngineDivergence &&
+        kind == vm::EngineKind::Threaded)
+        params.rngSeed ^= 1;
     vm::Machine machine(program, params);
 
     ExactOracle oracle(machine, opts.mode, opts.kIterations);
@@ -521,17 +391,9 @@ runEngineOnce(const bytecode::Program &program, const DiffOptions &opts,
     if (opts.optLayout || opts.optClone)
         machine.addCompilePass(&pipeline);
 
-    std::set<core::VersionKey> flipped;
     try {
-        for (std::uint32_t it = 0; it < opts.iterations; ++it) {
+        for (std::uint32_t it = 0; it < opts.iterations; ++it)
             machine.runIteration();
-            if ((opts.inject == InjectKind::StaleTemplate ||
-                 opts.inject == InjectKind::SkippedInvalidate ||
-                 opts.inject == InjectKind::StaleFusion) &&
-                it + 1 < opts.iterations) {
-                flipInstalledLayouts(machine, flipped);
-            }
-        }
     } catch (const support::PanicError &e) {
         result.death = std::string("panic: ") + e.what();
         return result;
@@ -572,8 +434,8 @@ firstBlobDiff(const std::string &a, const std::string &b)
  * Check 7: run the program once per execution engine on otherwise-
  * identical machines and byte-compare every observable. A run that
  * dies (e.g. the runaway-cycle guard) must die identically on both
- * engines; the stale-template injection makes the flip visible to
- * switch dispatch only, so this check must report a divergence.
+ * engines; the engine-divergence injection seeds the threaded run's
+ * Irnd stream differently, so this check must report a divergence.
  */
 void
 runEngineCrossCheck(const bytecode::Program &program,
@@ -601,6 +463,17 @@ runEngineCrossCheck(const bytecode::Program &program,
     }
 }
 
+/** Whether check 7 runs: the other injections corrupt the main run's
+ *  profiler state, which doesn't exist on the cross-check machines —
+ *  skip the redundant runs. */
+bool
+crossCheck(const DiffOptions &opts)
+{
+    return opts.crossCheckEngines &&
+           (opts.inject == InjectKind::None ||
+            opts.inject == InjectKind::EngineDivergence);
+}
+
 /** Memberwise dump of everything an instrumentation plan carries, for
  *  byte-comparing independently built plans. */
 std::string
@@ -613,11 +486,6 @@ serializePlan(const profile::InstrumentationPlan &plan)
     };
     os << static_cast<int>(plan.mode) << ' ' << plan.enabled << ' '
        << plan.totalPaths << ' ' << plan.numInstrumentedEdges << '\n';
-    for (const auto &per_block : plan.edgeActions) {
-        for (const profile::EdgeAction &a : per_block)
-            dump_action(a);
-        os << '\n';
-    }
     for (const profile::HeaderAction &h : plan.headerActions)
         os << h.endsPath << ',' << h.endAdd << ',' << h.restart << ' ';
     os << '\n';
@@ -634,8 +502,8 @@ serializePlan(const profile::InstrumentationPlan &plan)
  * Check 8 (k-BLPP degeneracy, docs/KBLPP.md): instrumentation plans
  * are a pure function of the CFG, mode, scheme and placement — never
  * of k. Rebuild every method's profiling state from pristine inputs at
- * k = 1 and k = kIterations and byte-compare the serialized plans
- * (flat mirrors included), then prove the k = 1 id space *is* the raw
+ * k = 1 and k = kIterations and byte-compare the serialized plans,
+ * then prove the k = 1 id space *is* the raw
  * Ball-Larus range [0, totalPaths).
  */
 void
@@ -678,8 +546,8 @@ checkKDegeneracy(const vm::Machine &machine, const DiffOptions &opts,
  * diagnostics into violations. Running this inside every fuzz
  * iteration continuously proves the static layer agrees with the
  * dynamic checks — no false alarms on clean runs, and the
- * impossible-profile / skipped-invalidate injections are rejected
- * without executing another instruction.
+ * impossible-profile injection is rejected without executing another
+ * instruction.
  */
 void
 runStaticVerifyPasses(
@@ -702,9 +570,6 @@ runStaticVerifyPasses(
                 continue;
             const std::string &name =
                 machine.program().methods[key.first].name;
-            analysis::auditPlanMirror(vp->state->plan, name,
-                                      /*has_version=*/true, key.second,
-                                      diags);
             analysis::KPathCheckInput kinput;
             kinput.plan = &vp->state->plan;
             kinput.kpath = &vp->state->kpath;
@@ -756,24 +621,16 @@ injectKindName(InjectKind kind)
     switch (kind) {
       case InjectKind::None:
         return "none";
-      case InjectKind::StaleFlatAfterSpanning:
-        return "stale-flat";
       case InjectKind::CorruptFlatIncrement:
         return "corrupt-increment";
-      case InjectKind::StaleTemplate:
-        return "stale-template";
+      case InjectKind::EngineDivergence:
+        return "engine-divergence";
       case InjectKind::ImpossibleProfile:
         return "impossible-profile";
-      case InjectKind::SkippedInvalidate:
-        return "skipped-invalidate";
       case InjectKind::RingLostSample:
         return "ring-lost-sample";
       case InjectKind::TruncatedWindow:
         return "truncated-window";
-      case InjectKind::BadCloneFold:
-        return "bad-clone-fold";
-      case InjectKind::StaleFusion:
-        return "stale-fusion";
     }
     return "none";
 }
@@ -783,24 +640,16 @@ parseInjectKind(const std::string &name, InjectKind &out)
 {
     if (name == "none") {
         out = InjectKind::None;
-    } else if (name == "stale-flat") {
-        out = InjectKind::StaleFlatAfterSpanning;
     } else if (name == "corrupt-increment") {
         out = InjectKind::CorruptFlatIncrement;
-    } else if (name == "stale-template") {
-        out = InjectKind::StaleTemplate;
+    } else if (name == "engine-divergence") {
+        out = InjectKind::EngineDivergence;
     } else if (name == "impossible-profile") {
         out = InjectKind::ImpossibleProfile;
-    } else if (name == "skipped-invalidate") {
-        out = InjectKind::SkippedInvalidate;
     } else if (name == "ring-lost-sample") {
         out = InjectKind::RingLostSample;
     } else if (name == "truncated-window") {
         out = InjectKind::TruncatedWindow;
-    } else if (name == "bad-clone-fold") {
-        out = InjectKind::BadCloneFold;
-    } else if (name == "stale-fusion") {
-        out = InjectKind::StaleFusion;
     } else {
         return false;
     }
@@ -873,10 +722,10 @@ standardConfigs()
             }
         }
 
-        // Always-on clone configs, environment or not: check 9 and
-        // the bad-clone-fold corpus reproducers need a config that
-        // clones in the default sweep, and the k-iteration variant
-        // proves composite-id profiles fold just as exactly.
+        // Always-on clone configs, environment or not: check 9 needs
+        // a config that clones in the default sweep, and the
+        // k-iteration variant proves composite-id profiles fold just
+        // as exactly.
         DiffOptions clone_smart;
         clone_smart.name = "clone-smart";
         clone_smart.scheme = profile::NumberingScheme::Smart;
@@ -894,8 +743,8 @@ standardConfigs()
 
         // Fusion legs (docs/ENGINE.md): superinstruction pairs alone,
         // then pairs + straightened traces with the layout pass
-        // installed (so retranslation re-specializes real chains) and
-        // a k-iteration window — the whole oracle matrix plus check 7
+        // installed (so recompiled layouts re-specialize real chains)
+        // and a k-iteration window — the whole oracle matrix plus check 7
         // must stay clean while the threaded engine executes fused and
         // batch-charged streams.
         DiffOptions fuse_pairs;
@@ -945,8 +794,6 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
                                 /*charge_costs=*/false, opts.scheme,
                                 core::PathStoreKind::Array,
                                 opts.placement, opts.kIterations);
-    NestedDispatchProfiler nested(machine, opts.mode, opts.scheme,
-                                  opts.placement, opts.kIterations);
 
     std::vector<std::unique_ptr<core::SimplifiedArnoldGrove>>
         controllers;
@@ -968,8 +815,6 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
     machine.addCompileObserver(&oracle);
     machine.addHooks(&full);
     machine.addCompileObserver(&full);
-    machine.addHooks(&nested);
-    machine.addCompileObserver(&nested);
     for (auto &pep : peps) {
         machine.addHooks(pep.get());
         machine.addCompileObserver(pep.get());
@@ -992,48 +837,25 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
     }
 
     std::set<core::VersionKey> injected;
-    bool clone_fold_injected = false;
     for (std::uint32_t it = 0; it < opts.iterations; ++it) {
         machine.runIteration();
         // Inject after a warm-up iteration so corrupted plans actually
-        // execute in the following ones.
-        if (opts.inject != InjectKind::None && it + 1 < opts.iterations)
-            applyInjection(machine, full, opts, injected);
-        if (opts.inject == InjectKind::TruncatedWindow &&
-            it + 1 < opts.iterations) {
+        // execute in the following ones. engine-divergence acts in
+        // check 7's cross-check machines, ring-lost-sample only in
+        // runThreadedDiff.
+        if (it + 1 == opts.iterations)
+            continue;
+        if (opts.inject == InjectKind::CorruptFlatIncrement)
+            corruptIncrements(full, injected);
+        if (opts.inject == InjectKind::TruncatedWindow)
             full.setTruncateWindowInjection(true);
-        }
-        if (opts.inject == InjectKind::BadCloneFold &&
-            !clone_fold_injected && it + 1 < opts.iterations) {
-            clone_fold_injected = corruptCloneFold(machine);
-        }
     }
 
-    // Post-run injections: corruption after the final iteration, when
-    // nothing further executes. impossible-profile is still caught
-    // dynamically (check 5 inspects the recorded profile), but
-    // skipped-invalidate is invisible to every dynamic check on this
-    // machine — only the static verify passes below (and check 7's
-    // cross-check machines, which flip mid-run) reject it.
+    // Post-run injection: corruption after the final iteration, when
+    // nothing further executes. Check 5 inspects the recorded profile
+    // and the static realizability pass below rejects it too.
     if (opts.inject == InjectKind::ImpossibleProfile && !peps.empty())
         corruptPepEdgeProfile(machine, *peps.front());
-    if (opts.inject == InjectKind::SkippedInvalidate ||
-        opts.inject == InjectKind::StaleFusion) {
-        std::set<core::VersionKey> flipped;
-        flipInstalledLayouts(machine, flipped);
-    }
-    if (opts.inject == InjectKind::BadCloneFold) {
-        // A clone that only landed in the final iteration is corrupted
-        // here instead; check 9 and the static clone audit still see
-        // it (the fold comparison runs on recorded counts).
-        if (!clone_fold_injected)
-            clone_fold_injected = corruptCloneFold(machine);
-        if (!clone_fold_injected) {
-            report.notes.push_back(
-                "bad-clone-fold: no cloned version was installed; "
-                "nothing to corrupt");
-        }
-    }
 
     // Once a version runs a synthesized body (inlined or cloned), its
     // ground truth keeps bytecode-level *branch* edges only; the
@@ -1075,24 +897,18 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
     std::size_t pep_overflows = 0;
     for (const auto &pep : peps)
         pep_overflows += pep->overflowCount();
-    if (full.overflowCount() != 0 || nested.overflowCount() != 0 ||
-        pep_overflows != 0) {
+    if (full.overflowCount() != 0 || pep_overflows != 0) {
         // Disabled plans profile nothing while the oracle still counts
         // segments; the comparisons below don't apply. The generator
         // sizes programs so this never happens in practice.
         report.notes.push_back(
             "numbering overflow: segment checks skipped");
-        if (opts.crossCheckEngines &&
-            (opts.inject == InjectKind::None ||
-             opts.inject == InjectKind::StaleTemplate ||
-             opts.inject == InjectKind::SkippedInvalidate ||
-             opts.inject == InjectKind::StaleFusion)) {
+        if (crossCheck(opts))
             runEngineCrossCheck(program, opts, report);
-        }
         return report;
     }
 
-    // Checks 2-4: full BLPP vs oracle, flat vs nested, agreed totals.
+    // Checks 2 and 4: full BLPP vs oracle, agreed totals.
     for (auto &[key, vp] : full.versionProfiles()) {
         if (!vp->state->plan.enabled)
             continue;
@@ -1131,36 +947,11 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
                 addViolation(report, os.str());
             }
         }
-
-        const NestedDispatchProfiler::VersionCounts *nc =
-            nested.countsFor(key);
-        if (!nc) {
-            addViolation(report, "nested: " + keyName(key) +
-                                     " has no nested-dispatch state");
-            continue;
-        }
-        std::map<std::uint64_t, std::uint64_t> flat_counts;
-        for (const auto &[number, record] : vp->paths.paths())
-            flat_counts[number] = record.count;
-        if (flat_counts != nc->counts) {
-            addViolation(
-                report,
-                "flat/nested: " + keyName(key) +
-                    " flat dispatch diverged from nested dispatch "
-                    "(stale or corrupt flatEdgeActions mirror)");
-        }
     }
 
     if (full.pathsStored() != oracle.totalSegments()) {
         std::ostringstream os;
         os << "totals: full stored " << full.pathsStored()
-           << " paths but the oracle saw " << oracle.totalSegments()
-           << " segments";
-        addViolation(report, os.str());
-    }
-    if (nested.totalCompleted() != oracle.totalSegments()) {
-        std::ostringstream os;
-        os << "totals: nested completed " << nested.totalCompleted()
            << " paths but the oracle saw " << oracle.totalSegments()
            << " segments";
         addViolation(report, os.str());
@@ -1237,18 +1028,18 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
         }
     }
 
-    // Check 6: the edge profile derived from full BLPP paths. Versions
-    // running a synthesized body (inlined or cloned) expand against
-    // the synthesized CFG, which cannot be accumulated into
-    // root-method tables, so this needs pure bytecode-level truth.
-    if (bytecode_level_truth) {
-        try {
-            profile::EdgeProfileSet derived =
-                core::edgeProfileFromPaths(machine, full);
-            checkEdgeTablesBounded(derived, machine.truthEdges(),
-                                   "full-derived edge profile", report);
-            const bool clean_pairing = oracle.droppedFrames() == 0 &&
-                                       oracle.adoptedFrames() == 0;
+    // Check 6: the edge profile derived from full BLPP paths. Paths of
+    // versions running a synthesized body (inlined or cloned) fold
+    // onto the bytecode tables exactly like ground truth, so the bound
+    // always holds; flow conservation needs pure bytecode-level truth.
+    try {
+        profile::EdgeProfileSet derived =
+            core::edgeProfileFromPaths(machine, full);
+        checkEdgeTablesBounded(derived, machine.truthEdges(),
+                               "full-derived edge profile", report);
+        const bool clean_pairing = oracle.droppedFrames() == 0 &&
+                                   oracle.adoptedFrames() == 0;
+        if (bytecode_level_truth) {
             checkConservation(derived, machine, clean_pairing,
                               "full-derived edge profile", report);
             if (!clean_pairing) {
@@ -1256,22 +1047,20 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
                     "frames dropped or adopted mid-path: header "
                     "conservation skipped");
             }
-        } catch (const support::PanicError &e) {
-            addViolation(report,
-                         std::string("full-derived edge profile: "
-                                     "reconstruction panicked: ") +
-                             e.what());
         }
+    } catch (const support::PanicError &e) {
+        addViolation(report,
+                     std::string("full-derived edge profile: "
+                                 "reconstruction panicked: ") +
+                         e.what());
     }
 
     // Check 9: clone-fold exactness. The full profiler's counts for a
     // cloned version live in the synthesized CFG; folded through the
     // version's live BlockOrigin map they must agree count for count
     // with the oracle's literal segments folded through the origin
-    // snapshot the oracle took at compile time. A live map corrupted
-    // after the compile (the bad-clone-fold injection) — or a fold
-    // that loses or misroutes a cloned branch's counters — breaks the
-    // agreement.
+    // snapshot the oracle took at compile time. A fold that loses or
+    // misroutes a cloned branch's counters breaks the agreement.
     for (auto &[key, vp] : full.versionProfiles()) {
         if (!vp->state->plan.enabled || !vp->state->compiled)
             continue;
@@ -1311,16 +1100,9 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
         }
     }
 
-    // Check 7: switch vs threaded engine byte-identity. The other
-    // injections corrupt the main run's profiler state, which doesn't
-    // exist on the cross-check machines — skip the redundant runs.
-    if (opts.crossCheckEngines &&
-        (opts.inject == InjectKind::None ||
-         opts.inject == InjectKind::StaleTemplate ||
-         opts.inject == InjectKind::SkippedInvalidate ||
-         opts.inject == InjectKind::StaleFusion)) {
+    // Check 7: switch vs threaded engine byte-identity.
+    if (crossCheck(opts))
         runEngineCrossCheck(program, opts, report);
-    }
 
     // The static verify passes see everything the dynamic checks saw.
     if (opts.runStaticVerify) {

@@ -4,17 +4,16 @@
 /**
  * @file
  * The differential checker: run one program through the exact oracle,
- * full BLPP (flat dispatch), the nested-dispatch mirror, and several
- * PEP sampling configurations — all on the same Machine, hence the same
- * deterministic event stream — then cross-check every pair against the
- * oracle invariants:
+ * full BLPP and several PEP sampling configurations — all on the same
+ * Machine, hence the same deterministic event stream — then
+ * cross-check every pair against the oracle invariants:
  *
  *  1. the oracle's bytecode edge mirror equals the Machine's own
  *     ground-truth edge counts (pins the oracle to the interpreter);
  *  2. full BLPP's number->count table, mapped through the
  *     reconstructor, equals the oracle's segment counts *exactly*;
- *  3. flat and nested dispatch produce identical number->count tables
- *     (the dynamic extension of plan-checker check 8);
+ *  3. (retired: plans carry one edge table, so there is no second
+ *     dispatch to compare it with);
  *  4. every engine agrees on the total number of completed paths;
  *  5. PEP-sampled counts never exceed the oracle's, sum to
  *     samplesRecorded, and the derived edge profile is bounded by
@@ -44,12 +43,9 @@
  *     the wrong (or no) bytecode-level branch cannot hide.
  *
  * Fault injection (for harness self-tests and CI) deliberately breaks
- * the flat/nested mirror invariant after a warm-up iteration, modelling
- * the "forgot rebuildFlat() after applySpanningPlacement" bug class —
- * or, for `stale-template`, mutates installed branch layouts without
- * Machine::invalidateDecoded(), which check 7 must catch, or, for
- * `bad-clone-fold`, invalidates a cloned branch block's BlockOrigin in
- * place, which check 9 and the static clone audits must catch.
+ * one invariant per run — a corrupted plan increment, a truncated
+ * k-path window, an impossible profile, a diverging engine — so the
+ * checks above can prove they still catch their bug class.
  */
 
 #include <cstdint>
@@ -71,27 +67,20 @@ struct PepConfig
     std::uint32_t stride = 1;
 };
 
-/** Deliberate bug classes the harness can inject into the full
- *  profiler's plan between iterations. */
+/** Deliberate bug classes the harness can inject into a run. */
 enum class InjectKind : std::uint8_t
 {
     None,
 
-    /** Overwrite the flat mirror with the pre-spanning (direct) plan's,
-     *  as if applySpanningPlacement had skipped rebuildFlat(). Only
-     *  effective with PlacementKind::SpanningTree. */
-    StaleFlatAfterSpanning,
-
     /** Bump the first nonzero flat increment by one. */
     CorruptFlatIncrement,
 
-    /** Flip every installed version's branch layout in place without
-     *  calling Machine::invalidateDecoded(), as if a relayout forgot
-     *  the template-invalidation invariant. Switch dispatch reads the
-     *  new layout immediately while the threaded engine keeps
-     *  executing stale templates, so the engine cross-check (check 7)
-     *  must report a divergence. */
-    StaleTemplate,
+    /** Seed the threaded engine's cross-check machine with a different
+     *  Irnd stream than the switch engine's, so the two runs take
+     *  different paths. The engine cross-check (check 7) must report
+     *  the divergence; the main run's profilers all observe one
+     *  consistent event stream and stay clean. */
+    EngineDivergence,
 
     /** Corrupt one count of the first PEP profiler's recorded
      *  continuous edge profile after the run: an edge gains a crossing
@@ -99,15 +88,6 @@ enum class InjectKind : std::uint8_t
      *  checks (check 5) and the static realizability pass
      *  (analysis/verify/realizability.hh) must both reject it. */
     ImpossibleProfile,
-
-    /** Flip every installed version's branch layout *after* the final
-     *  iteration, without invalidateDecoded(). Nothing further
-     *  executes, so no dynamic check can see it — only the static
-     *  invariant audits (analysis/verify/invariants.hh: the mutation
-     *  journal and the cached-stream retranslation) catch it. On the
-     *  engine cross-check machines the flip happens mid-run like
-     *  stale-template, so check 7 diverges there too. */
-    SkippedInvalidate,
 
     /** Threaded differ only (runThreadedDiff): the ring transport
      *  silently discards one of shard 0's samples without bumping the
@@ -121,37 +101,12 @@ enum class InjectKind : std::uint8_t
      *  full profiler silently drops partial windows at method exit and
      *  OSR instead of emitting them — the truncated-window bug class
      *  (a frame dies and its accumulated segments vanish). The oracle
-     *  still counts every window, so the totals check (check 4), the
-     *  missed-path check (check 2) and the flat/nested mirror
-     *  (check 3, the nested profiler flushes correctly) must all
-     *  report it. */
+     *  still counts every window, so the totals check (check 4) and
+     *  the missed-path check (check 2) must both report it. */
     TruncatedWindow,
-
-    /** Requires a config with optClone and a program hot enough to
-     *  clone: invalidate one cloned branch block's BlockOrigin in
-     *  place (through versionForUpdate + invalidateDecoded, so the
-     *  mutation journal stays discharged) after a warm-up iteration —
-     *  the block's counters no longer fold onto the original CFG.
-     *  The clone-fold exactness check (check 9, which folds against
-     *  the oracle's compile-time origin snapshot), the oracle's
-     *  bytecode mirror (check 1, while the corrupt version keeps
-     *  executing) and the static clone-body audit (plan-checker
-     *  check 11) must all reject it. */
-    BadCloneFold,
-
-    /** Requires a config with fuse.traces: flip every installed
-     *  version's branch layout in place without invalidateDecoded(),
-     *  modelling a retranslation skipped after a profile-direction
-     *  phase shift — the threaded engine keeps executing hot-trace
-     *  segments straightened for the *old* directions (stale guard
-     *  refunds and prepaid chains included) while switch dispatch
-     *  follows the new layout, so the engine cross-check (check 7)
-     *  must diverge and the static cached-stream audit
-     *  (analysis/verify/invariants.hh) must flag the stale stream. */
-    StaleFusion,
 };
 
-/** Name for reports / CLI flags ("none", "stale-flat", ...). */
+/** Name for reports / CLI flags ("none", "corrupt-increment", ...). */
 std::string injectKindName(InjectKind kind);
 
 /** Parse an injection name; returns false on unknown names. */

@@ -87,11 +87,9 @@ struct VersionTruth
     /** Snapshot of a synthesized (inlined or cloned) body's
      *  block-origin fold map, taken at compile time. The oracle's
      *  bytecode mirror folds through this snapshot — never the live
-     *  map — so an in-place BlockOrigin corruption after the compile
-     *  (the bad-clone-fold injection) diverges the interpreter's
-     *  ground truth from the oracle's mirror (check 1) and the
-     *  profile fold from the oracle fold (differ check 9). Empty for
-     *  versions running the method's own code. */
+     *  map — so it stays independent of the profiles it checks
+     *  (differ checks 1 and 9). Empty for versions running the
+     *  method's own code. */
     std::vector<vm::BlockOrigin> originSnapshot;
 };
 

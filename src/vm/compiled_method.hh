@@ -89,8 +89,8 @@ class CompiledMethod
     std::vector<cfg::BlockId> layoutOrder;
 
     /** True when the path-cloning pass synthesized this version's
-     *  inlinedBody (recorded in the Machine's compile journal and
-     *  audited by analysis/verify/invariants.hh). */
+     *  inlinedBody (its origin records are audited by plan-checker
+     *  check 11). */
     bool cloneApplied = false;
 
     /** Layout choice for a block (-1 when unknown). */

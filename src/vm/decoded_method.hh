@@ -50,17 +50,15 @@
  *
  * Fusion is a pure translation-time choice: the switch engine ignores
  * it and every observable stays byte-identical across the whole
- * PEP_ENGINE x PEP_FUSE matrix (differ check 7, plan-checker check 12,
- * the engine-equivalence verify pass).
+ * PEP_ENGINE x PEP_FUSE matrix (differ check 7 and the template-stream
+ * proof, analysis/verify/stream_proof.hh).
  *
  * Translation is a pure function of (code, tables, compiled version,
  * fuse options): it charges no simulated cycles and consults no
  * mutable VM state — the edge profile enters only through the
- * version's installed `branchLayout`. Whenever a version's plan
- * mutates after install (recompilation installs a fresh version
- * naturally; relayout mutates in place), the cached stream MUST be
- * invalidated via Machine::invalidateDecoded — the template-stream
- * mirror of the PR-2 `rebuildFlat()` invariant.
+ * version's installed `branchLayout`. Installed versions never change
+ * (a relayout compiles a new version), so a stream translated once
+ * stays fresh for the version's lifetime.
  */
 
 #include <cstdint>
@@ -230,8 +228,8 @@ struct DecodedMethod
     /**
      * Structural prefix sums of per-block CFG successor counts
      * (numBlocks + 1 entries). Identical to every enabled
-     * InstrumentationPlan's `edgeBase` for this CFG — the plan
-     * checker's template check proves it memberwise.
+     * InstrumentationPlan's `edgeBase` for this CFG — the stream proof
+     * and plan-checker check 8 each prove their side against the CFG.
      */
     std::vector<std::uint32_t> edgeBase;
 };
@@ -286,8 +284,8 @@ bytecode::Opcode branchOpcodeOfTop(std::uint8_t top);
  * The hot-trace chains translateMethod forms for this version under
  * `fuse` (empty unless fuse.traces): maximal runs of no-Invoke blocks
  * linked by predicted-fall-through transitions into non-header,
- * single-predecessor successors. Exposed for tests and the fused-
- * stream checker.
+ * single-predecessor successors. Exposed for tests and the
+ * template-stream proof.
  */
 std::vector<std::vector<cfg::BlockId>>
 selectTraces(const bytecode::Method &code, const MethodInfo &info,

@@ -87,6 +87,35 @@ struct InlinedBody
 };
 
 /**
+ * Add `count` crossings of `edge` — an edge of the CFG a version of
+ * `method` executes — to the bytecode-level tables `edges`. A version
+ * running a synthesized body (`inlined`, from inlining or cloning)
+ * counts only its Cond/Switch edges, through their BlockOrigin; its
+ * other edges have no bytecode identity. The interpreter's ground
+ * truth, PEP's edge profile and core::edgeProfileFromPaths all count
+ * this way.
+ */
+inline void
+foldEdge(profile::EdgeProfileSet &edges, bytecode::MethodId method,
+         const InlinedBody *inlined, cfg::EdgeRef edge,
+         std::uint64_t count = 1)
+{
+    if (!inlined) {
+        edges.perMethod[method].addEdge(edge, count);
+        return;
+    }
+    const auto kind = inlined->info.cfg.terminator[edge.src];
+    if (kind != bytecode::TerminatorKind::Cond &&
+        kind != bytecode::TerminatorKind::Switch)
+        return;
+    const BlockOrigin &origin = inlined->blockOrigin[edge.src];
+    if (origin.valid()) {
+        edges.perMethod[origin.method].addEdge(
+            cfg::EdgeRef{origin.block, edge.index}, count);
+    }
+}
+
+/**
  * Inline eligible call sites of `root`. Returns nullptr when nothing
  * was inlined (no eligible sites). The result verifies against the
  * program.

@@ -225,18 +225,36 @@ Interpreter::yieldpoint(YieldpointKind kind, cfg::BlockId block)
         // (Frames already running an inlined body are not transferred
         // again — their pcs are not in the root-code coordinate space.)
         const OptLevel target = vm_.targetLevel(f.method);
+        const CompiledMethod *fresh = nullptr;
         if (static_cast<int>(target) >
             static_cast<int>(f.version->level)) {
-            const CompiledMethod &fresh = vm_.compile(f.method, target);
-            f.version = &fresh;
+            // An earlier invocation or OSR attempt may have installed
+            // the target version already; reuse it rather than compile
+            // again.
+            const CompiledMethod *current = vm_.currentVersion(f.method);
+            fresh = current->level == target
+                        ? current
+                        : &vm_.compile(f.method, target);
+        }
+        // Cloning retargets the back edge into a private copy of the
+        // loop, which can leave the header pc mid-block in the
+        // synthesized code, where the threaded engine cannot resume.
+        // Such a frame stays on its version; its method's next
+        // invocation runs the new one.
+        const InlinedBody *body =
+            fresh ? fresh->inlinedBody.get() : nullptr;
+        if (body && !body->info.leaderPc[body->rootPcMap[f.pc]])
+            fresh = nullptr;
+        if (fresh) {
+            f.version = fresh;
             cfg::BlockId new_block = block;
-            if (fresh.inlinedBody) {
+            if (body) {
                 // Transfer the frame into the synthesized code: map
                 // the pc, adopt the new tables, and make room for the
                 // inlined callees' local slots.
-                f.pc = fresh.inlinedBody->rootPcMap[f.pc];
-                f.code = &fresh.inlinedBody->method;
-                f.info = &fresh.inlinedBody->info;
+                f.pc = body->rootPcMap[f.pc];
+                f.code = &body->method;
+                f.info = &body->info;
                 f.locals.resize(f.code->numLocals, 0);
                 new_block = f.info->cfg.blockOfPc[f.pc];
             }
@@ -260,24 +278,8 @@ Interpreter::yieldpoint(YieldpointKind kind, cfg::BlockId block)
 void
 Interpreter::recordEdgeTruth(const Frame &frame, cfg::EdgeRef edge)
 {
-    const InlinedBody *inlined = frame.version->inlinedBody.get();
-    if (!inlined) {
-        vm_.truth_.perMethod[frame.method].addEdge(edge);
-    } else {
-        // Ground truth is kept per bytecode-level branch of the
-        // original methods; inlined branch edges map through their
-        // block origin, other synthesized edges carry no original
-        // identity.
-        const auto kind = frame.info->cfg.terminator[edge.src];
-        if (kind == bytecode::TerminatorKind::Cond ||
-            kind == bytecode::TerminatorKind::Switch) {
-            const BlockOrigin &origin = inlined->blockOrigin[edge.src];
-            if (origin.valid()) {
-                vm_.truth_.perMethod[origin.method].addEdge(
-                    cfg::EdgeRef{origin.block, edge.index});
-            }
-        }
-    }
+    foldEdge(vm_.truth_, frame.method, frame.version->inlinedBody.get(),
+             edge);
 }
 
 void

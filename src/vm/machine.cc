@@ -167,16 +167,6 @@ Machine::currentVersion(bytecode::MethodId m) const
     return versions_[m].back().get();
 }
 
-CompiledMethod *
-Machine::versionForUpdate(bytecode::MethodId m, std::uint32_t version)
-{
-    PEP_ASSERT(m < versions_.size());
-    if (version >= versions_[m].size())
-        return nullptr;
-    mutationJournal_.push_back({m, version, /*sanitize=*/false});
-    return versions_[m][version].get();
-}
-
 std::size_t
 Machine::numVersions(bytecode::MethodId m) const
 {
@@ -191,15 +181,6 @@ Machine::versionAt(bytecode::MethodId m, std::uint32_t version) const
     if (version >= versions_[m].size())
         return nullptr;
     return versions_[m][version].get();
-}
-
-const DecodedMethod *
-Machine::cachedDecoded(bytecode::MethodId m, std::uint32_t version) const
-{
-    PEP_ASSERT(m < decoded_.size());
-    if (version >= decoded_[m].size())
-        return nullptr;
-    return decoded_[m][version].get();
 }
 
 ReplayAdvice
@@ -222,7 +203,7 @@ Machine::compileNow(bytecode::MethodId m, OptLevel level)
     return compile(m, level);
 }
 
-CompiledMethod &
+const CompiledMethod &
 Machine::compile(bytecode::MethodId m, OptLevel level)
 {
     const bytecode::Method &method = program_.methods[m];
@@ -280,19 +261,15 @@ Machine::compile(bytecode::MethodId m, OptLevel level)
     stats_.compileCycles += compile_cycles;
     ++stats_.compiles;
 
-    versions_[m].push_back(std::move(cm));
-    CompiledMethod &result = *versions_[m].back();
-
-    // Compiler passes (src/opt/) transform the installed version
-    // before anyone observes or translates it; the template rule
-    // holds for their changes by construction (see CompilePass).
+    // Compiler passes (src/opt/) are the last code that may change the
+    // version: it is installed immutable right after them.
     if (level != OptLevel::Baseline) {
         for (CompilePass *pass : compilePasses_)
-            pass->run(*this, result);
+            pass->run(*this, *cm);
     }
 
-    compileJournal_.push_back(
-        {m, result.version, level, result.cloneApplied});
+    versions_[m].push_back(std::move(cm));
+    const CompiledMethod &result = *versions_[m].back();
 
     // Let profilers instrument opt-tier code (they charge their own
     // pass cost).
@@ -337,19 +314,6 @@ Machine::decodedFor(const CompiledMethod &cm)
         ++stats_.methodsDecoded;
     }
     return *slot;
-}
-
-void
-Machine::invalidateDecoded(bytecode::MethodId m, std::uint32_t version)
-{
-    PEP_ASSERT(m < decoded_.size());
-    // Journal unconditionally: the call discharges the escape's
-    // invalidation obligation whether or not a stream was cached.
-    mutationJournal_.push_back({m, version, /*sanitize=*/true});
-    if (version < decoded_[m].size() && decoded_[m][version]) {
-        decoded_[m][version].reset();
-        ++stats_.templateInvalidations;
-    }
 }
 
 void

@@ -137,11 +137,10 @@ class Machine;
  * A compiler pass over a freshly compiled optimizing-tier version
  * (src/opt/ implements the real ones). Passes run inside
  * Machine::compile() after the built-in layout predictor and *before*
- * compile observers and template translation, so whatever they change
- * — branchLayout, a cloned inlinedBody — is part of the version the
- * engines execute from the first instruction. The template rule holds
- * by construction: nothing was decoded yet, so no invalidateDecoded()
- * is owed for pass-made changes.
+ * the version is installed, observed or translated, so whatever they
+ * change — branchLayout, a cloned inlinedBody — is part of the version
+ * the engines execute from the first instruction. Installed versions
+ * are immutable: a pass is the last code that can change one.
  */
 class CompilePass
 {
@@ -173,43 +172,6 @@ struct MethodInfo
  *  and standalone analysis of synthesized code. */
 MethodInfo buildMethodInfo(const bytecode::Method &method);
 
-/**
- * One entry of the plan-mutation journal. versionForUpdate() hands out
- * mutable access to an installed version (an *escape*: from that point
- * the caller may mutate state the threaded engine bakes into
- * templates); invalidateDecoded() re-establishes the template
- * invariant for the version (a *sanitize*). The invariant-escape audit
- * (analysis/verify/invariants.hh) proves every escape is eventually
- * followed by a matching sanitize.
- */
-struct PlanMutationEvent
-{
-    bytecode::MethodId method = 0;
-    std::uint32_t version = 0;
-
-    /** False for an escape, true for a sanitize. */
-    bool sanitize = false;
-};
-
-/**
- * One entry of the compile journal: every version the compiler ever
- * produced, in order, with whether the path-cloning pass synthesized
- * its body. The clone audit (analysis/verify/invariants.hh) proves
- * every clone-applied version on record was really produced by
- * compile() — a cloned body that appeared through any other door
- * (e.g. in-place mutation) bypassed the pass pipeline and the
- * template rule it guarantees.
- */
-struct CompileEvent
-{
-    bytecode::MethodId method = 0;
-    std::uint32_t version = 0;
-    OptLevel level = OptLevel::Baseline;
-
-    /** True if the cloning pass ran on this version. */
-    bool cloneApplied = false;
-};
-
 /** Counters the benchmarks read after a run. */
 struct MachineStats
 {
@@ -224,7 +186,8 @@ struct MachineStats
     std::uint64_t branchesExecuted = 0;
 
     /** Threaded engine: versions translated into template streams, and
-     *  streams invalidated after a plan mutation (docs/ENGINE.md). */
+     *  streams dropped because the fusion selection changed
+     *  (docs/ENGINE.md). */
     std::uint64_t methodsDecoded = 0;
     std::uint64_t templateInvalidations = 0;
 };
@@ -323,16 +286,6 @@ class Machine
     /** Latest compiled version of a method (nullptr if never run). */
     const CompiledMethod *currentVersion(bytecode::MethodId m) const;
 
-    /**
-     * Mutable access to an installed version, for in-place plan
-     * mutations (relayout experiments, fault injection). Any change to
-     * state the threaded engine bakes into templates MUST be followed
-     * by invalidateDecoded() — see docs/ENGINE.md. Returns nullptr if
-     * the version was never compiled.
-     */
-    CompiledMethod *versionForUpdate(bytecode::MethodId m,
-                                     std::uint32_t version);
-
     /** Record advice from a completed adaptive run (Section 5). */
     ReplayAdvice recordAdvice() const;
 
@@ -371,7 +324,9 @@ class Machine
      * use (compile() translates eagerly under EngineKind::Threaded, so
      * this is a cache hit on the hot path). Translation charges no
      * simulated cycles — the stream is a harness artifact, and both
-     * engines must report identical cycle counts.
+     * engines must report identical cycle counts. Installed versions
+     * never change, so a cached stream stays fresh for as long as the
+     * fusion selection does.
      */
     const DecodedMethod &decodedFor(const CompiledMethod &cm);
 
@@ -385,15 +340,6 @@ class Machine
      */
     void setFuseOptions(const FuseOptions &fuse) { params_.fuse = fuse; }
 
-    /**
-     * Drop the cached template stream of one version. REQUIRED after
-     * any in-place mutation of an installed version's plan (e.g.
-     * relayout); a forgotten invalidation leaves the threaded engine
-     * executing stale templates — the fuzzer's `stale-template`
-     * injection proves that fails loudly.
-     */
-    void invalidateDecoded(bytecode::MethodId m, std::uint32_t version);
-
     // ---- Verification support (analysis/verify, docs/ANALYSIS.md) -----
 
     /** Number of versions ever compiled for a method. */
@@ -403,34 +349,12 @@ class Machine
     const CompiledMethod *versionAt(bytecode::MethodId m,
                                     std::uint32_t version) const;
 
-    /**
-     * The cached template stream of a version — unlike decodedFor()
-     * this never translates on a miss, so an auditor can distinguish
-     * "no stream cached" (nullptr; nothing stale to execute) from a
-     * cached stream that must match a fresh translation.
-     */
-    const DecodedMethod *cachedDecoded(bytecode::MethodId m,
-                                       std::uint32_t version) const;
-
-    /** Every escape/sanitize event since construction, in order. */
-    const std::vector<PlanMutationEvent> &
-    mutationJournal() const
-    {
-        return mutationJournal_;
-    }
-
-    /** Every compile since construction, in order. */
-    const std::vector<CompileEvent> &
-    compileJournal() const
-    {
-        return compileJournal_;
-    }
-
   private:
     friend class Interpreter;
 
-    /** Compile (or recompile) a method; charges compile cycles. */
-    CompiledMethod &compile(bytecode::MethodId m, OptLevel level);
+    /** Compile (or recompile) a method and install the result as its
+     *  newest version; charges compile cycles. */
+    const CompiledMethod &compile(bytecode::MethodId m, OptLevel level);
 
     /** Compute the branch layout for an opt compile. */
     void applyLayout(CompiledMethod &cm);
@@ -448,11 +372,12 @@ class Machine
     std::vector<MethodInfo> infos_;
 
     /** All versions ever compiled, per method (old frames may still
-     *  reference superseded versions). */
-    std::vector<std::vector<std::unique_ptr<CompiledMethod>>> versions_;
+     *  reference superseded versions). Immutable once installed. */
+    std::vector<std::vector<std::unique_ptr<const CompiledMethod>>>
+        versions_;
 
-    /** Template streams, parallel to versions_ (null until translated
-     *  or after invalidation; see decodedFor). */
+    /** Template streams, parallel to versions_ (null until translated;
+     *  see decodedFor). */
     std::vector<std::vector<std::unique_ptr<DecodedMethod>>> decoded_;
 
     /** Adaptive state. */
@@ -479,12 +404,6 @@ class Machine
 
     MachineStats stats_;
     support::Rng rng_;
-
-    /** In-place plan mutation journal (see PlanMutationEvent). */
-    std::vector<PlanMutationEvent> mutationJournal_;
-
-    /** Compile journal (see CompileEvent). */
-    std::vector<CompileEvent> compileJournal_;
 
     /** Irnd streams of virtual threads >= 1, created on first use. */
     std::vector<std::unique_ptr<support::Rng>> threadRngs_;

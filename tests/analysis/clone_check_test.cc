@@ -2,10 +2,9 @@
  * @file
  * Seeded-bug rejection tests for the clone discipline (docs/OPT.md):
  * check 11 (checkClonedBody) must reject a cloned body whose origin
- * records or rootPcMap were corrupted, and the machine-level clone
- * audits (auditCloneJournal, the escape/sanitize journal) must reject
- * a clone flag flipped in place and a post-clone mutation that skipped
- * invalidateDecoded.
+ * records or rootPcMap were corrupted, and verifyMachine must run it
+ * over every installed clone — and reject a version that claims a
+ * clone but carries no synthesized body.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 
 #include "analysis/diagnostics.hh"
 #include "analysis/plan_check.hh"
-#include "analysis/verify/invariants.hh"
 #include "analysis/verify/verify.hh"
 #include "bytecode/cfg_builder.hh"
 #include "common/fixtures.hh"
@@ -229,11 +227,6 @@ struct ClonedMachineRig
         EXPECT_EQ(pipeline.stats().clonesApplied, 1u);
     }
 
-    std::uint32_t
-    clonedVersion() const
-    {
-        return machine.currentVersion(program.mainMethod)->version;
-    }
 };
 
 TEST(CloneAudit, CleanCloneVerifiesClean)
@@ -245,44 +238,27 @@ TEST(CloneAudit, CleanCloneVerifiesClean)
     EXPECT_EQ(diagnostics.errorCount(), 0u);
 }
 
-TEST(CloneAudit, RejectsCloneFlagFlippedInPlace)
+/** A compile pass that claims a clone without synthesizing one. */
+struct CloneFlagOnlyPass final : vm::CompilePass
 {
-    ClonedMachineRig rig;
-    const std::uint32_t version = rig.clonedVersion();
+    void
+    run(vm::Machine &, vm::CompiledMethod &cm) override
+    {
+        cm.cloneApplied = true;
+    }
+};
 
-    // Clearing the flag in place diverges the installed version from
-    // its compile-journal record even though the escape/sanitize
-    // discipline is followed to the letter.
-    vm::CompiledMethod *cm =
-        rig.machine.versionForUpdate(rig.program.mainMethod, version);
-    ASSERT_NE(cm, nullptr);
-    cm->cloneApplied = false;
-    rig.machine.invalidateDecoded(rig.program.mainMethod, version);
+TEST(CloneAudit, RejectsCloneFlagWithoutABody)
+{
+    const bytecode::Program program = test::simpleLoopProgram();
+    vm::Machine machine(program, vm::SimParams{});
+    CloneFlagOnlyPass pass;
+    machine.addCompilePass(&pass);
+    machine.compileNow(program.mainMethod, vm::OptLevel::Opt2);
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(analysis::auditCloneJournal(rig.machine, diagnostics));
-    EXPECT_TRUE(hasError(diagnostics, "invariants", "clone-journal"));
-}
-
-TEST(CloneAudit, RejectsSkippedInvalidateAfterCloneMutation)
-{
-    ClonedMachineRig rig;
-    rig.machine.runIteration();
-    const std::uint32_t version = rig.clonedVersion();
-
-    // Seeded bug: retune the cloned version's layout but "forget" the
-    // invalidateDecoded — the classic stale-template hazard, now on a
-    // clone-synthesized CFG.
-    vm::CompiledMethod *cm =
-        rig.machine.versionForUpdate(rig.program.mainMethod, version);
-    ASSERT_NE(cm, nullptr);
-    for (std::size_t b = 0; b < cm->branchLayout.size(); ++b)
-        if (cm->branchLayout[b] == 1)
-            cm->branchLayout[b] = 0;
-
-    DiagnosticList diagnostics;
-    EXPECT_FALSE(analysis::verifyMachine(rig.machine, diagnostics));
-    EXPECT_TRUE(hasError(diagnostics, "invariants", "escape-unsanitized"));
+    EXPECT_FALSE(analysis::verifyMachine(machine, diagnostics));
+    EXPECT_TRUE(hasError(diagnostics, "plan-check", "clone-body"));
 }
 
 } // namespace

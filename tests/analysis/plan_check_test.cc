@@ -6,8 +6,10 @@
  * seeded violations of each invariant — duplicate path ids, an
  * increment on a spanning-tree edge, a nonzero hot-edge value under
  * smart numbering, tampered back-edge bookkeeping, and plans left
- * enabled after numbering overflow, and flattened dispatch tables out
- * of sync with the nested ones. Ends with a cross-validation
+ * enabled after numbering overflow, and edge tables whose shape does
+ * not match the CFG. The template-stream tests (checks 9 and 12
+ * before they joined the stream proof) run the one stream proof,
+ * analysis/verify/stream_proof.hh. Ends with a cross-validation
  * against the interpreter: dynamically observed path ids must lie in
  * the statically proven id space.
  */
@@ -18,6 +20,7 @@
 #include <string>
 
 #include "analysis/plan_check.hh"
+#include "analysis/verify/stream_proof.hh"
 #include "bytecode/cfg_builder.hh"
 #include "common/fixtures.hh"
 #include "core/baseline_profilers.hh"
@@ -284,7 +287,7 @@ TEST(PlanCheck, RejectsBackEdgeThatDoesNotEndPath)
                     NumberingScheme::BallLarus, PlacementKind::Direct);
     ASSERT_FALSE(b.cfg.backEdges.empty());
     const cfg::EdgeRef back = b.cfg.backEdges[0];
-    b.plan.edgeActions[back.src][back.index].endsPath = false;
+    b.plan.flatEdgeActions[b.plan.flatEdgeId(back)].endsPath = false;
 
     DiagnosticList diagnostics;
     EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
@@ -299,7 +302,7 @@ TEST(PlanCheck, RejectsTamperedBackEdgeEndAdd)
                     NumberingScheme::BallLarus, PlacementKind::Direct);
     ASSERT_FALSE(b.cfg.backEdges.empty());
     const cfg::EdgeRef back = b.cfg.backEdges[0];
-    b.plan.edgeActions[back.src][back.index].endAdd += 1;
+    b.plan.flatEdgeActions[b.plan.flatEdgeId(back)].endAdd += 1;
 
     DiagnosticList diagnostics;
     EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
@@ -314,15 +317,11 @@ TEST(PlanCheck, RejectsWrongEdgeIncrement)
     Built b = build(test::figure1Program(), DagMode::HeaderSplit,
                     NumberingScheme::BallLarus, PlacementKind::Direct);
     bool tampered = false;
-    for (cfg::BlockId v = 0;
-         v < b.cfg.graph.numBlocks() && !tampered; ++v) {
-        for (std::uint32_t i = 0; i < b.plan.edgeActions[v].size();
-             ++i) {
-            if (!b.plan.edgeActions[v][i].endsPath) {
-                b.plan.edgeActions[v][i].increment += 1;
-                tampered = true;
-                break;
-            }
+    for (profile::EdgeAction &action : b.plan.flatEdgeActions) {
+        if (!action.endsPath) {
+            action.increment += 1;
+            tampered = true;
+            break;
         }
     }
     ASSERT_TRUE(tampered);
@@ -346,9 +345,9 @@ TEST(PlanCheck, RejectsEnabledPlanAfterOverflow)
 
 TEST(PlanCheck, RejectsTamperedFlatAction)
 {
-    // The hot path dispatches off the flattened table, so a corrupt
-    // flat entry miscounts paths even when every nested invariant
-    // holds. Tampering flat-only isolates check 8.
+    // The engines dispatch off the edge table, so a corrupt entry
+    // miscounts paths. Checks 4 and 7 read that same table, so the
+    // corruption cannot hide behind a second copy.
     Built b = build(test::figure1Program(), DagMode::HeaderSplit,
                     NumberingScheme::BallLarus, PlacementKind::Direct);
     ASSERT_FALSE(b.plan.flatEdgeActions.empty());
@@ -356,30 +355,28 @@ TEST(PlanCheck, RejectsTamperedFlatAction)
 
     DiagnosticList diagnostics;
     EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
-    EXPECT_TRUE(hasError(diagnostics, "flattened action disagrees"))
+    EXPECT_TRUE(hasError(diagnostics, "does not match expected"))
         << renderAll(diagnostics);
 }
 
 TEST(PlanCheck, RejectsStaleFlattenedTable)
 {
-    // The converse: mutate the nested table and "forget" to call
-    // rebuildFlat() — the exact bug class check 8 exists to catch
-    // (any pass that edits edgeActions must rebuild the mirror).
+    // A table laid out for another CFG (here: a different method's
+    // plan) no longer covers this CFG's edges; check 8 must refuse it
+    // before checks 4 and 7 index through it.
     Built b = build(test::figure1Program(), DagMode::HeaderSplit,
                     NumberingScheme::BallLarus, PlacementKind::Direct);
-    bool tampered = false;
-    for (cfg::BlockId v = 0;
-         v < b.cfg.graph.numBlocks() && !tampered; ++v) {
-        if (!b.plan.edgeActions[v].empty()) {
-            b.plan.edgeActions[v][0].increment += 5;
-            tampered = true;
-        }
-    }
-    ASSERT_TRUE(tampered);
+    const Built other = build(test::simpleLoopProgram(),
+                              DagMode::HeaderSplit,
+                              NumberingScheme::BallLarus,
+                              PlacementKind::Direct);
+    ASSERT_NE(other.plan.flatEdgeActions.size(),
+              b.plan.flatEdgeActions.size());
+    b.plan.flatEdgeActions = other.plan.flatEdgeActions;
 
     DiagnosticList diagnostics;
     EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
-    EXPECT_TRUE(hasError(diagnostics, "stale rebuildFlat"))
+    EXPECT_TRUE(hasError(diagnostics, "flattened table covers"))
         << renderAll(diagnostics);
 }
 
@@ -402,8 +399,8 @@ TEST(PlanCheck, RejectsCorruptEdgeBase)
 
 /**
  * Build main()'s template stream exactly as the lint pipeline does,
- * optionally tamper with it, and run check 9. Everything lives in one
- * scope so the DecodedMethod's back-pointers stay valid.
+ * optionally tamper with it, and run the stream proof. Everything
+ * lives in one scope so the DecodedMethod's back-pointers stay valid.
  */
 DiagnosticList
 checkTemplatesOf(const bytecode::Program &program,
@@ -412,14 +409,6 @@ checkTemplatesOf(const bytecode::Program &program,
 {
     const bytecode::Method &method =
         program.methods[program.mainMethod];
-    const bytecode::MethodCfg cfg = bytecode::buildCfg(method);
-    const profile::PDag pdag =
-        profile::buildPDag(cfg, DagMode::HeaderSplit);
-    const profile::Numbering numbering = profile::numberPaths(
-        pdag, NumberingScheme::BallLarus, nullptr);
-    const profile::InstrumentationPlan plan =
-        profile::buildInstrumentationPlan(cfg, pdag, numbering);
-
     const vm::MethodInfo info = vm::buildMethodInfo(method);
     vm::CompiledMethod cm;
     const vm::CostModel cost;
@@ -427,7 +416,7 @@ checkTemplatesOf(const bytecode::Program &program,
     for (std::size_t op = 0; op < bytecode::kNumOpcodes; ++op)
         cm.scaledCost[op] =
             cost.instrCost(static_cast<bytecode::Opcode>(op));
-    cm.branchLayout.assign(cfg.graph.numBlocks(), -1);
+    cm.branchLayout.assign(info.cfg.graph.numBlocks(), -1);
     vm::DecodedMethod decoded =
         vm::translateMethod(method, info, cm);
     if (tamper)
@@ -435,8 +424,8 @@ checkTemplatesOf(const bytecode::Program &program,
 
     TemplateCheckInput input;
     input.code = &method;
-    input.cfg = &cfg;
-    input.plan = &plan;
+    input.info = &info;
+    input.cm = &cm;
     input.decoded = &decoded;
     input.methodName = method.name;
 

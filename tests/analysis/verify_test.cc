@@ -2,14 +2,11 @@
  * @file
  * Tests for the pep-verify passes (analysis/verify/, docs/ANALYSIS.md):
  *
- *  - the examples corpus is clean under all three passes, statically
- *    (verifyProgram, lintProgram --verify) and on a live machine under
- *    both execution engines (verifyMachine);
- *  - the relayout-then-verify round trip: an in-place layout mutation
- *    followed by invalidateDecoded verifies clean, the same mutation
- *    without it is rejected by the invariant audits;
+ *  - the examples corpus is clean under both passes, statically
+ *    (verifyProgram, lintProgram) and on a live machine under both
+ *    execution engines (verifyMachine), also after a relayout;
  *  - seeded-bug rejection per pass: each check catches a deliberately
- *    corrupted template stream / profile / plan mirror;
+ *    corrupted template stream / profile;
  *  - diagnostic ordering is deterministic.
  */
 
@@ -23,9 +20,8 @@
 
 #include "analysis/diagnostics.hh"
 #include "analysis/lint.hh"
-#include "analysis/verify/engine_equiv.hh"
-#include "analysis/verify/invariants.hh"
 #include "analysis/verify/realizability.hh"
+#include "analysis/verify/stream_proof.hh"
 #include "analysis/verify/verify.hh"
 #include "bytecode/assembler.hh"
 #include "bytecode/cfg_builder.hh"
@@ -40,6 +36,7 @@
 #include "vm/compiled_method.hh"
 #include "vm/cost_model.hh"
 #include "vm/decoded_method.hh"
+#include "vm/layout.hh"
 #include "vm/machine.hh"
 
 namespace {
@@ -136,11 +133,11 @@ translateCanonical(const bytecode::Method &method)
     return t;
 }
 
-analysis::EngineEquivInput
+analysis::TemplateCheckInput
 equivInput(const bytecode::Method &method,
            const CanonicalTranslation &t)
 {
-    analysis::EngineEquivInput input;
+    analysis::TemplateCheckInput input;
     input.code = &method;
     input.info = &t.info;
     input.cm = &t.cm;
@@ -197,15 +194,14 @@ TEST(VerifyProgram, ExamplesCleanStatically)
 
 TEST(VerifyProgram, LintVerifyModeCleanOnExamples)
 {
-    // `pep_lint --verify`: plan checks (incl. the template-stream
-    // check 9) plus the engine-equivalence pass over every example.
+    // pep_lint always runs the stream proof (what `--verify` used to
+    // add) next to the plan checks, over every example.
     for (const auto &path : examplePrograms()) {
         SCOPED_TRACE(path.filename().string());
         bytecode::Program program = loadProgram(path);
 
         analysis::LintOptions options;
         options.runMethodPasses = false;
-        options.runVerifyPasses = true;
         const DiagnosticList diagnostics =
             analysis::lintProgram(program, options);
         EXPECT_EQ(diagnostics.errorCount(), 0u)
@@ -250,18 +246,35 @@ TEST_P(VerifyMachineTest, RelayoutThenVerifyRoundTrip)
     vm::Machine machine(program, testParams(GetParam()));
     machine.runIteration();
 
-    // Flip every installed layout the disciplined way: mutate, then
-    // invalidate the version's cached template stream.
+    // Relayout every optimized method against its observed profile
+    // with every two-way branch's counts swapped. A relayout is a
+    // recompile: installed versions never change, so the new versions
+    // carry the new layouts and the old ones keep theirs.
+    const profile::EdgeProfileSet &truth = machine.truthEdges();
+    profile::EdgeProfileSet flipped = truth;
+    flipped.clear();
     for (std::size_t m = 0; m < machine.numMethods(); ++m) {
-        const auto method = static_cast<bytecode::MethodId>(m);
-        for (std::uint32_t v = 0; v < machine.numVersions(method); ++v) {
-            vm::CompiledMethod *cm = machine.versionForUpdate(method, v);
-            ASSERT_NE(cm, nullptr);
-            for (std::int16_t &layout : cm->branchLayout)
-                layout = layout == 1 ? 0 : 1;
-            machine.invalidateDecoded(method, v);
+        const auto &counts = truth.perMethod[m].counts();
+        for (cfg::BlockId b = 0; b < counts.size(); ++b) {
+            if (counts[b].size() != 2)
+                continue;
+            flipped.perMethod[m].addEdge({b, 0}, counts[b][1]);
+            flipped.perMethod[m].addEdge({b, 1}, counts[b][0]);
         }
     }
+    vm::FixedLayoutSource source(flipped);
+    machine.setLayoutSource(&source);
+    std::size_t relaid = 0;
+    for (std::size_t m = 0; m < machine.numMethods(); ++m) {
+        const auto method = static_cast<bytecode::MethodId>(m);
+        const vm::CompiledMethod *before = machine.currentVersion(method);
+        if (!before || before->level == vm::OptLevel::Baseline)
+            continue;
+        const vm::CompiledMethod &after =
+            machine.compileNow(method, before->level);
+        relaid += after.branchLayout != before->branchLayout;
+    }
+    ASSERT_GT(relaid, 0u) << "no optimized version changed its layout";
 
     DiagnosticList clean;
     EXPECT_TRUE(analysis::verifyMachine(machine, clean))
@@ -272,28 +285,6 @@ TEST_P(VerifyMachineTest, RelayoutThenVerifyRoundTrip)
     DiagnosticList after_run;
     EXPECT_TRUE(analysis::verifyMachine(machine, after_run))
         << describe(after_run);
-
-    // Now flip once more WITHOUT invalidating: the journal audit must
-    // reject the unsanitized escape on every engine; with cached
-    // template streams (threaded engine) the freshness audit also
-    // catches the stale stream itself.
-    for (std::size_t m = 0; m < machine.numMethods(); ++m) {
-        const auto method = static_cast<bytecode::MethodId>(m);
-        for (std::uint32_t v = 0; v < machine.numVersions(method); ++v) {
-            vm::CompiledMethod *cm = machine.versionForUpdate(method, v);
-            for (std::int16_t &layout : cm->branchLayout)
-                layout = layout == 1 ? 0 : 1;
-        }
-    }
-
-    DiagnosticList dirty;
-    EXPECT_FALSE(analysis::verifyMachine(machine, dirty));
-    EXPECT_TRUE(hasError(dirty, "invariants", "escape-unsanitized"))
-        << describe(dirty);
-    if (GetParam() == vm::EngineKind::Threaded) {
-        EXPECT_TRUE(hasError(dirty, "invariants", "stale-template"))
-            << describe(dirty);
-    }
 }
 
 // ---- Pass 1 seeded bugs: engine equivalence --------------------------
@@ -303,7 +294,7 @@ TEST(EngineEquiv, CanonicalTranslationIsEquivalent)
     const bytecode::Method method = methodWithCondBranch();
     const CanonicalTranslation t = translateCanonical(method);
     DiagnosticList diagnostics;
-    EXPECT_TRUE(analysis::checkEngineEquivalence(equivInput(method, t),
+    EXPECT_TRUE(analysis::checkTemplateStream(equivInput(method, t),
                                                  diagnostics))
         << describe(diagnostics);
 }
@@ -324,7 +315,7 @@ TEST(EngineEquiv, RejectsCorruptedSegmentCost)
     ASSERT_TRUE(corrupted);
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(analysis::checkEngineEquivalence(
+    EXPECT_FALSE(analysis::checkTemplateStream(
         equivInput(method, t), diagnostics));
     EXPECT_TRUE(hasError(diagnostics, "engine-equiv", "segment-cost"))
         << describe(diagnostics);
@@ -338,7 +329,7 @@ TEST(EngineEquiv, RejectsCorruptedEdgeBase)
     ++t.decoded.edgeBase[2];
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(analysis::checkEngineEquivalence(
+    EXPECT_FALSE(analysis::checkTemplateStream(
         equivInput(method, t), diagnostics));
     EXPECT_TRUE(hasError(diagnostics, "engine-equiv", "edge-base"))
         << describe(diagnostics);
@@ -356,7 +347,7 @@ TEST(EngineEquiv, RejectsCorruptedBakedLayout)
     branch.layout = 1; // installed version says -1
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(analysis::checkEngineEquivalence(
+    EXPECT_FALSE(analysis::checkTemplateStream(
         equivInput(method, t), diagnostics));
     EXPECT_TRUE(hasError(diagnostics, "engine-equiv", "layout"))
         << describe(diagnostics);
@@ -374,7 +365,7 @@ TEST(EngineEquiv, RejectsCorruptedFlatEdgeId)
     ++branch.flatBase; // profile counters would fire the wrong edge id
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(analysis::checkEngineEquivalence(
+    EXPECT_FALSE(analysis::checkTemplateStream(
         equivInput(method, t), diagnostics));
     EXPECT_TRUE(hasError(diagnostics, "engine-equiv", "control-exit"))
         << describe(diagnostics);
@@ -392,7 +383,7 @@ TEST(EngineEquiv, RejectsCorruptedHeaderFlag)
     branch.flags ^= vm::kTplTakenHeader; // yieldpoints would misfire
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(analysis::checkEngineEquivalence(
+    EXPECT_FALSE(analysis::checkTemplateStream(
         equivInput(method, t), diagnostics));
     EXPECT_TRUE(hasError(diagnostics, "engine-equiv", "yieldpoint"))
         << describe(diagnostics);
@@ -565,51 +556,6 @@ TEST(Realizability, KPathWindowsMustChainThroughLoopHeaders)
         method.name, false, 0, range, &kpath));
     EXPECT_TRUE(hasError(range, "realizability", "path-range"))
         << describe(range);
-}
-
-// ---- Pass 3 seeded bugs: invariant escape audits ---------------------
-
-TEST(Invariants, PlanMirrorAuditCatchesNestedMutation)
-{
-    const bytecode::Method method = methodWithCondBranch();
-    const bytecode::MethodCfg cfg = bytecode::buildCfg(method);
-    const profile::PDag pdag =
-        profile::buildPDag(cfg, profile::DagMode::HeaderSplit);
-    const profile::Numbering numbering = profile::numberPaths(
-        pdag, profile::NumberingScheme::BallLarus, nullptr);
-    profile::InstrumentationPlan plan =
-        profile::buildInstrumentationPlan(cfg, pdag, numbering);
-    ASSERT_TRUE(plan.enabled);
-
-    DiagnosticList clean;
-    EXPECT_TRUE(analysis::auditPlanMirror(plan, method.name, false, 0,
-                                          clean))
-        << describe(clean);
-
-    // Mutate a nested action without rebuildFlat(): the flattened
-    // mirror the interpreter reads is now stale.
-    bool mutated = false;
-    for (auto &block_actions : plan.edgeActions) {
-        if (!block_actions.empty()) {
-            block_actions.front().increment += 7;
-            mutated = true;
-            break;
-        }
-    }
-    ASSERT_TRUE(mutated);
-
-    DiagnosticList stale;
-    EXPECT_FALSE(analysis::auditPlanMirror(plan, method.name, false, 0,
-                                           stale));
-    EXPECT_TRUE(hasError(stale, "invariants", "flat-mirror"))
-        << describe(stale);
-
-    // rebuildFlat() discharges the invariant again.
-    plan.rebuildFlat();
-    DiagnosticList rebuilt;
-    EXPECT_TRUE(analysis::auditPlanMirror(plan, method.name, false, 0,
-                                          rebuilt))
-        << describe(rebuilt);
 }
 
 // ---- Deterministic diagnostic ordering -------------------------------

@@ -3,8 +3,9 @@
  * Profiler tests at the core layer: the path engine's per-frame
  * register discipline across calls and recompilation, PEP's sampling
  * bookkeeping and layout-source fallback, the zero-cost property of
- * ground-truth recorders, and the cost ordering of the reference
- * profilers.
+ * ground-truth recorders, the cost ordering of the reference
+ * profilers, and edge profiles derived from the paths of inlined and
+ * cloned versions.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,11 @@
 #include "core/pep_profiler.hh"
 #include "core/sampling.hh"
 #include "metrics/path_accuracy.hh"
+#include "opt/pipeline.hh"
+#include "opt/profile_consumer.hh"
+#include "vm/compiled_method.hh"
+#include "vm/inliner.hh"
+#include "vm/layout.hh"
 #include "vm/machine.hh"
 #include "workload/suite.hh"
 
@@ -420,6 +426,96 @@ TEST(PathEngine, OverflowedMethodIsSkippedGracefully)
     om.machine.runIteration();
     EXPECT_EQ(truth.pathsStored(), 0u);
     EXPECT_EQ(truth.overflowCount(), 1u);
+}
+
+/** Full path profiles of every optimized version, expanded back into
+ *  edges, must reproduce the machine's ground truth exactly — also for
+ *  versions that run a synthesized body. */
+void
+expectDerivedEdgesEqualTruth(vm::Machine &machine, PathEngine &engine)
+{
+    const profile::EdgeProfileSet derived =
+        edgeProfileFromPaths(machine, engine);
+    for (std::size_t m = 0; m < machine.numMethods(); ++m) {
+        EXPECT_EQ(derived.perMethod[m].counts(),
+                  machine.truthEdges().perMethod[m].counts())
+            << "method " << m;
+    }
+}
+
+TEST(PathEngine, DerivedEdgesFoldInlinedVersionsLikeTruth)
+{
+    // main's loop calls a leaf with a branch of its own: the inlined
+    // version's CFG has more blocks than main's, and the callee's
+    // branch counts belong to the callee.
+    const bytecode::Program program = bytecode::assembleOrDie(R"(
+.globals 1
+.method pick 1 1 returns
+    iload 0
+    iconst 3
+    irem
+    ifeq zero
+    iconst 1
+    ireturn
+zero:
+    iconst 2
+    ireturn
+.end
+.method main 0 1
+    iconst 40
+    istore 0
+loop:
+    iload 0
+    ifle done
+    iload 0
+    invoke pick
+    iconst 0
+    gload
+    iadd
+    iconst 0
+    gstore
+    iinc 0 -1
+    goto loop
+done:
+    return
+.end
+.main main
+)");
+    vm::SimParams params = fastTick();
+    params.enableInlining = true;
+    OptMachine om(program, params);
+    FullPathProfiler full(om.machine, profile::DagMode::HeaderSplit,
+                          false);
+    om.machine.addHooks(&full);
+    om.machine.addCompileObserver(&full);
+    om.machine.runIteration();
+
+    const vm::CompiledMethod *main_version =
+        om.machine.currentVersion(program.mainMethod);
+    ASSERT_NE(main_version, nullptr);
+    ASSERT_NE(main_version->inlinedBody, nullptr);
+    expectDerivedEdgesEqualTruth(om.machine, full);
+}
+
+TEST(PathEngine, DerivedEdgesFoldClonedVersionsLikeTruth)
+{
+    const bytecode::Program program = test::simpleLoopProgram();
+    vm::Machine probe(program, vm::SimParams{});
+    probe.runIteration();
+    vm::FixedLayoutSource source(probe.truthEdges());
+    opt::LayoutSourceConsumer consumer(source);
+    opt::OptPipeline pipeline(consumer);
+
+    vm::Machine machine(program, vm::SimParams{});
+    FullPathProfiler full(machine, profile::DagMode::HeaderSplit, false);
+    machine.addHooks(&full);
+    machine.addCompileObserver(&full);
+    machine.addCompilePass(&pipeline);
+    machine.compileNow(program.mainMethod, vm::OptLevel::Opt2);
+    ASSERT_TRUE(machine.currentVersion(program.mainMethod)->cloneApplied);
+    machine.runIteration();
+
+    expectDerivedEdgesEqualTruth(machine, full);
 }
 
 } // namespace

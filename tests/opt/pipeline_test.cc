@@ -4,7 +4,7 @@
  * CompilePass applies cloning + chain layout on a live Machine, the
  * optimized machine stays byte-identical in observable behaviour to an
  * unoptimized one under BOTH execution engines, the machine verifies
- * clean afterwards (clone journal + check 11), and PEP_OPT parsing.
+ * clean afterwards (stream proof + check 11), and PEP_OPT parsing.
  */
 
 #include <gtest/gtest.h>
@@ -113,8 +113,7 @@ TEST_P(PipelineEngineTest, ClonesAndPreservesObservableBehaviour)
               piped.stats().methodInvocations);
 
     // The optimized machine satisfies every machine-level invariant:
-    // engine equivalence of the cloned version, template freshness,
-    // the compile-journal clone audit and check 11.
+    // the stream proof of the cloned version and check 11.
     analysis::DiagnosticList diagnostics;
     EXPECT_TRUE(analysis::verifyMachine(piped, diagnostics));
     EXPECT_EQ(diagnostics.errorCount(), 0u);

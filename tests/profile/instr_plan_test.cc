@@ -61,8 +61,7 @@ simulate(const Prepared &p, const ReconstructedPath &path)
             // of them gives the restart value.
             for (const cfg::EdgeRef &back : p.cfg.backEdges) {
                 if (p.cfg.graph.edgeDst(back) == path.startHeader) {
-                    reg = p.plan.edgeActions[back.src][back.index]
-                              .restart;
+                    reg = p.plan.flatAction(back).restart;
                     break;
                 }
             }
@@ -71,7 +70,7 @@ simulate(const Prepared &p, const ReconstructedPath &path)
 
     for (std::size_t i = 0; i < path.cfgEdges.size(); ++i) {
         const cfg::EdgeRef e = path.cfgEdges[i];
-        const EdgeAction &action = p.plan.edgeActions[e.src][e.index];
+        const EdgeAction &action = p.plan.flatAction(e);
         if (action.endsPath) {
             // Must be the last edge (a back edge, BackEdgeTruncate).
             EXPECT_EQ(i, path.cfgEdges.size() - 1);
@@ -142,9 +141,9 @@ TEST(InstrPlan, EdgeIncrementsMatchNumbering)
         for (std::uint32_t i = 0; i < graph.succs(b).size(); ++i) {
             const cfg::EdgeRef dag_edge = p.pdag.dagEdgeForCfgEdge[b][i];
             ASSERT_NE(dag_edge.src, cfg::kInvalidBlock);
-            EXPECT_EQ(p.plan.edgeActions[b][i].increment,
+            EXPECT_EQ(p.plan.flatAction({b, i}).increment,
                       p.numbering.edgeValue(dag_edge));
-            if (p.plan.edgeActions[b][i].increment != 0)
+            if (p.plan.flatAction({b, i}).increment != 0)
                 ++instrumented;
         }
     }
@@ -166,10 +165,8 @@ TEST(InstrPlan, HeaderActionsOnlyInHeaderSplitMode)
         EXPECT_FALSE(action.endsPath);
 
     std::size_t ending_edges = 0;
-    for (const auto &per_block : trunc.plan.edgeActions) {
-        for (const EdgeAction &action : per_block)
-            ending_edges += action.endsPath ? 1 : 0;
-    }
+    for (const EdgeAction &action : trunc.plan.flatEdgeActions)
+        ending_edges += action.endsPath ? 1 : 0;
     EXPECT_EQ(ending_edges, trunc.cfg.backEdges.size());
 }
 
@@ -183,65 +180,10 @@ TEST(InstrPlan, DisabledOnOverflow)
         buildInstrumentationPlan(p.cfg, p.pdag, overflowed);
     EXPECT_FALSE(plan.enabled);
     EXPECT_EQ(plan.totalPaths, 0u);
-    // The flattened mirror exists (empty actions) even when disabled,
-    // so the dispatch pointers in FrameState are always valid.
+    // The edge table exists (empty actions) even when disabled, so
+    // the dispatch pointers in FrameState are always valid.
     EXPECT_EQ(plan.edgeBase.size(), p.cfg.graph.numBlocks() + 1);
     EXPECT_EQ(plan.flatEdgeActions.size(), plan.edgeBase.back());
-}
-
-/** Memberwise flat-vs-nested equality over every CFG edge. */
-void
-expectFlatMirrorsNested(const MethodCfg &cfg,
-                        const InstrumentationPlan &plan)
-{
-    const cfg::Graph &graph = cfg.graph;
-    ASSERT_EQ(plan.edgeBase.size(), graph.numBlocks() + 1);
-    std::uint32_t base = 0;
-    for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b) {
-        EXPECT_EQ(plan.edgeBase[b], base);
-        base += static_cast<std::uint32_t>(graph.succs(b).size());
-        for (std::uint32_t i = 0; i < graph.succs(b).size(); ++i) {
-            const cfg::EdgeRef edge{b, i};
-            const EdgeAction &nested = plan.edgeActions[b][i];
-            const EdgeAction &flat = plan.flatAction(edge);
-            EXPECT_EQ(flat.increment, nested.increment);
-            EXPECT_EQ(flat.endsPath, nested.endsPath);
-            EXPECT_EQ(flat.endAdd, nested.endAdd);
-            EXPECT_EQ(flat.restart, nested.restart);
-        }
-    }
-    EXPECT_EQ(plan.edgeBase.back(), base);
-    EXPECT_EQ(plan.flatEdgeActions.size(), base);
-}
-
-TEST(InstrPlan, FlattenedTableMirrorsNested)
-{
-    for (const bytecode::Program &program :
-         {test::simpleLoopProgram(), test::figure1Program(),
-          test::callSwitchProgram()}) {
-        for (const DagMode mode :
-             {DagMode::HeaderSplit, DagMode::BackEdgeTruncate}) {
-            const Prepared p = prepare(program, mode);
-            expectFlatMirrorsNested(p.cfg, p.plan);
-        }
-    }
-}
-
-TEST(InstrPlan, RebuildFlatTracksNestedMutation)
-{
-    Prepared p = prepare(test::figure1Program(), DagMode::HeaderSplit);
-    ASSERT_FALSE(p.plan.edgeActions.empty());
-    bool mutated = false;
-    for (auto &per_block : p.plan.edgeActions) {
-        if (!per_block.empty()) {
-            per_block[0].increment += 11;
-            mutated = true;
-            break;
-        }
-    }
-    ASSERT_TRUE(mutated);
-    p.plan.rebuildFlat();
-    expectFlatMirrorsNested(p.cfg, p.plan);
 }
 
 } // namespace

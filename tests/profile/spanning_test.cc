@@ -249,9 +249,9 @@ TEST(Spanning, ChordCountBoundedByCycleSpace)
 
 TEST(Spanning, ApplyRefreshesFlattenedTables)
 {
-    // applySpanningPlacement rewrites the nested edge actions; the
-    // flattened dispatch mirror must be rebuilt with it, or the hot
-    // path keeps executing the pre-spanning increments.
+    // applySpanningPlacement rewrites the one edge table the engines
+    // execute: every edge carries its chord increment, not the direct
+    // pass's value.
     const bytecode::Program program = test::figure1Program();
     const MethodCfg cfg = bytecode::buildCfg(program.methods[0]);
     const PDag pdag = buildPDag(cfg, DagMode::HeaderSplit);
@@ -268,13 +268,10 @@ TEST(Spanning, ApplyRefreshesFlattenedTables)
     for (cfg::BlockId b = 0; b < cfg.graph.numBlocks(); ++b) {
         for (std::uint32_t i = 0; i < cfg.graph.succs(b).size();
              ++i) {
-            const cfg::EdgeRef edge{b, i};
-            const EdgeAction &nested = plan.edgeActions[b][i];
-            const EdgeAction &flat = plan.flatAction(edge);
-            EXPECT_EQ(flat.increment, nested.increment);
-            EXPECT_EQ(flat.endsPath, nested.endsPath);
-            EXPECT_EQ(flat.endAdd, nested.endAdd);
-            EXPECT_EQ(flat.restart, nested.restart);
+            const cfg::EdgeRef dag_edge = pdag.dagEdgeForCfgEdge[b][i];
+            ASSERT_NE(dag_edge.src, cfg::kInvalidBlock);
+            EXPECT_EQ(plan.flatAction({b, i}).increment,
+                      spanning.increment[dag_edge.src][dag_edge.index]);
         }
     }
 }
@@ -309,8 +306,7 @@ TEST(Spanning, AppliedPlanReproducesNumbersAtRuntimeSemantics)
                     for (const cfg::EdgeRef &back : cfg.backEdges) {
                         if (cfg.graph.edgeDst(back) ==
                             path.startHeader) {
-                            reg = plan.edgeActions[back.src]
-                                      [back.index].restart;
+                            reg = plan.flatAction(back).restart;
                             break;
                         }
                     }
@@ -320,8 +316,7 @@ TEST(Spanning, AppliedPlanReproducesNumbersAtRuntimeSemantics)
             bool ended = false;
             for (std::size_t i = 0; i < path.cfgEdges.size(); ++i) {
                 const cfg::EdgeRef e = path.cfgEdges[i];
-                const EdgeAction &action =
-                    plan.edgeActions[e.src][e.index];
+                const EdgeAction &action = plan.flatAction(e);
                 if (action.endsPath) {
                     result = reg + action.endAdd;
                     ended = true;

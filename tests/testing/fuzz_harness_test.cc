@@ -198,7 +198,7 @@ TEST(Differ, CleanAcrossStandardConfigMatrix)
     EXPECT_GT(instrumented, 0u);
 }
 
-/** Find a seed the stale-flat injection bites on. */
+/** Find a seed the configured injection bites on. */
 std::uint64_t
 findCaughtSeed(const fz::DiffOptions &opts)
 {
@@ -213,25 +213,6 @@ findCaughtSeed(const fz::DiffOptions &opts)
     return 0;
 }
 
-TEST(Differ, StaleFlatInjectionIsCaughtAndCleanWithout)
-{
-    const fz::DiffOptions *base =
-        fz::findConfig("smart-spanning-osr");
-    ASSERT_NE(base, nullptr);
-    fz::DiffOptions opts = *base;
-    opts.inject = fz::InjectKind::StaleFlatAfterSpanning;
-
-    const std::uint64_t seed = findCaughtSeed(opts);
-    ASSERT_NE(seed, 0u)
-        << "no seed in 1..20 caught the stale-flat injection";
-
-    fz::FuzzSpec spec;
-    spec.seed = seed;
-    const bytecode::Program program = fz::generateProgram(spec);
-    const fz::DiffReport clean = fz::runDiff(program, *base);
-    EXPECT_TRUE(clean.ok()) << clean.violations.front();
-}
-
 TEST(Differ, CorruptIncrementInjectionIsCaught)
 {
     const fz::DiffOptions *base =
@@ -243,21 +224,21 @@ TEST(Differ, CorruptIncrementInjectionIsCaught)
         << "no seed in 1..20 caught the corrupt-increment injection";
 }
 
-TEST(Differ, StaleTemplateInjectionDivergesTheEngines)
+TEST(Differ, EngineDivergenceInjectionDivergesTheEngines)
 {
     const fz::DiffOptions *base =
         fz::findConfig("headersplit-direct");
     ASSERT_NE(base, nullptr);
     fz::DiffOptions opts = *base;
-    opts.inject = fz::InjectKind::StaleTemplate;
+    opts.inject = fz::InjectKind::EngineDivergence;
 
     const std::uint64_t seed = findCaughtSeed(opts);
     ASSERT_NE(seed, 0u)
-        << "no seed in 1..20 caught the stale-template injection";
+        << "no seed in 1..20 caught the engine-divergence injection";
 
     // The violation must come from the engine cross-check — every
-    // single-machine invariant still holds (the main run's event
-    // stream is self-consistent even with flipped layouts).
+    // single-machine invariant still holds (only the threaded
+    // cross-check machine runs on another Irnd stream).
     fz::FuzzSpec spec;
     spec.seed = seed;
     const bytecode::Program program = fz::generateProgram(spec);
@@ -275,7 +256,7 @@ TEST(Differ, StandardConfigMatrixCoversFusion)
 {
     // The fusion legs (docs/ENGINE.md): superinstruction pairs alone,
     // and pairs + straightened traces under a k-iteration window with
-    // the layout pass installed so retranslation re-specializes.
+    // the layout pass installed so recompiled layouts re-specialize.
     const fz::DiffOptions *pairs = fz::findConfig("fuse-pairs");
     ASSERT_NE(pairs, nullptr);
     EXPECT_TRUE(pairs->fuse.pairs);
@@ -288,32 +269,6 @@ TEST(Differ, StandardConfigMatrixCoversFusion)
     EXPECT_TRUE(traces->fuse.traces);
     EXPECT_EQ(traces->kIterations, 2u);
     EXPECT_TRUE(traces->optLayout);
-}
-
-TEST(Differ, StaleFusionInjectionIsCaughtAndCleanWithout)
-{
-    // A retranslation skipped after a profile-direction flip: switch
-    // dispatch follows the new layout while the threaded engine keeps
-    // executing traces straightened for the old one. The engine
-    // cross-check must diverge under the trace-fusing config, and the
-    // same programs must run clean without the injection.
-    const fz::DiffOptions *base = fz::findConfig("fuse-traces-kiter2");
-    ASSERT_NE(base, nullptr);
-    fz::DiffOptions opts = *base;
-    opts.inject = fz::InjectKind::StaleFusion;
-
-    const std::uint64_t seed = findCaughtSeed(opts);
-    ASSERT_NE(seed, 0u)
-        << "no seed in 1..20 caught the stale-fusion injection";
-
-    fz::FuzzSpec spec;
-    spec.seed = seed;
-    const bytecode::Program program = fz::generateProgram(spec);
-    const fz::DiffReport caught = fz::runDiff(program, opts);
-    ASSERT_FALSE(caught.ok());
-
-    const fz::DiffReport clean = fz::runDiff(program, *base);
-    EXPECT_TRUE(clean.ok()) << clean.violations.front();
 }
 
 TEST(Differ, StandardConfigMatrixCoversKIterations)
@@ -359,7 +314,7 @@ TEST(Shrinker, ReducesInjectedFailureWhileItStillFails)
         fz::findConfig("smart-spanning-osr");
     ASSERT_NE(base, nullptr);
     fz::DiffOptions opts = *base;
-    opts.inject = fz::InjectKind::StaleFlatAfterSpanning;
+    opts.inject = fz::InjectKind::CorruptFlatIncrement;
 
     const std::uint64_t seed = findCaughtSeed(opts);
     ASSERT_NE(seed, 0u);
@@ -406,60 +361,21 @@ TEST(Differ, StandardConfigMatrixCoversCloning)
     ASSERT_NE(kiter, nullptr);
     EXPECT_TRUE(kiter->optClone);
     EXPECT_EQ(kiter->kIterations, 2u);
-}
 
-TEST(Differ, BadCloneFoldInjectionIsCaughtAndCleanWithout)
-{
-    const fz::DiffOptions *base = fz::findConfig("clone-smart");
-    ASSERT_NE(base, nullptr);
-
-    // Seed 1 is known to tier a hot method to Opt2 with PEP profile
-    // data in time for the cloning pass (the shrunk reproducer in
-    // tests/corpus/ came from it). The clean run must install a clone
-    // — otherwise this test proves nothing — and stay violation-free.
+    // Seed 1 tiers a hot method to Opt2 with PEP profile data in time
+    // for the cloning pass: the run must install a clone — otherwise
+    // check 9 proves nothing — and stay violation-free.
     fz::FuzzSpec spec;
     spec.seed = 1;
     const bytecode::Program program = fz::generateProgram(spec);
-    const fz::DiffReport clean = fz::runDiff(program, *base);
+    const fz::DiffReport clean = fz::runDiff(program, *smart);
     EXPECT_TRUE(clean.ok()) << clean.violations.front();
     bool cloned = false;
     for (const std::string &note : clean.notes)
         cloned = cloned ||
                  note.find("cloned versions") != std::string::npos;
-    ASSERT_TRUE(cloned)
+    EXPECT_TRUE(cloned)
         << "seed 1 no longer installs a clone under clone-smart";
-
-    // Corrupting the installed clone's origin map mid-run must be
-    // caught: the interpreter's fold and the oracle's compile-time
-    // snapshot fold diverge (check 1 / check 9).
-    fz::DiffOptions opts = *base;
-    opts.inject = fz::InjectKind::BadCloneFold;
-    const fz::DiffReport caught = fz::runDiff(program, opts);
-    EXPECT_FALSE(caught.ok())
-        << "bad-clone-fold injection went unnoticed";
-}
-
-TEST(Differ, BadCloneFoldWithoutACloneIsANoOp)
-{
-    const fz::DiffOptions *base = fz::findConfig("clone-smart");
-    ASSERT_NE(base, nullptr);
-    fz::DiffOptions opts = *base;
-    opts.inject = fz::InjectKind::BadCloneFold;
-
-    // Seed 2 never promotes anything far enough to clone: the
-    // injection finds nothing to corrupt and must say so instead of
-    // reporting a phantom violation.
-    fz::FuzzSpec spec;
-    spec.seed = 2;
-    const bytecode::Program program = fz::generateProgram(spec);
-    const fz::DiffReport report = fz::runDiff(program, opts);
-    EXPECT_TRUE(report.ok())
-        << report.violations.front();
-    bool noted = false;
-    for (const std::string &note : report.notes)
-        noted = noted ||
-                note.find("nothing to corrupt") != std::string::npos;
-    EXPECT_TRUE(noted);
 }
 
 TEST(Differ, CorpusHeaderRoundTrip)

@@ -3,9 +3,8 @@
  * Tests of the pre-decoded threaded execution engine (docs/ENGINE.md):
  * translator edge cases over hand-written and random CFG shapes, the
  * switch/threaded observable byte-identity contract, park/resume
- * round-trips through mid-block scheduler switches, the clean
- * relayout-plus-invalidateDecoded path, and the translation-cache
- * counters.
+ * round-trips through mid-block scheduler switches, and the
+ * translation-cache counters.
  */
 
 #include <gtest/gtest.h>
@@ -347,62 +346,7 @@ TEST(EngineParkResumeTest, MidBlockParksRoundTripIdentically)
     }
 }
 
-// ---- relayout + invalidation ----------------------------------------
-
-/** Flip every installed version's branch layout (the relayout
- *  experiment's mutation) and return the touched (method, version)
- *  pairs so the caller can invalidate the decoded streams. */
-std::vector<std::pair<bytecode::MethodId, std::uint32_t>>
-flipAllLayouts(Machine &machine)
-{
-    std::vector<std::pair<bytecode::MethodId, std::uint32_t>> touched;
-    for (bytecode::MethodId m = 0;
-         m < static_cast<bytecode::MethodId>(machine.numMethods());
-         ++m) {
-        const CompiledMethod *current = machine.currentVersion(m);
-        if (current == nullptr)
-            continue;
-        CompiledMethod *cm =
-            machine.versionForUpdate(m, current->version);
-        EXPECT_NE(cm, nullptr) << "method " << m;
-        if (cm == nullptr)
-            continue;
-        for (std::int16_t &layout : cm->branchLayout)
-            layout = layout == 1 ? 0 : 1;
-        touched.emplace_back(m, current->version);
-    }
-    return touched;
-}
-
-TEST(EngineInvalidationTest, RelayoutWithInvalidationStaysIdentical)
-{
-    const bytecode::Program p = test::figure1Program();
-    Machine sw(p, engineParams(EngineKind::Switch));
-    Machine th(p, engineParams(EngineKind::Threaded));
-    sw.runIteration();
-    th.runIteration();
-    ASSERT_EQ(observableState(sw), observableState(th));
-
-    // Mutate both machines' installed plans identically, then follow
-    // the contract: every touched version's template stream is dropped.
-    // (The fuzzer's `stale-template` injection is this exact mutation
-    // with the invalidation forgotten, and it must diverge.)
-    flipAllLayouts(sw);
-    const auto touched = flipAllLayouts(th);
-    ASSERT_FALSE(touched.empty());
-    for (const auto &[method, version] : touched) {
-        sw.invalidateDecoded(method, version);
-        th.invalidateDecoded(method, version);
-    }
-    EXPECT_GE(th.stats().templateInvalidations, touched.size());
-
-    sw.runIteration();
-    th.runIteration();
-    EXPECT_EQ(observableState(sw), observableState(th));
-    // The flip flipped real predictions: the second iteration pays
-    // misses the first did not (figure1's loop branch is biased).
-    EXPECT_GT(sw.stats().layoutMisses, 0u);
-}
+// ---- translation cache ---------------------------------------------
 
 TEST(EngineCountersTest, TranslationCountersTrackTheCache)
 {
@@ -420,6 +364,7 @@ TEST(EngineCountersTest, TranslationCountersTrackTheCache)
 
     SimParams th_params;
     th_params.engine = EngineKind::Threaded;
+    th_params.fuse = {};
     Machine th(p, th_params);
     th.runIteration();
     EXPECT_EQ(th.stats().methodsDecoded, 1u); // main's baseline version
@@ -428,12 +373,11 @@ TEST(EngineCountersTest, TranslationCountersTrackTheCache)
     th.runIteration();
     EXPECT_EQ(th.stats().methodsDecoded, 1u);
 
-    // ...while invalidating forces exactly one re-translation.
-    const CompiledMethod *cm = th.currentVersion(p.mainMethod);
-    ASSERT_NE(cm, nullptr);
-    th.invalidateDecoded(p.mainMethod, cm->version);
-    EXPECT_EQ(th.stats().templateInvalidations, 1u);
+    // ...while a new fusion selection forces exactly one
+    // re-translation.
+    th.setFuseOptions({true, false});
     th.runIteration();
+    EXPECT_EQ(th.stats().templateInvalidations, 1u);
     EXPECT_EQ(th.stats().methodsDecoded, 2u);
 }
 

@@ -6,8 +6,10 @@
  * trace selection, the switch/threaded byte-identity contract across
  * the whole PEP_ENGINE x PEP_FUSE matrix (guarded exits included, on
  * mispredict-heavy runs), park/resume through fused streams, the
- * fusion-keyed translation cache, and seeded rejections of the
- * fused-stream plan check (check 12). Suite names start with
+ * fusion-keyed translation cache, and seeded rejections of the fused
+ * half of the template-stream proof (what plan-checker check 12
+ * proved before it joined analysis/verify/stream_proof.hh). Suite
+ * names start with
  * "FusionRuntime" so `ctest -R Runtime` (the TSan CI job) selects
  * them.
  */
@@ -19,7 +21,7 @@
 #include <string>
 
 #include "analysis/diagnostics.hh"
-#include "analysis/plan_check.hh"
+#include "analysis/verify/stream_proof.hh"
 #include "bytecode/assembler.hh"
 #include "common/fixtures.hh"
 #include "vm/cost_model.hh"
@@ -63,16 +65,19 @@ struct Translated
     }
 };
 
-/** Run check 12 over a (possibly corrupted) stream; return the number
- *  of errors it reports. */
+/** Run the stream proof over a (possibly corrupted) stream translated
+ *  from `t`; return the number of errors it reports. */
 std::size_t
-check12Errors(const DecodedMethod &decoded)
+check12Errors(const Translated &t, const DecodedMethod &decoded)
 {
-    analysis::FusedCheckInput input;
+    analysis::TemplateCheckInput input;
+    input.code = decoded.code;
+    input.info = &t.info;
+    input.cm = &t.cm;
     input.decoded = &decoded;
     input.methodName = "main";
     analysis::DiagnosticList diagnostics;
-    analysis::checkFusedStream(input, diagnostics);
+    analysis::checkTemplateStream(input, diagnostics);
     return diagnostics.errorCount();
 }
 
@@ -429,6 +434,7 @@ TEST(FusionRuntimeCache, FuseOptionsArePartOfTheCacheKey)
 
     SimParams params;
     params.engine = EngineKind::Threaded;
+    params.fuse = {}; // start unfused whatever PEP_FUSE selects
     Machine th(p, params);
     th.runIteration();
     EXPECT_EQ(th.stats().methodsDecoded, 1u);
@@ -460,7 +466,7 @@ TEST(FusionRuntimeCache, FuseOptionsArePartOfTheCacheKey)
     EXPECT_EQ(observableState(th), observableState(sw));
 }
 
-// ---- check-12 seeded rejections --------------------------------------
+// ---- check-12 seeded rejections, through the stream proof -----------
 
 TEST(FusionRuntimeCheck12, CleanStreamsPassAcrossTheMatrix)
 {
@@ -474,7 +480,7 @@ TEST(FusionRuntimeCheck12, CleanStreamsPassAcrossTheMatrix)
         for (const FuseOptions &fuse : kFuseMatrix) {
             SCOPED_TRACE(fuseOptionsName(fuse));
             const Translated t(code, fuse);
-            EXPECT_EQ(check12Errors(t.decoded), 0u);
+            EXPECT_EQ(check12Errors(t, t.decoded), 0u);
         }
     }
 }
@@ -494,7 +500,7 @@ TEST(FusionRuntimeCheck12, RejectsCorruptedOperandBurnIn)
         }
     }
     ASSERT_TRUE(corrupted) << "figure1 produced no fused template";
-    EXPECT_GT(check12Errors(broken), 0u);
+    EXPECT_GT(check12Errors(t, broken), 0u);
 }
 
 TEST(FusionRuntimeCheck12, RejectsCorruptedGuardRefund)
@@ -512,7 +518,7 @@ TEST(FusionRuntimeCheck12, RejectsCorruptedGuardRefund)
         }
     }
     ASSERT_TRUE(corrupted) << "figure1 produced no trace guard";
-    EXPECT_GT(check12Errors(broken), 0u);
+    EXPECT_GT(check12Errors(t, broken), 0u);
 }
 
 TEST(FusionRuntimeCheck12, RejectsCorruptedTraceBatching)
@@ -535,7 +541,7 @@ TEST(FusionRuntimeCheck12, RejectsCorruptedTraceBatching)
         }
     }
     ASSERT_TRUE(corrupted);
-    EXPECT_GT(check12Errors(broken), 0u);
+    EXPECT_GT(check12Errors(t, broken), 0u);
 }
 
 TEST(FusionRuntimeCheck12, RejectsTamperedTraceSelection)
@@ -549,12 +555,12 @@ TEST(FusionRuntimeCheck12, RejectsTamperedTraceSelection)
     dropped.traces.clear();
     for (std::int32_t &bt : dropped.blockTrace)
         bt = -1;
-    EXPECT_GT(check12Errors(dropped), 0u);
+    EXPECT_GT(check12Errors(t, dropped), 0u);
 
     // Mutually inconsistent traces/blockTrace tables.
     DecodedMethod inconsistent = t.decoded;
     inconsistent.blockTrace[inconsistent.traces.front().front()] = -1;
-    EXPECT_GT(check12Errors(inconsistent), 0u);
+    EXPECT_GT(check12Errors(t, inconsistent), 0u);
 }
 
 TEST(FusionRuntimeCheck12, RejectsFusedTopsOutsideTheirMode)
@@ -571,7 +577,7 @@ TEST(FusionRuntimeCheck12, RejectsFusedTopsOutsideTheirMode)
 
     DecodedMethod relabelled = t.decoded;
     relabelled.fuse = {};
-    EXPECT_GT(check12Errors(relabelled), 0u);
+    EXPECT_GT(check12Errors(t, relabelled), 0u);
 }
 
 } // namespace

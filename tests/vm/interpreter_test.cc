@@ -152,6 +152,18 @@ struct BranchCase
     bool twoOperand;
 };
 
+/** Names each case by its content, so test names are the same in
+ *  every build (gtest would otherwise print the raw bytes, pointer
+ *  included). */
+void
+PrintTo(const BranchCase &c, std::ostream *os)
+{
+    *os << c.mnemonic << ' ' << c.lhs;
+    if (c.twoOperand)
+        *os << ' ' << c.rhs;
+    *os << (c.expectTaken ? " taken" : " not-taken");
+}
+
 class BranchSemantics : public ::testing::TestWithParam<BranchCase>
 {
 };

@@ -3,8 +3,8 @@
  * pep-fuzz: differential fuzzing driver. Generates verifier-clean
  * random programs biased toward the shapes that stress path profiling
  * (nested loops, shared loop headers, switch fans, early returns, call
- * chains), runs each through the exact oracle, full BLPP (flat and
- * nested dispatch) and several PEP sampling configurations on one
+ * chains), runs each through the exact oracle, full BLPP and several
+ * PEP sampling configurations on one
  * deterministic Machine, and cross-checks the oracle invariants. On a
  * violation the built-in shrinker reduces the program while it still
  * reproduces and writes a minimal .pepasm reproducer to the corpus
@@ -27,10 +27,10 @@
  *     --loop-bias X        generator loop-heaviness in [0,1] (deeper
  *                          nesting, irregular trips, shared headers);
  *                          0 is the legacy byte-identical stream
- *     --inject KIND        none | stale-flat | corrupt-increment |
- *                          truncated-window | ... — deliberately
- *                          corrupt the full profiler (harness
- *                          self-test)
+ *     --inject KIND        none | corrupt-increment |
+ *                          engine-divergence | impossible-profile |
+ *                          truncated-window — deliberately break one
+ *                          invariant (harness self-test)
  *     --expect-caught      exit 0 iff at least one violation was found
  *     --no-shrink          skip reduction of failing programs
  *     --corpus-dir DIR     where to write reproducers (none by default)

@@ -3,14 +3,15 @@
  * pep-verify: symbolic engine-equivalence and profile-realizability
  * verifier for .pepasm programs (docs/ANALYSIS.md). Assembles each
  * input, proves the threaded engine's template translation equivalent
- * to the bytecode for every method (pass 1), then — unless
- * --static-only — runs the program under the configured engine with a
- * full path profiler and a PEP(1,1) sampler attached and verifies the
- * resulting machine state and recorded profiles:
+ * to the bytecode for every method (pass 1, the template-stream
+ * proof), then — unless --static-only — runs the program under the
+ * configured engine with a full path profiler and a PEP(1,1) sampler
+ * attached and verifies the resulting machine state and recorded
+ * profiles:
  *
- *  - engine equivalence of every installed version (baked layouts
- *    included) plus cached-stream and mutation-journal audits;
- *  - flat-mirror audits of every instrumentation plan;
+ *  - the stream proof of every installed version (baked layouts
+ *    included) and the origin audit of every cloned body;
+ *  - the k-path id space of every instrumentation plan;
  *  - realizability of every recorded profile: ground-truth edge
  *    counts (flow conservation incl. headers), PEP's sampled
  *    continuous edge profile and the full profiler's path-derived
@@ -46,7 +47,6 @@
 
 #include "analysis/diagnostics.hh"
 #include "analysis/plan_check.hh"
-#include "analysis/verify/invariants.hh"
 #include "analysis/verify/realizability.hh"
 #include "analysis/verify/verify.hh"
 #include "bytecode/assembler.hh"
@@ -131,9 +131,6 @@ verifyEngineProfiles(const pep::vm::Machine &machine,
     for (const auto &[key, vp] : engine.versionProfiles()) {
         const std::string &name =
             machine.program().methods[key.first].name;
-        pep::analysis::auditPlanMirror(vp->state->plan, name,
-                                       /*has_version=*/true, key.second,
-                                       diagnostics);
         pep::analysis::KPathCheckInput kinput;
         kinput.plan = &vp->state->plan;
         kinput.kpath = &vp->state->kpath;
@@ -190,7 +187,7 @@ dynamicVerify(const pep::bytecode::Program &program,
         return;
     }
 
-    // Installed versions: equivalence, cached streams, journal.
+    // Installed versions: stream proofs and cloned-body audits.
     pep::analysis::verifyMachine(machine, diagnostics);
 
     // Plans and path profiles of both engines.
