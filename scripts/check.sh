@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Full verification sweep: a regular build + test run, a second build
-# with AddressSanitizer + UBSanitizer (-DPEP_SANITIZE=ON) and the same
-# test run under it, then a ThreadSanitizer build
+# Full verification sweep: a regular build + test run, a build of the
+# wall-clock benchmark (perfbench/, a CMake package of its own that
+# compiles against src/ and that the regular build never compiles), a
+# second build with AddressSanitizer + UBSanitizer (-DPEP_SANITIZE=ON)
+# and the same test run under it, then a ThreadSanitizer build
 # (-DPEP_SANITIZE=thread) running the concurrent-runtime tests (the
 # only suites with real OS-thread concurrency).
 # Usage: scripts/check.sh [extra ctest args...]
@@ -21,6 +23,11 @@ CTEST_ARGS=("$@")
 
 echo "== check.sh: regular build =="
 run_suite build
+
+echo "== check.sh: perfbench build =="
+cmake -S perfbench -B build-perfbench \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+cmake --build build-perfbench -j "$(nproc)" --target perfbench
 
 echo "== check.sh: ASan+UBSan build =="
 run_suite build-sanitize -DPEP_SANITIZE=ON

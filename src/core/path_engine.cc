@@ -68,7 +68,10 @@ PathEngine::PathEngine(vm::Machine &machine, profile::DagMode mode,
                        bool charge_costs,
                        profile::PlacementKind placement,
                        std::uint32_t k_iterations)
-    : vm_(machine), mode_(mode), scheme_(scheme),
+    : PathRegisterHooks(
+          charge_costs ? machine.params().cost.pathRegAddCost : 0,
+          charge_costs ? machine.params().cost.pathRegResetCost : 0),
+      vm_(machine), mode_(mode), scheme_(scheme),
       chargeCosts_(charge_costs), placement_(placement),
       kIterations_(k_iterations == 0 ? 1 : k_iterations)
 {
@@ -119,6 +122,10 @@ PathEngine::onCompile(bytecode::MethodId method,
         slots.resize(version.version + 1);
     auto vp = std::make_unique<VersionProfile>();
     vp->state = std::move(state);
+    const profile::InstrumentationPlan &plan = vp->state->plan;
+    vp->edges = plan.flatEdgeActions.data();
+    vp->edgeBase = plan.edgeBase.data();
+    vp->headers = plan.headerActions.data();
     slots[version.version] = std::move(vp);
 }
 
@@ -181,7 +188,7 @@ PathEngine::clearPathProfiles()
                 vp->paths.clear();
 }
 
-std::vector<PathEngine::FrameState> &
+std::vector<vm::PathRegister> &
 PathEngine::stackFor(std::uint32_t thread)
 {
     if (stacks_.size() <= thread)
@@ -189,174 +196,131 @@ PathEngine::stackFor(std::uint32_t thread)
     return stacks_[thread];
 }
 
+vm::PathPlan *
+PathEngine::planFor(const vm::CompiledMethod &version)
+{
+    VersionProfile *vp = findVersion(version.method, version.version);
+    return vp && vp->state->plan.enabled ? vp : nullptr;
+}
+
 void
 PathEngine::onMethodEntry(const vm::FrameView &frame)
 {
-    FrameState fs;
-    VersionProfile *vp =
-        findVersion(frame.method, frame.version->version);
-    if (vp && vp->state->plan.enabled) {
-        fs.bind(*vp);
-        charge(vm_.params().cost.pathRegResetCost); // r = 0
-    }
-    fs.reg = 0;
-    std::vector<FrameState> &stack = stackFor(frame.thread);
-    stack.push_back(fs);
+    std::vector<vm::PathRegister> &stack = stackFor(frame.thread);
+    stack.emplace_back();
     PEP_ASSERT(stack.size() == frame.depth + 1);
+    charge(enterFrame(stack.back(), planFor(*frame.version)));
 }
 
 void
 PathEngine::onMethodExit(const vm::FrameView &frame)
 {
-    std::vector<FrameState> &stack = stacks_[frame.thread];
+    std::vector<vm::PathRegister> &stack = stacks_[frame.thread];
     PEP_ASSERT(stack.size() == frame.depth + 1);
-    FrameState &fs = stack.back();
-    if (fs.vp) {
-        // Path ends at method exit; its number is r (the return edge's
-        // increment was applied by onEdge). A partial k-BLPP window is
-        // flushed as a short k-path — a frame exits once, so
-        // exit-ending segments are always the last digit of a window.
-        segmentCompleted(fs, fs.reg, frame.thread);
-        flushWindow(fs, frame.thread);
-    }
+    frameExited(stack.back(), frame.thread);
     stack.pop_back();
 }
 
 void
 PathEngine::onEdge(const vm::FrameView &frame, cfg::EdgeRef edge)
 {
-    FrameState &fs = stacks_[frame.thread].back();
-    if (!fs.vp)
+    vm::PathRegister &reg = topRegister(frame);
+    if (!reg.plan)
         return;
-    // Hot path: one dense-id load from the flattened table via the
-    // pointers cached at entry/OSR.
-    applyEdgeAction(fs, fs.actions[fs.edgeBase[edge.src] + edge.index],
-                    frame.thread);
-}
-
-void
-PathEngine::onEdgeFast(const vm::FrameView &frame, cfg::EdgeRef edge,
-                       std::uint32_t flat_id)
-{
-    // The threaded engine's templates carry the dense edge id
-    // (structurally equal to edgeBase[src] + index — the plan checker's
-    // template check proves it), so the base lookup is fused away.
-    (void)edge;
-    FrameState &fs = stacks_[frame.thread].back();
-    if (!fs.vp)
-        return;
-    applyEdgeAction(fs, fs.actions[flat_id], frame.thread);
-}
-
-void
-PathEngine::applyEdgeAction(FrameState &fs,
-                            const profile::EdgeAction &action,
-                            std::uint32_t thread)
-{
-    if (action.endsPath) {
-        // Truncated back edge (BackEdgeTruncate mode): the classic
-        // BLPP count[r + endAdd]++ / r = restart pair.
-        const vm::CostModel &cost = vm_.params().cost;
-        if (action.endAdd != 0)
-            charge(cost.pathRegAddCost);
-        segmentCompleted(fs, fs.reg + action.endAdd, thread);
-        fs.reg = action.restart;
-        charge(cost.pathRegResetCost);
-    } else if (action.increment != 0) {
-        fs.reg += action.increment;
-        charge(vm_.params().cost.pathRegAddCost);
-    }
-}
-
-void
-PathEngine::onOsr(const vm::FrameView &frame, cfg::BlockId header)
-{
-    std::vector<FrameState> &stack = stacks_[frame.thread];
-    FrameState &fs = stack.back();
-    PEP_ASSERT(stack.size() == frame.depth + 1);
-
-    if (mode_ != profile::DagMode::HeaderSplit) {
-        // Back-edge truncation has the frame mid-path at a header; the
-        // old register is meaningless under the new plan, so stop
-        // profiling this frame conservatively. The already-completed
-        // segments of a partial k-window are still valid — flush them
-        // against the old version before dropping the frame.
-        if (fs.vp)
-            flushWindow(fs, frame.thread);
-        fs.vp = nullptr;
-        return;
-    }
-
-    // Header splitting makes OSR clean: the old version's path just
-    // ended at this header, so rebinding to the new version's plan and
-    // restarting the register is exactly what a fresh entry through
-    // this header would do.
-    // Segment numbers are only meaningful against one version's
-    // numbering, so a partial k-window cannot straddle the switch:
-    // flush it against the old version first (its segments completed
-    // before the OSR fired).
-    if (fs.vp)
-        flushWindow(fs, frame.thread);
-    VersionProfile *vp =
-        findVersion(frame.method, frame.version->version);
-    if (!vp || !vp->state->plan.enabled ||
-        !vp->state->plan.headerActions[header].endsPath) {
-        // No instrumentation for the new version, or the OSR point is
-        // not a path boundary under the new plan: stop profiling this
-        // frame rather than corrupt the register.
-        fs.vp = nullptr;
-        return;
-    }
-    fs.bind(*vp);
-    fs.reg = vp->state->plan.headerActions[header].restart;
-    charge(vm_.params().cost.pathRegResetCost);
+    charge(takeEdge(reg, reg.plan->edgeBase[edge.src] + edge.index,
+                    frame.thread));
 }
 
 void
 PathEngine::onLoopHeader(const vm::FrameView &frame, cfg::BlockId block)
 {
-    FrameState &fs = stacks_[frame.thread].back();
-    if (!fs.vp)
+    vm::PathRegister &reg = topRegister(frame);
+    if (!reg.plan)
         return;
-    const profile::HeaderAction &action = fs.headers[block];
-    if (!action.endsPath)
-        return;
-    const vm::CostModel &cost = vm_.params().cost;
-    if (action.endAdd != 0)
-        charge(cost.pathRegAddCost);
-    segmentCompleted(fs, fs.reg + action.endAdd, frame.thread);
-    fs.reg = action.restart;
-    charge(cost.pathRegResetCost);
+    charge(enterHeader(reg, block, frame.thread));
 }
 
 void
-PathEngine::segmentCompleted(FrameState &fs, std::uint64_t number,
+PathEngine::onOsr(const vm::FrameView &frame, cfg::BlockId header)
+{
+    PEP_ASSERT(stacks_[frame.thread].size() == frame.depth + 1);
+    frameReplaced(topRegister(frame), planFor(*frame.version), header,
+                  frame.thread);
+}
+
+void
+PathEngine::frameExited(vm::PathRegister &reg, std::uint32_t thread)
+{
+    if (!reg.plan)
+        return;
+    // Path ends at method exit; its number is r (the return edge's
+    // increment was applied by the edge). A partial k-BLPP window is
+    // flushed as a short k-path — a frame exits once, so exit-ending
+    // segments are always the last digit of a window.
+    segmentCompleted(reg, reg.value, thread);
+    flushWindow(reg, thread);
+}
+
+void
+PathEngine::frameReplaced(vm::PathRegister &reg, vm::PathPlan *plan,
+                          cfg::BlockId header, std::uint32_t thread)
+{
+    // Fault injection: keep the old plan (setStaleOsrPlanInjection).
+    if (staleOsrPlanInjection_ && plan &&
+        !static_cast<VersionProfile &>(*plan).state->compiled->inlinedBody)
+        return;
+
+    // Segment numbers are only meaningful against one version's
+    // numbering, so a partial k-window cannot straddle the switch:
+    // flush it against the old version first (its segments completed
+    // before the OSR fired).
+    if (reg.plan)
+        flushWindow(reg, thread);
+
+    // Back-edge truncation has the frame mid-path at a header; the old
+    // register is meaningless under the new plan, so stop profiling
+    // this frame conservatively. Header splitting makes OSR clean: the
+    // old version's path just ended at this header, so rebinding to
+    // the new version's plan and restarting the register is exactly
+    // what a fresh entry through this header would do — unless the new
+    // version is not instrumented or the OSR point is not a path
+    // boundary under its plan; then stop profiling this frame rather
+    // than corrupt the register.
+    if (mode_ != profile::DagMode::HeaderSplit || !plan ||
+        !plan->headers[header].endsPath) {
+        reg.plan = nullptr;
+        return;
+    }
+    reg.plan = plan;
+    reg.value = plan->headers[header].restart;
+    charge(vm_.params().cost.pathRegResetCost);
+}
+
+void
+PathEngine::segmentCompleted(vm::PathRegister &reg, std::uint64_t number,
                              std::uint32_t thread)
 {
-    const profile::KPathScheme &kpath = fs.vp->state->kpath;
+    VersionProfile &vp = profileOf(reg);
+    const profile::KPathScheme &kpath = vp.state->kpath;
     if (kpath.kEffective() == 1) {
         // Degenerate fast path: classic BLPP, bit-for-bit — the
         // composite id of a length-1 window IS the raw number.
-        pathCompleted(*fs.vp, number, thread);
+        pathCompleted(vp, number, thread);
         return;
     }
-    fs.win.push_back(number);
-    if (fs.win.size() == kpath.kEffective()) {
-        pathCompleted(*fs.vp, kpath.encode(fs.win), thread);
-        fs.win.clear();
-    }
+    if (kpath.append(reg.window, number))
+        pathCompleted(vp, kpath.close(reg.window), thread);
 }
 
 void
-PathEngine::flushWindow(FrameState &fs, std::uint32_t thread)
+PathEngine::flushWindow(vm::PathRegister &reg, std::uint32_t thread)
 {
-    if (fs.win.empty())
+    if (reg.window.length == 0)
         return;
-    if (!truncateWindowInjection_) {
-        pathCompleted(*fs.vp, fs.vp->state->kpath.encode(fs.win),
-                      thread);
-    }
-    fs.win.clear();
+    VersionProfile &vp = profileOf(reg);
+    const std::uint64_t id = vp.state->kpath.close(reg.window);
+    if (!truncateWindowInjection_)
+        pathCompleted(vp, id, thread);
 }
 
 } // namespace pep::core

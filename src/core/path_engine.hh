@@ -6,9 +6,20 @@
  * Shared machinery for every path-profiling client: builds per-version
  * instrumentation state when the optimizing compiler runs (P-DAG,
  * numbering, plan, reconstructor), and executes the path-register
- * semantics against interpreter events. Subclasses decide what happens
- * when a path completes (store always = BLPP/perfect; store at samples
- * = PEP; store for free = ground truth).
+ * semantics. Subclasses decide what happens when a path completes
+ * (store always = BLPP/perfect; store at samples = PEP; store for free
+ * = ground truth).
+ *
+ * The register runs in one of two places (docs/ENGINE.md, "Inline path
+ * registers"). Under the threaded engine the first path engine
+ * attached to a machine runs inline: the frames carry the registers,
+ * the engine executes the plan tables this class hands it (planFor),
+ * and this class is entered only at segment completions, frame exits,
+ * OSR and armed yieldpoints. Otherwise — the switch engine, a second
+ * path engine, or one wrapped in another hook — it is driven by the
+ * ExecutionHooks events and keeps one PathRegister per frame itself.
+ * Both run vm::PathRegisterHooks' arithmetic and this class's
+ * completion logic, so they cannot disagree.
  *
  * Matching the paper (Section 4.3), instrumentation is added only by
  * the optimizing compiler: frames running baseline code carry no state
@@ -74,7 +85,7 @@ buildProfilingState(const bytecode::MethodCfg &method_cfg,
  * their version-independent CFG-edge expansion, which metrics use to
  * merge and compare profiles across versions and numbering schemes.
  */
-struct VersionProfile
+struct VersionProfile : vm::PathPlan
 {
     std::unique_ptr<MethodProfilingState> state;
     profile::MethodPathProfile paths;
@@ -85,10 +96,10 @@ using VersionKey = std::pair<bytecode::MethodId, std::uint32_t>;
 
 /**
  * Base class executing path-register instrumentation. Implements
- * ExecutionHooks and CompileObserver; attach to a Machine with both
+ * PathRegisterHooks and CompileObserver; attach to a Machine with both
  * addHooks() and addCompileObserver().
  */
-class PathEngine : public vm::ExecutionHooks, public vm::CompileObserver
+class PathEngine : public vm::PathRegisterHooks, public vm::CompileObserver
 {
   public:
     /**
@@ -111,15 +122,22 @@ class PathEngine : public vm::ExecutionHooks, public vm::CompileObserver
     void onCompile(bytecode::MethodId method,
                    const vm::CompiledMethod &version) override;
 
-    // ExecutionHooks
-    void onMethodEntry(const vm::FrameView &frame) override;
-    void onMethodExit(const vm::FrameView &frame) override;
-    void onEdge(const vm::FrameView &frame, cfg::EdgeRef edge) override;
-    void onEdgeFast(const vm::FrameView &frame, cfg::EdgeRef edge,
-                    std::uint32_t flat_id) override;
+    // ExecutionHooks: the hook-driven register. Final, because the
+    // inline path never calls them — an override would be bypassed.
+    void onMethodEntry(const vm::FrameView &frame) final;
+    void onMethodExit(const vm::FrameView &frame) final;
+    void onEdge(const vm::FrameView &frame, cfg::EdgeRef edge) final;
     void onLoopHeader(const vm::FrameView &frame,
-                      cfg::BlockId block) override;
-    void onOsr(const vm::FrameView &frame, cfg::BlockId header) override;
+                      cfg::BlockId block) final;
+    void onOsr(const vm::FrameView &frame, cfg::BlockId header) final;
+
+    // PathRegisterHooks: called by both registers.
+    vm::PathPlan *planFor(const vm::CompiledMethod &version) final;
+    void segmentCompleted(vm::PathRegister &reg, std::uint64_t number,
+                          std::uint32_t thread) final;
+    void frameExited(vm::PathRegister &reg, std::uint32_t thread) final;
+    void frameReplaced(vm::PathRegister &reg, vm::PathPlan *plan,
+                       cfg::BlockId header, std::uint32_t thread) final;
 
     /** Look up the state of a compiled version (nullptr if none,
      *  e.g. baseline code or overflowed numbering). */
@@ -159,13 +177,30 @@ class PathEngine : public vm::ExecutionHooks, public vm::CompileObserver
         truncateWindowInjection_ = enabled;
     }
 
+    /**
+     * Fault injection (testing/differ.hh InjectKind::StaleOsrPlan): OSR
+     * leaves the frame's register bound to its old version's plan and
+     * value — as if the engine skipped the rebind, the step an inline
+     * register must never miss. OSR into an uninstrumented or
+     * synthesized (inlined, cloned) version still stops profiling the
+     * frame: old tables would not even fit a synthesized CFG. The exact
+     * oracle charges the frame's later segments to the new version, so
+     * the differ's segment checks must catch it.
+     */
+    void
+    setStaleOsrPlanInjection(bool enabled)
+    {
+        staleOsrPlanInjection_ = enabled;
+    }
+
   protected:
     /**
      * A path completed with the given number, against `vp.state`'s
      * numbering. Fired at loop headers and method exits (HeaderSplit
-     * mode) or back edges and exits (BackEdgeTruncate mode). `thread`
-     * is the virtual mutator thread whose path register completed —
-     * profilers with sampling state keep it per thread.
+     * mode) or back edges and exits (BackEdgeTruncate mode), and at
+     * OSR for a flushed k-window. `thread` is the virtual mutator
+     * thread whose path register completed — profilers with sampling
+     * state keep it per thread.
      */
     virtual void pathCompleted(VersionProfile &vp,
                                std::uint64_t path_number,
@@ -195,74 +230,46 @@ class PathEngine : public vm::ExecutionHooks, public vm::CompileObserver
     const profile::PlacementKind placement_;
 
   private:
-    /**
-     * Per-frame profiling state. The action/base/header pointers cache
-     * the frame's enabled plan so the per-edge hot path is one dense
-     * array load instead of a nested-vector walk; they are rebound on
-     * entry and OSR and are null exactly when vp is null.
-     */
-    struct FrameState
+    /** The hook-driven register of `frame` (its thread's top). */
+    vm::PathRegister &
+    topRegister(const vm::FrameView &frame)
     {
-        VersionProfile *vp = nullptr;
-        const profile::EdgeAction *actions = nullptr;
-        const std::uint32_t *edgeBase = nullptr;
-        const profile::HeaderAction *headers = nullptr;
-        std::uint64_t reg = 0;
+        return stacks_[frame.thread].back();
+    }
 
-        /** k-BLPP iteration window: the completed segment numbers not
-         *  yet folded into a composite id. Always empty while the
-         *  version's kEffective is 1 (the degenerate fast path never
-         *  touches it). */
-        std::vector<std::uint64_t> win;
-
-        void
-        bind(VersionProfile &profile)
-        {
-            vp = &profile;
-            const profile::InstrumentationPlan &plan =
-                profile.state->plan;
-            actions = plan.flatEdgeActions.data();
-            edgeBase = plan.edgeBase.data();
-            headers = plan.headerActions.data();
-        }
-    };
-
-    /** Shared tail of onEdge/onEdgeFast: execute one edge action
-     *  against the frame's path register. */
-    void applyEdgeAction(FrameState &fs,
-                         const profile::EdgeAction &action,
-                         std::uint32_t thread);
-
-    /** One Ball-Larus segment completed: with kEffective == 1 this is
-     *  pathCompleted verbatim; otherwise the number joins the frame's
-     *  window, which emits one composite id per kEffective segments. */
-    void segmentCompleted(FrameState &fs, std::uint64_t number,
-                          std::uint32_t thread);
+    /** The profile a bound register's plan belongs to. */
+    static VersionProfile &
+    profileOf(const vm::PathRegister &reg)
+    {
+        return static_cast<VersionProfile &>(*reg.plan);
+    }
 
     /** Emit the frame's partial window (method exit, OSR) as a short
      *  k-path — or silently drop it under the truncated-window
      *  injection. */
-    void flushWindow(FrameState &fs, std::uint32_t thread);
+    void flushWindow(vm::PathRegister &reg, std::uint32_t thread);
 
     /** Version with an enabled-or-disabled plan, nullptr if the engine
      *  never saw (method, version) compile. */
     VersionProfile *findVersion(bytecode::MethodId method,
                                 std::uint32_t version) const;
 
-    /** The frame stack of one virtual mutator thread, grown on first
-     *  use. Single-threaded machines only ever touch stack 0. */
-    std::vector<FrameState> &stackFor(std::uint32_t thread);
+    /** The register stack of one virtual mutator thread, grown on
+     *  first use. Single-threaded machines only ever touch stack 0. */
+    std::vector<vm::PathRegister> &stackFor(std::uint32_t thread);
 
     /** Storage indexed [method][version]; baseline compiles consume
      *  version numbers without reaching the engine, so gaps are null. */
     std::vector<std::vector<std::unique_ptr<VersionProfile>>> versions_;
 
-    /** Per-thread frame stacks (the per-thread path registers live in
-     *  the FrameStates), indexed by FrameView::thread. */
-    std::vector<std::vector<FrameState>> stacks_;
+    /** The hook-driven registers, one stack per virtual thread,
+     *  indexed by FrameView::thread (unused while the engine runs
+     *  inline). */
+    std::vector<std::vector<vm::PathRegister>> stacks_;
     std::size_t overflowCount_ = 0;
     const std::uint32_t kIterations_;
     bool truncateWindowInjection_ = false;
+    bool staleOsrPlanInjection_ = false;
 };
 
 } // namespace pep::core

@@ -19,6 +19,13 @@ PepProfiler::PepProfiler(vm::Machine &machine,
             &machine.info(static_cast<bytecode::MethodId>(m)).cfg);
     }
     edges_ = profile::EdgeProfileSet(cfgs);
+    rearm();
+}
+
+void
+PepProfiler::rearm()
+{
+    setYieldpointsArmed(ticksPending_ > 0 || !controller_.dormant());
 }
 
 PepProfiler::PendingSample &
@@ -40,7 +47,7 @@ PepProfiler::pathCompleted(VersionProfile &vp, std::uint64_t path_number,
     PendingSample &pending = pendingFor(thread);
     pending.vp = &vp;
     pending.pathNumber = path_number;
-    pending.valid = true;
+    pending.opportunity = vm_.samplingOpportunities(thread);
 }
 
 void
@@ -48,16 +55,24 @@ PepProfiler::onYieldpoint(const vm::FrameView &frame,
                           vm::YieldpointKind kind, bool tick_fired)
 {
     PendingSample &pending = pendingFor(frame.thread);
-    pending.tickPending = pending.tickPending || tick_fired;
+    if (tick_fired && !pending.tickPending) {
+        pending.tickPending = true;
+        ++ticksPending_;
+    }
 
     // Sampling opportunities are exactly the locations where BLPP
     // would update the path profile: loop headers and method exits.
-    if (kind == vm::YieldpointKind::MethodEntry)
+    if (kind == vm::YieldpointKind::MethodEntry) {
+        rearm();
         return;
+    }
 
-    const SampleAction action =
-        controller_.onOpportunity(pending.tickPending);
-    pending.tickPending = false;
+    const bool tick = pending.tickPending;
+    if (tick) {
+        pending.tickPending = false;
+        --ticksPending_;
+    }
+    const SampleAction action = controller_.onOpportunity(tick);
 
     const vm::CostModel &cost = vm_.params().cost;
     switch (action) {
@@ -70,7 +85,10 @@ PepProfiler::onYieldpoint(const vm::FrameView &frame,
       case SampleAction::Sample: {
         ++stats_.samplesTaken;
         charge(cost.sampleHandlerCost);
-        if (pending.valid) {
+        // A completed path is sampleable only at the yieldpoint
+        // directly following its completion.
+        if (pending.vp && pending.opportunity ==
+                              vm_.samplingOpportunities(frame.thread)) {
             ++stats_.samplesRecorded;
             profile::PathRecord &record =
                 pending.vp->paths.addSample(pending.pathNumber);
@@ -88,10 +106,7 @@ PepProfiler::onYieldpoint(const vm::FrameView &frame,
         break;
       }
     }
-
-    // A completed path is sampleable only at the yieldpoint directly
-    // following its completion.
-    pending.valid = false;
+    rearm();
 }
 
 void
@@ -140,6 +155,8 @@ PepProfiler::clearProfiles()
     stats_ = PepStats{};
     for (PendingSample &pending : pending_)
         pending = PendingSample{};
+    ticksPending_ = 0;
+    rearm();
 }
 
 } // namespace pep::core

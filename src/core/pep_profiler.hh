@@ -72,7 +72,14 @@ class PepProfiler final : public PathEngine, public vm::LayoutSource
     PepProfiler(vm::Machine &machine, SamplingController &controller,
                 const PepOptions &options = {});
 
-    // ExecutionHooks (sampling decisions happen at yieldpoints).
+    /**
+     * Sampling decisions happen at yieldpoints. The threaded engine
+     * calls this only at ticks and while yieldpointsArmed(): the
+     * controller is mid-burst or some thread carries a tick to its next
+     * opportunity. Everywhere else the call would consult a dormant
+     * controller, get Idle and change nothing — the pending path
+     * expires by itself (Machine::samplingOpportunities moves on).
+     */
     void onYieldpoint(const vm::FrameView &frame,
                       vm::YieldpointKind kind, bool tick_fired) override;
 
@@ -106,22 +113,28 @@ class PepProfiler final : public PathEngine, public vm::LayoutSource
   private:
     /**
      * Per-virtual-thread sampling state: the most recently completed
-     * path (valid until the yieldpoint that follows it consumes it)
-     * and the tick signal carried from any yieldpoint to the next
-     * sampling opportunity. One mutator thread's completion must never
-     * be sampled against another thread's yieldpoint, so this is keyed
-     * by FrameView::thread. The sampling *controller* stays shared —
-     * one switch/sample flag for the whole VM, as in the paper.
+     * path, sampleable only at its thread's next sampling opportunity
+     * (the one at which Machine::samplingOpportunities still reads
+     * `opportunity`), and the tick signal carried from any yieldpoint
+     * to that thread's next opportunity. One mutator thread's
+     * completion must never be sampled against another thread's
+     * yieldpoint, so this is keyed by FrameView::thread. The sampling
+     * *controller* stays shared — one switch/sample flag for the whole
+     * VM, as in the paper.
      */
     struct PendingSample
     {
-        VersionProfile *vp = nullptr;
+        VersionProfile *vp = nullptr; ///< null: nothing completed yet
         std::uint64_t pathNumber = 0;
-        bool valid = false;
+        std::uint64_t opportunity = 0;
         bool tickPending = false;
     };
 
     PendingSample &pendingFor(std::uint32_t thread);
+
+    /** Recompute yieldpointsArmed() after the controller or a tick
+     *  flag moved. */
+    void rearm();
 
     /** Fold one sampled path's edges into the continuous edge profile,
      *  mapping inlined branches to their bytecode-level counters. */
@@ -135,6 +148,9 @@ class PepProfiler final : public PathEngine, public vm::LayoutSource
 
     /** Indexed by virtual thread id; single-threaded runs use slot 0. */
     std::vector<PendingSample> pending_;
+
+    /** Threads whose tickPending is set. */
+    std::uint32_t ticksPending_ = 0;
 };
 
 } // namespace pep::core

@@ -49,6 +49,15 @@ class SamplingController
     /** Reset to the dormant state (e.g., between iterations). */
     virtual void reset() = 0;
 
+    /**
+     * True when onOpportunity(false) would return Idle and change no
+     * state — the controller waits for a tick. PEP then lets the
+     * threaded engine skip the opportunities in between
+     * (PathRegisterHooks::yieldpointsArmed). The default never claims
+     * it, which is always correct.
+     */
+    virtual bool dormant() const { return false; }
+
     /** Configuration name for reports, e.g. "PEP(64,17)". */
     virtual std::string name() const = 0;
 };
@@ -65,6 +74,8 @@ class NeverSample final : public SamplingController
 
     void reset() override {}
 
+    bool dormant() const override { return true; }
+
     std::string name() const override { return "instr-only"; }
 };
 
@@ -77,6 +88,7 @@ class SimplifiedArnoldGrove final : public SamplingController
 
     SampleAction onOpportunity(bool tick_pending) override;
     void reset() override;
+    bool dormant() const override { return remaining_ == 0; }
     std::string name() const override;
 
   private:
@@ -95,6 +107,7 @@ class FullArnoldGrove final : public SamplingController
 
     SampleAction onOpportunity(bool tick_pending) override;
     void reset() override;
+    bool dormant() const override { return remaining_ == 0; }
     std::string name() const override;
 
   private:

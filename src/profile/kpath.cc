@@ -61,6 +61,30 @@ KPathScheme::encode(const std::uint64_t *digits, std::size_t length) const
     return id;
 }
 
+bool
+KPathScheme::append(KPathWindow &window, std::uint64_t number) const
+{
+    PEP_ASSERT_MSG(window.length < kEffective_,
+                   "k-path window already holds " << window.length
+                                                  << " segments");
+    PEP_ASSERT_MSG(number < base_,
+                   "k-path digit " << number << " >= base " << base_);
+    // base^length stays under kKPathIdCap for every length up to
+    // kEffective (kEffectiveFor), so neither product overflows.
+    window.digits += number * window.scale;
+    window.scale *= base_;
+    return ++window.length == kEffective_;
+}
+
+std::uint64_t
+KPathScheme::close(KPathWindow &window) const
+{
+    PEP_ASSERT_MSG(window.length >= 1, "closing an empty k-path window");
+    const std::uint64_t id = offsets_[window.length - 1] + window.digits;
+    window = KPathWindow{};
+    return id;
+}
+
 std::vector<std::uint64_t>
 KPathScheme::decode(std::uint64_t id) const
 {

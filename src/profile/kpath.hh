@@ -55,6 +55,19 @@ constexpr std::uint64_t kKPathIdCap = 1ull << 62;
  *  Ball-Larus numbers, and totalPaths <= kMaxPaths < kKPathIdCap). */
 std::uint32_t kEffectiveFor(std::uint64_t base, std::uint32_t k_requested);
 
+/**
+ * A frame's open window: the segments completed since its last id,
+ * folded into the id's digit sum as they arrive, so an open window is
+ * three words wherever the frame's register lives — no per-segment
+ * storage and no allocation per frame.
+ */
+struct KPathWindow
+{
+    std::uint64_t digits = 0; ///< sum of n_j * base^j so far
+    std::uint64_t scale = 1;  ///< base^length
+    std::uint32_t length = 0;
+};
+
 class KPathScheme
 {
   public:
@@ -84,6 +97,14 @@ class KPathScheme
     {
         return encode(digits.data(), digits.size());
     }
+
+    /** Append segment `number` to `window`; true once the window
+     *  holds kEffective() segments. Panics on number >= base(). */
+    bool append(KPathWindow &window, std::uint64_t number) const;
+
+    /** The id of a non-empty `window` — encode() of its segments —
+     *  which starts over empty. */
+    std::uint64_t close(KPathWindow &window) const;
 
     /** Split a composite id back into its segment numbers (oldest
      *  first). Panics on id >= maxId(). */

@@ -54,9 +54,8 @@ class StreamRecorder final : public core::PathEngine
     }
 
   private:
-    /** Fold a path's edges into the aggregator, mapping inlined
-     *  branches to their bytecode-level counters (as PepProfiler
-     *  does; see pep_profiler.cc). */
+    /** Fold a path's edges into the aggregator at their bytecode-level
+     *  counters (vm::bytecodeEdge, as PepProfiler does). */
     void
     recordCfgEdges(const core::MethodProfilingState &state,
                    const std::vector<cfg::EdgeRef> &cfg_edges)
@@ -64,25 +63,12 @@ class StreamRecorder final : public core::PathEngine
         const vm::InlinedBody *inlined =
             state.compiled ? state.compiled->inlinedBody.get()
                            : nullptr;
-        if (!inlined) {
-            for (const cfg::EdgeRef &edge : cfg_edges) {
-                sink_.recordEdge(shard_, state.method, edge);
-                ++edgeRecords;
-            }
-            return;
-        }
         for (const cfg::EdgeRef &edge : cfg_edges) {
-            const auto kind = inlined->info.cfg.terminator[edge.src];
-            if (kind != bytecode::TerminatorKind::Cond &&
-                kind != bytecode::TerminatorKind::Switch) {
+            const vm::BytecodeEdge folded =
+                vm::bytecodeEdge(state.method, inlined, edge);
+            if (!folded.valid())
                 continue;
-            }
-            const vm::BlockOrigin &origin =
-                inlined->blockOrigin[edge.src];
-            if (!origin.valid())
-                continue;
-            sink_.recordEdge(shard_, origin.method,
-                             cfg::EdgeRef{origin.block, edge.index});
+            sink_.recordEdge(shard_, folded.method, folded.edge);
             ++edgeRecords;
         }
     }

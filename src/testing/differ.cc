@@ -372,12 +372,17 @@ runEngineOnce(const bytecode::Program &program, const DiffOptions &opts,
     pep_options.kIterations = opts.kIterations;
     core::PepProfiler pep(machine, controller, pep_options);
 
+    // PEP is attached first, so the threaded machine runs PEP's
+    // register inline (docs/ENGINE.md) and drives the full profiler by
+    // hooks — the opposite of runDiff's main machine, which attaches
+    // the full profiler first. The switch machine drives both by hooks
+    // and is the reference either way.
+    machine.addHooks(&pep);
+    machine.addCompileObserver(&pep);
     machine.addHooks(&oracle);
     machine.addCompileObserver(&oracle);
     machine.addHooks(&full);
     machine.addCompileObserver(&full);
-    machine.addHooks(&pep);
-    machine.addCompileObserver(&pep);
 
     // Both engine machines install the identical reoptimization
     // pipeline, fed by their own (deterministically identical) PEP
@@ -631,6 +636,8 @@ injectKindName(InjectKind kind)
         return "ring-lost-sample";
       case InjectKind::TruncatedWindow:
         return "truncated-window";
+      case InjectKind::StaleOsrPlan:
+        return "stale-osr-plan";
     }
     return "none";
 }
@@ -650,6 +657,8 @@ parseInjectKind(const std::string &name, InjectKind &out)
         out = InjectKind::RingLostSample;
     } else if (name == "truncated-window") {
         out = InjectKind::TruncatedWindow;
+    } else if (name == "stale-osr-plan") {
+        out = InjectKind::StaleOsrPlan;
     } else {
         return false;
     }
@@ -811,6 +820,9 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
             machine, *controllers.back(), pep_options));
     }
 
+    // Under the threaded engine the full profiler, the first path
+    // engine attached, runs inline and the PEPs by hooks (check 7's
+    // machines attach PEP first instead).
     machine.addHooks(&oracle);
     machine.addCompileObserver(&oracle);
     machine.addHooks(&full);
@@ -835,6 +847,11 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
                                                pipeline_options);
         machine.addCompilePass(pipeline.get());
     }
+
+    // OSR happens while methods tier up, mostly in the first
+    // iteration: this fault is live from the start.
+    if (opts.inject == InjectKind::StaleOsrPlan)
+        full.setStaleOsrPlanInjection(true);
 
     std::set<core::VersionKey> injected;
     for (std::uint32_t it = 0; it < opts.iterations; ++it) {

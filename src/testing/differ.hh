@@ -104,6 +104,15 @@ enum class InjectKind : std::uint8_t
      *  still counts every window, so the totals check (check 4) and
      *  the missed-path check (check 2) must both report it. */
     TruncatedWindow,
+
+    /** From the first iteration on, the full profiler leaves a frame's
+     *  path register bound to its old version's plan at OSR
+     *  (core::PathEngine::setStaleOsrPlanInjection) — the rebind the
+     *  threaded engine's inline register must perform. The oracle
+     *  charges the frame's later segments to the new version, so the
+     *  missed-path and per-version count checks (check 2) must report
+     *  it. Needs an OSR config (smart-spanning-osr, kiter2-smart-osr). */
+    StaleOsrPlan,
 };
 
 /** Name for reports / CLI flags ("none", "corrupt-increment", ...). */

@@ -6,15 +6,24 @@
  * Interfaces between the interpreter and the profiling layer. The
  * interpreter fires control-flow and yieldpoint events; profilers (in
  * src/core) implement ExecutionHooks and keep their own per-frame state
- * (e.g., the path register) keyed by call depth. Multiple hooks can be
- * attached to one machine — e.g., PEP plus a zero-cost ground-truth
- * recorder for accuracy evaluation.
+ * keyed by call depth. Multiple hooks can be attached to one machine —
+ * e.g., PEP plus a zero-cost ground-truth recorder for accuracy
+ * evaluation.
+ *
+ * Path profilers are the exception to "hooks keep their own state"
+ * when the threaded engine runs them (docs/ENGINE.md, "Inline path
+ * registers"): the frame carries the path register, the engine
+ * executes the register arithmetic defined once in PathRegisterHooks,
+ * and the profiler is entered only where a path segment completes and
+ * at the yieldpoints it armed.
  */
 
 #include <cstdint>
 
 #include "bytecode/instr.hh"
 #include "cfg/graph.hh"
+#include "profile/instr_plan.hh"
+#include "profile/kpath.hh"
 
 namespace pep::vm {
 
@@ -93,9 +102,10 @@ class ExecutionHooks
      * Same event with the edge's dense flat id (edgeBase[src] + index,
      * the structural numbering every InstrumentationPlan's flat tables
      * use) precomputed by the threaded engine's templates. The default
-     * forwards to onEdge; hooks that dispatch on flat tables override
-     * it to skip the base lookup. Overriders MUST behave identically to
-     * their onEdge — the engines' byte-identity contract depends on it.
+     * forwards to onEdge. Overriders MUST behave identically to their
+     * onEdge — the engines' byte-identity contract depends on it. No
+     * profiler in src/ overrides it any more: the one that dispatched
+     * on flat tables, the path engine, now runs inline.
      */
     virtual void
     onEdgeFast(const FrameView &frame, cfg::EdgeRef edge,
@@ -144,6 +154,140 @@ class ExecutionHooks
         (void)frame;
         (void)header;
     }
+};
+
+/**
+ * The instrumentation one compiled version's frames execute: pointers
+ * into the tables of the InstrumentationPlan a path profiler built for
+ * it. The profiler owns it (core::VersionProfile derives from it), and
+ * it lives as long as the profiler.
+ */
+struct PathPlan
+{
+    const profile::EdgeAction *edges = nullptr;  ///< flatEdgeActions
+    const std::uint32_t *edgeBase = nullptr;     ///< dense-id bases
+    const profile::HeaderAction *headers = nullptr;
+};
+
+/**
+ * One frame's path register: r, the plan of the version the frame
+ * runs (null when that version carries no instrumentation — the frame
+ * then generates no path events), and the k-BLPP window of segments
+ * not yet folded into a path id. Under the threaded engine it lives in
+ * the interpreter's Frame; a path profiler driven through hooks keeps
+ * one per frame itself. Either owner runs it through the same
+ * PathRegisterHooks functions.
+ */
+struct PathRegister
+{
+    PathPlan *plan = nullptr;
+    std::uint64_t value = 0;
+    profile::KPathWindow window;
+};
+
+/**
+ * A path profiler (core::PathEngine) as the engine sees it. Under
+ * EngineKind::Threaded, Machine::addHooks adopts the first one attached
+ * as the machine's inline path profiler: the interpreter executes the
+ * register arithmetic below from each frame's PathRegister (r = 0 at
+ * push, flat edge actions at edge templates, header actions at header
+ * transfers) and calls in only where a segment completes, at frame
+ * exit and OSR, and at the yieldpoints where a tick fired or
+ * yieldpointsArmed(). It then receives no other ExecutionHooks event.
+ * Under the switch engine — the reference — and for every further path
+ * profiler it is an ordinary hook that runs the same functions from
+ * registers of its own; the engines' byte-identity contract (differ
+ * check 7) covers both.
+ *
+ * An implementation whose onYieldpoint does anything at a yieldpoint
+ * without a tick must keep yieldpointsArmed() true until it no longer
+ * does: the threaded engine skips the call otherwise.
+ */
+class PathRegisterHooks : public ExecutionHooks
+{
+  public:
+    /** The plan frames of `version` execute, or nullptr when this
+     *  profiler did not instrument it. A pure function of the
+     *  version; the machine asks once per version. */
+    virtual PathPlan *planFor(const CompiledMethod &version) = 0;
+
+    /** A Ball-Larus segment of the frame's path completed with
+     *  `number` (r + endAdd at a header or truncated back edge). */
+    virtual void segmentCompleted(PathRegister &reg, std::uint64_t number,
+                                  std::uint32_t thread) = 0;
+
+    /** The frame returns, after its return edge: r numbers the path it
+     *  ends, and a partial k-window is flushed. */
+    virtual void frameExited(PathRegister &reg, std::uint32_t thread) = 0;
+
+    /** OSR switched the frame to a version whose plan is `plan`, at
+     *  loop header `header` of that version's CFG. */
+    virtual void frameReplaced(PathRegister &reg, PathPlan *plan,
+                               cfg::BlockId header,
+                               std::uint32_t thread) = 0;
+
+    /** Frame push: bind `plan` and r = 0. Returns the cycles the
+     *  register operations cost (the callers charge them). */
+    std::uint32_t
+    enterFrame(PathRegister &reg, PathPlan *plan) const
+    {
+        reg = PathRegister{};
+        reg.plan = plan;
+        return plan ? resetCost_ : 0;
+    }
+
+    /** An edge with dense id `flat_id` of an instrumented frame: r += v,
+     *  or the count/restart pair of a truncated back edge. */
+    std::uint32_t
+    takeEdge(PathRegister &reg, std::uint32_t flat_id, std::uint32_t thread)
+    {
+        const profile::EdgeAction &action = reg.plan->edges[flat_id];
+        if (action.endsPath)
+            return endSegment(reg, action.endAdd, action.restart, thread);
+        if (action.increment == 0)
+            return 0;
+        reg.value += action.increment;
+        return addCost_;
+    }
+
+    /** Control entered loop header `block` of an instrumented frame. */
+    std::uint32_t
+    enterHeader(PathRegister &reg, cfg::BlockId block, std::uint32_t thread)
+    {
+        const profile::HeaderAction &action = reg.plan->headers[block];
+        if (!action.endsPath)
+            return 0;
+        return endSegment(reg, action.endAdd, action.restart, thread);
+    }
+
+    /** False while onYieldpoint does nothing at a yieldpoint without a
+     *  tick (PEP: its controller is dormant and no thread holds a tick
+     *  for its next sampling opportunity). */
+    bool yieldpointsArmed() const { return yieldpointsArmed_; }
+
+  protected:
+    /** `add_cost` / `reset_cost`: cycles of r += v and r = c (zero for
+     *  a profiler that charges nothing). */
+    PathRegisterHooks(std::uint32_t add_cost, std::uint32_t reset_cost)
+        : addCost_(add_cost), resetCost_(reset_cost)
+    {
+    }
+
+    void setYieldpointsArmed(bool armed) { yieldpointsArmed_ = armed; }
+
+  private:
+    std::uint32_t
+    endSegment(PathRegister &reg, std::uint64_t end_add,
+               std::uint64_t restart, std::uint32_t thread)
+    {
+        segmentCompleted(reg, reg.value + end_add, thread);
+        reg.value = restart;
+        return (end_add != 0 ? addCost_ : 0) + resetCost_;
+    }
+
+    const std::uint32_t addCost_;
+    const std::uint32_t resetCost_;
+    bool yieldpointsArmed_ = false;
 };
 
 /** Notified when the machine (re)compiles a method. */

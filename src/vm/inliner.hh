@@ -86,33 +86,56 @@ struct InlinedBody
     std::uint32_t inlinedSites = 0;
 };
 
+/** An edge of a method's bytecode-level CFG; invalid when a compiled
+ *  edge has no bytecode identity. */
+struct BytecodeEdge
+{
+    bytecode::MethodId method = BlockOrigin::kInvalidOriginMethod;
+    cfg::EdgeRef edge;
+
+    bool
+    valid() const
+    {
+        return method != BlockOrigin::kInvalidOriginMethod;
+    }
+};
+
 /**
- * Add `count` crossings of `edge` — an edge of the CFG a version of
- * `method` executes — to the bytecode-level tables `edges`. A version
+ * The one BlockOrigin fold: the bytecode-level edge that `edge` — an
+ * edge of the CFG a version of `method` executes — counts as. A
+ * version running its own bytecode maps every edge to itself; one
  * running a synthesized body (`inlined`, from inlining or cloning)
- * counts only its Cond/Switch edges, through their BlockOrigin; its
+ * maps only its Cond/Switch edges, through their BlockOrigin, and its
  * other edges have no bytecode identity. The interpreter's ground
- * truth, PEP's edge profile and core::edgeProfileFromPaths all count
- * this way.
+ * truth, PEP's edge profile, core::edgeProfileFromPaths and the
+ * service's stream recorder all count this way.
  */
+inline BytecodeEdge
+bytecodeEdge(bytecode::MethodId method, const InlinedBody *inlined,
+             cfg::EdgeRef edge)
+{
+    if (!inlined)
+        return {method, edge};
+    const auto kind = inlined->info.cfg.terminator[edge.src];
+    if (kind != bytecode::TerminatorKind::Cond &&
+        kind != bytecode::TerminatorKind::Switch)
+        return {};
+    const BlockOrigin &origin = inlined->blockOrigin[edge.src];
+    if (!origin.valid())
+        return {};
+    return {origin.method, cfg::EdgeRef{origin.block, edge.index}};
+}
+
+/** Add `count` crossings of `edge` to the bytecode-level tables
+ *  `edges`, through bytecodeEdge. */
 inline void
 foldEdge(profile::EdgeProfileSet &edges, bytecode::MethodId method,
          const InlinedBody *inlined, cfg::EdgeRef edge,
          std::uint64_t count = 1)
 {
-    if (!inlined) {
-        edges.perMethod[method].addEdge(edge, count);
-        return;
-    }
-    const auto kind = inlined->info.cfg.terminator[edge.src];
-    if (kind != bytecode::TerminatorKind::Cond &&
-        kind != bytecode::TerminatorKind::Switch)
-        return;
-    const BlockOrigin &origin = inlined->blockOrigin[edge.src];
-    if (origin.valid()) {
-        edges.perMethod[origin.method].addEdge(
-            cfg::EdgeRef{origin.block, edge.index}, count);
-    }
+    const BytecodeEdge folded = bytecodeEdge(method, inlined, edge);
+    if (folded.valid())
+        edges.perMethod[folded.method].addEdge(folded.edge, count);
 }
 
 /**

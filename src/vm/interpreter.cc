@@ -96,6 +96,8 @@ Interpreter::Interpreter(Machine &machine, std::uint32_t thread)
     : vm_(machine), thread_(thread),
       rng_(&machine.rngForThread(thread))
 {
+    if (vm_.opportunities_.size() <= thread)
+        vm_.opportunities_.resize(thread + 1, 0);
 }
 
 FrameView
@@ -163,6 +165,8 @@ Interpreter::pushFrame(bytecode::MethodId m, Frame *caller,
     ++vm_.stats_.methodInvocations;
 
     Frame &f = frames_.back();
+    if (PathRegisterHooks *paths = vm_.pathHooks_)
+        vm_.cycles_ += paths->enterFrame(f.path, vm_.pathPlanFor(*version));
     const FrameView fv = view(f);
     for (ExecutionHooks *hooks : vm_.hooks_)
         hooks->onMethodEntry(fv);
@@ -170,13 +174,8 @@ Interpreter::pushFrame(bytecode::MethodId m, Frame *caller,
 
     // The entry -> first-block edge is a real CFG (and DAG) edge.
     edgeTaken(f, cfg::EdgeRef{f.info->cfg.graph.entry(), 0});
-    if (f.info->headerLeaderPc[0]) {
-        const cfg::BlockId block = f.info->cfg.blockOfPc[0];
-        for (ExecutionHooks *hooks : vm_.hooks_)
-            hooks->onLoopHeader(fv, block);
-        if (!vm_.params_.yieldpointsOnBackEdges)
-            yieldpoint(YieldpointKind::LoopHeader, block);
-    }
+    if (f.info->headerLeaderPc[0])
+        enterHeader(f, f.info->cfg.blockOfPc[0]);
 }
 
 void
@@ -216,6 +215,13 @@ Interpreter::yieldpoint(YieldpointKind kind, cfg::BlockId block)
     const FrameView fv = view(f);
     for (ExecutionHooks *hooks : vm_.hooks_)
         hooks->onYieldpoint(fv, kind, tick_fired);
+    // The inline path profiler sees only the yieldpoints where it can
+    // act; at the others its onYieldpoint would change nothing.
+    if (PathRegisterHooks *paths = vm_.pathHooks_;
+        paths && (tick_fired || paths->yieldpointsArmed()))
+        paths->onYieldpoint(fv, kind, tick_fired);
+    if (kind != YieldpointKind::MethodEntry)
+        ++vm_.opportunities_[thread_];
 
     // On-stack replacement: at a loop-header yieldpoint after a tick,
     // switch this frame to a pending higher-tier compilation instead
@@ -263,6 +269,10 @@ Interpreter::yieldpoint(YieldpointKind kind, cfg::BlockId block)
             const FrameView swapped = view(f);
             for (ExecutionHooks *hooks : vm_.hooks_)
                 hooks->onOsr(swapped, new_block);
+            if (PathRegisterHooks *paths = vm_.pathHooks_) {
+                paths->frameReplaced(f.path, vm_.pathPlanFor(*fresh),
+                                     new_block, thread_);
+            }
         }
     }
 
@@ -276,17 +286,16 @@ Interpreter::yieldpoint(YieldpointKind kind, cfg::BlockId block)
 }
 
 void
-Interpreter::recordEdgeTruth(const Frame &frame, cfg::EdgeRef edge)
+Interpreter::edgeTaken(Frame &frame, cfg::EdgeRef edge)
 {
     foldEdge(vm_.truth_, frame.method, frame.version->inlinedBody.get(),
              edge);
-}
-
-void
-Interpreter::edgeTaken(const Frame &frame, cfg::EdgeRef edge)
-{
-    recordEdgeTruth(frame, edge);
-    const FrameView fv = view(frames_.back());
+    if (frame.path.plan) {
+        vm_.cycles_ += vm_.pathHooks_->takeEdge(
+            frame.path, frame.path.plan->edgeBase[edge.src] + edge.index,
+            thread_);
+    }
+    const FrameView fv = view(frame);
     for (ExecutionHooks *hooks : vm_.hooks_)
         hooks->onEdge(fv, edge);
 
@@ -300,14 +309,16 @@ Interpreter::edgeTaken(const Frame &frame, cfg::EdgeRef edge)
 }
 
 void
-Interpreter::edgeTakenFast(const Frame &frame, cfg::EdgeRef edge,
+Interpreter::edgeTakenFast(Frame &frame, cfg::EdgeRef edge,
                            std::uint32_t flat_id)
 {
-    recordEdgeTruth(frame, edge);
-    const FrameView fv = view(frames_.back());
+    foldEdge(vm_.truth_, frame.method, frame.version->inlinedBody.get(),
+             edge);
+    if (frame.path.plan)
+        vm_.cycles_ += vm_.pathHooks_->takeEdge(frame.path, flat_id, thread_);
+    const FrameView fv = view(frame);
     for (ExecutionHooks *hooks : vm_.hooks_)
         hooks->onEdgeFast(fv, edge, flat_id);
-
     if (vm_.params_.yieldpointsOnBackEdges &&
         frame.info->isBackEdge[edge.src][edge.index]) {
         yieldpoint(YieldpointKind::BackEdge);
@@ -315,21 +326,37 @@ Interpreter::edgeTakenFast(const Frame &frame, cfg::EdgeRef edge,
 }
 
 void
+Interpreter::enterHeader(Frame &frame, cfg::BlockId block)
+{
+    // The header event (path truncation for HeaderSplit profilers)
+    // always fires; the header *yieldpoint* only exists under the
+    // default placement.
+    if (frame.path.plan)
+        vm_.cycles_ += vm_.pathHooks_->enterHeader(frame.path, block, thread_);
+    const FrameView fv = view(frame);
+    for (ExecutionHooks *hooks : vm_.hooks_)
+        hooks->onLoopHeader(fv, block);
+    if (!vm_.params_.yieldpointsOnBackEdges)
+        yieldpoint(YieldpointKind::LoopHeader, block);
+}
+
+void
+Interpreter::exitFrame(Frame &frame)
+{
+    if (frame.path.plan)
+        vm_.pathHooks_->frameExited(frame.path, thread_);
+    const FrameView fv = view(frame);
+    for (ExecutionHooks *hooks : vm_.hooks_)
+        hooks->onMethodExit(fv);
+}
+
+void
 Interpreter::transferTo(Frame &frame, bytecode::Pc target)
 {
     frame.pc = target;
     const MethodInfo &info = *frame.info;
-    if (info.headerLeaderPc[target]) {
-        const cfg::BlockId block = info.cfg.blockOfPc[target];
-        const FrameView fv = view(frame);
-        // The header event (path truncation for HeaderSplit profilers)
-        // always fires; the header *yieldpoint* only exists under the
-        // default placement.
-        for (ExecutionHooks *hooks : vm_.hooks_)
-            hooks->onLoopHeader(fv, block);
-        if (!vm_.params_.yieldpointsOnBackEdges)
-            yieldpoint(YieldpointKind::LoopHeader, block);
-    }
+    if (info.headerLeaderPc[target])
+        enterHeader(frame, info.cfg.blockOfPc[target]);
 }
 
 void
@@ -543,9 +570,7 @@ Interpreter::loop()
                 f.stack.pop_back();
             }
             edgeTaken(f, cfg::EdgeRef{block, 0});
-            const FrameView fv = view(f);
-            for (ExecutionHooks *hooks : vm_.hooks_)
-                hooks->onMethodExit(fv);
+            exitFrame(f);
             yieldpoint(YieldpointKind::MethodExit);
             frames_.pop_back();
             if (!frames_.empty() && has_result)

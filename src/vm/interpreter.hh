@@ -34,6 +34,11 @@ struct Frame
     bytecode::Pc pc = 0;
     std::vector<std::int32_t> locals;
     std::vector<std::int32_t> stack;
+
+    /** The frame's register for the machine's inline path profiler
+     *  (threaded engine only; docs/ENGINE.md, "Inline path
+     *  registers"). Unbound (null plan) otherwise. */
+    PathRegister path;
 };
 
 /**
@@ -104,16 +109,23 @@ class Interpreter
 
     /** Fire edge hooks + ground truth for a taken CFG edge (edge ids
      *  are in the frame's executing CFG; ground truth maps inlined
-     *  branch edges back to their original bytecode branch). */
-    void edgeTaken(const Frame &frame, cfg::EdgeRef edge);
+     *  branch edges back to their original bytecode branch), and run
+     *  the edge's action on the frame's inline path register. */
+    void edgeTaken(Frame &frame, cfg::EdgeRef edge);
 
     /** edgeTaken with the edge's dense flat id precomputed by the
      *  threaded engine's templates (fires onEdgeFast). */
-    void edgeTakenFast(const Frame &frame, cfg::EdgeRef edge,
+    void edgeTakenFast(Frame &frame, cfg::EdgeRef edge,
                        std::uint32_t flat_id);
 
-    /** Ground-truth recording shared by edgeTaken/edgeTakenFast. */
-    void recordEdgeTruth(const Frame &frame, cfg::EdgeRef edge);
+    /** Control entered loop header `block`: the inline path register's
+     *  header action, the header hooks, and the header yieldpoint
+     *  under the default placement. */
+    void enterHeader(Frame &frame, cfg::BlockId block);
+
+    /** The frame returns (after its return edge): the inline path
+     *  register's exit completion and the exit hooks. */
+    void exitFrame(Frame &frame);
 
     /** Transfer control to `target` pc, firing header events. */
     void transferTo(Frame &frame, bytecode::Pc target);

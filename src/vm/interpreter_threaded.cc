@@ -17,6 +17,14 @@
  * is what makes the two engines byte-identical on profiles, samples,
  * and simulated cycles.
  *
+ * The machine's inline path profiler (docs/ENGINE.md, "Inline path
+ * registers") is not a hook here: edge templates apply
+ * flatEdgeActions[t.flatBase + succ] to the frame's PathRegister,
+ * header transfers its headerActions[block], and frame push and return
+ * bind r = 0 and complete the exit path — through the same
+ * PathRegisterHooks functions the profiler runs when the switch engine
+ * drives it by hooks.
+ *
  * Fused superinstruction handlers (PEP_FUSE=pairs) execute two or
  * three constituent instructions per dispatch with their operands
  * burned into the template; trace handlers (PEP_FUSE=traces) run
@@ -106,15 +114,10 @@ namespace pep::vm {
     do {                                                               \
         f->pc = (TGT_PC);                                              \
         if (HDR) {                                                     \
-            const FrameView fv = view(*f);                             \
-            for (ExecutionHooks *hooks : vm_.hooks_)                   \
-                hooks->onLoopHeader(fv, (TGT_BLOCK));                  \
-            if (!yp_on_backedges) {                                    \
-                const CompiledMethod *before = f->version;             \
-                yieldpoint(YieldpointKind::LoopHeader, (TGT_BLOCK));   \
-                if (f->version != before)                              \
-                    goto rebind;                                       \
-            }                                                          \
+            const CompiledMethod *before = f->version;                 \
+            enterHeader(*f, (TGT_BLOCK));                              \
+            if (f->version != before)                                  \
+                goto rebind;                                           \
         }                                                              \
         if (switchRequested_) {                                        \
             switchRequested_ = false;                                  \
@@ -364,11 +367,7 @@ namespace pep::vm {
         f->stack.pop_back();                                           \
     }                                                                  \
     edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);           \
-    {                                                                  \
-        const FrameView fv = view(*f);                                 \
-        for (ExecutionHooks *hooks : vm_.hooks_)                       \
-            hooks->onMethodExit(fv);                                   \
-    }                                                                  \
+    exitFrame(*f);                                                     \
     yieldpoint(YieldpointKind::MethodExit);                            \
     frames_.pop_back();                                                \
     if (!frames_.empty() && (HAS_RESULT))                              \
@@ -379,7 +378,6 @@ void
 Interpreter::loopThreaded()
 {
     const CostModel &cost = vm_.params_.cost;
-    const bool yp_on_backedges = vm_.params_.yieldpointsOnBackEdges;
 
     Frame *f = nullptr;
     const Template *ts = nullptr;
@@ -621,13 +619,8 @@ dispatch_top:
         f->pc = t.fallPc;
         if (t.flags & kTplEndsBlock) {
             edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);
-            if (t.flags & kTplFallHeader) {
-                const FrameView fv = view(*f);
-                for (ExecutionHooks *hooks : vm_.hooks_)
-                    hooks->onLoopHeader(fv, t.fallBlock);
-                if (!yp_on_backedges)
-                    yieldpoint(YieldpointKind::LoopHeader, t.fallBlock);
-            }
+            if (t.flags & kTplFallHeader)
+                enterHeader(*f, t.fallBlock);
         }
         pushFrame(callee, f);
         goto rebind;

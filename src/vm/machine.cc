@@ -88,7 +88,26 @@ void
 Machine::addHooks(ExecutionHooks *hooks)
 {
     PEP_ASSERT(hooks);
-    hooks_.push_back(hooks);
+    auto *paths = dynamic_cast<PathRegisterHooks *>(hooks);
+    if (!paths || pathHooks_ || params_.engine != EngineKind::Threaded) {
+        hooks_.push_back(hooks);
+        return;
+    }
+    pathHooks_ = paths;
+    for (const auto &method_versions : versions_)
+        for (const auto &cm : method_versions)
+            cachePathPlan(*cm);
+}
+
+void
+Machine::cachePathPlan(const CompiledMethod &cm)
+{
+    if (pathPlans_.size() <= cm.method)
+        pathPlans_.resize(cm.method + 1);
+    std::vector<PathPlan *> &slots = pathPlans_[cm.method];
+    if (slots.size() <= cm.version)
+        slots.resize(cm.version + 1, nullptr);
+    slots[cm.version] = pathHooks_->planFor(cm);
 }
 
 void
@@ -277,6 +296,8 @@ Machine::compile(bytecode::MethodId m, OptLevel level)
         for (CompileObserver *observer : observers_)
             observer->onCompile(m, result);
     }
+    if (pathHooks_)
+        cachePathPlan(result);
 
     // Threaded engine: translate at install time so invocation and OSR
     // never hit the lazy path mid-run.

@@ -209,7 +209,13 @@ class Machine
 
     // ---- Configuration (set before the first iteration) --------------
 
-    /** Attach profiler hooks (not owned; may add several). */
+    /**
+     * Attach profiler hooks (not owned; may add several). Under
+     * EngineKind::Threaded the first PathRegisterHooks attached becomes
+     * the machine's inline path profiler (docs/ENGINE.md, "Inline path
+     * registers"): its register runs in the frames, and it receives
+     * only the calls PathRegisterHooks describes.
+     */
     void addHooks(ExecutionHooks *hooks);
 
     /** Attach a compile observer (not owned). */
@@ -294,6 +300,19 @@ class Machine
      *  iterations). */
     const std::vector<std::int32_t> &globals() const { return globals_; }
 
+    /**
+     * Sampling opportunities — loop-header, method-exit and back-edge
+     * yieldpoints — that virtual thread `thread` has executed. A path
+     * completed while this reads n is sampleable only at the yieldpoint
+     * that still reads n: the next opportunity of its own thread (the
+     * count moves on right after that yieldpoint's hooks).
+     */
+    std::uint64_t
+    samplingOpportunities(std::uint32_t thread) const
+    {
+        return thread < opportunities_.size() ? opportunities_[thread] : 0;
+    }
+
     /** Current simulated time in cycles. */
     std::uint64_t now() const { return cycles_; }
 
@@ -356,6 +375,21 @@ class Machine
      *  newest version; charges compile cycles. */
     const CompiledMethod &compile(bytecode::MethodId m, OptLevel level);
 
+    /** The inline path profiler's plan for a version (nullptr: none,
+     *  or the version is not instrumented). */
+    PathPlan *
+    pathPlanFor(const CompiledMethod &cm) const
+    {
+        if (cm.method >= pathPlans_.size() ||
+            cm.version >= pathPlans_[cm.method].size())
+            return nullptr;
+        return pathPlans_[cm.method][cm.version];
+    }
+
+    /** Ask the inline path profiler for a freshly installed version's
+     *  plan. */
+    void cachePathPlan(const CompiledMethod &cm);
+
     /** Compute the branch layout for an opt compile. */
     void applyLayout(CompiledMethod &cm);
 
@@ -393,6 +427,13 @@ class Machine
 
     /** Attached components (not owned). */
     std::vector<ExecutionHooks *> hooks_;
+    PathRegisterHooks *pathHooks_ = nullptr;
+
+    /** pathHooks_'s plans, parallel to versions_. */
+    std::vector<std::vector<PathPlan *>> pathPlans_;
+
+    /** Per virtual thread, see samplingOpportunities(). */
+    std::vector<std::uint64_t> opportunities_;
     std::vector<CompileObserver *> observers_;
     std::vector<CompilePass *> compilePasses_;
     LayoutSource *layoutSource_ = nullptr;

@@ -4,11 +4,15 @@
  * register discipline across calls and recompilation, PEP's sampling
  * bookkeeping and layout-source fallback, the zero-cost property of
  * ground-truth recorders, the cost ordering of the reference
- * profilers, and edge profiles derived from the paths of inlined and
- * cloned versions.
+ * profilers, edge profiles derived from the paths of inlined and
+ * cloned versions, and the threaded engine's inline path register
+ * against the same profiler driven through a forwarding hook.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <sstream>
 
 #include "bytecode/assembler.hh"
 #include "common/fixtures.hh"
@@ -18,6 +22,9 @@
 #include "metrics/path_accuracy.hh"
 #include "opt/pipeline.hh"
 #include "opt/profile_consumer.hh"
+#include "runtime/coop_scheduler.hh"
+#include "runtime/request_stream.hh"
+#include "testing/generator.hh"
 #include "vm/compiled_method.hh"
 #include "vm/inliner.hh"
 #include "vm/layout.hh"
@@ -516,6 +523,231 @@ TEST(PathEngine, DerivedEdgesFoldClonedVersionsLikeTruth)
     machine.runIteration();
 
     expectDerivedEdgesEqualTruth(machine, full);
+}
+
+/**
+ * Forwards every event to the hooks it wraps, the shape of perfbench's
+ * CountingHooks. The machine sees an ordinary hook, so a path engine
+ * behind it is always driven by events, never run inline.
+ */
+class ForwardingHooks final : public vm::ExecutionHooks
+{
+  public:
+    explicit ForwardingHooks(vm::ExecutionHooks &inner) : inner_(inner) {}
+
+    void
+    onMethodEntry(const vm::FrameView &frame) override
+    {
+        inner_.onMethodEntry(frame);
+    }
+    void
+    onMethodExit(const vm::FrameView &frame) override
+    {
+        inner_.onMethodExit(frame);
+    }
+    void
+    onEdge(const vm::FrameView &frame, cfg::EdgeRef edge) override
+    {
+        inner_.onEdge(frame, edge);
+    }
+    void
+    onEdgeFast(const vm::FrameView &frame, cfg::EdgeRef edge,
+               std::uint32_t flat_id) override
+    {
+        inner_.onEdgeFast(frame, edge, flat_id);
+    }
+    void
+    onLoopHeader(const vm::FrameView &frame, cfg::BlockId block) override
+    {
+        inner_.onLoopHeader(frame, block);
+    }
+    void
+    onYieldpoint(const vm::FrameView &frame, vm::YieldpointKind kind,
+                 bool tick_fired) override
+    {
+        inner_.onYieldpoint(frame, kind, tick_fired);
+    }
+    void
+    onOsr(const vm::FrameView &frame, cfg::BlockId header) override
+    {
+        inner_.onOsr(frame, header);
+    }
+
+  private:
+    vm::ExecutionHooks &inner_;
+};
+
+/** PEP's path tables, stats and continuous edge profile, plus the
+ *  machine's clock, serialized in a canonical order. */
+std::string
+pepObservables(const vm::Machine &machine, const PepProfiler &pep)
+{
+    std::ostringstream os;
+    for (const auto &[key, vp] : pep.versionProfiles()) {
+        const std::map<std::uint64_t, profile::PathRecord> sorted(
+            vp->paths.paths().begin(), vp->paths.paths().end());
+        os << "paths " << key.first << '.' << key.second << ':';
+        for (const auto &[number, record] : sorted)
+            os << ' ' << number << 'x' << record.count;
+        os << '\n';
+    }
+    const PepStats &stats = pep.pepStats();
+    os << "stats " << stats.pathsCompleted << ' ' << stats.samplesTaken
+       << ' ' << stats.samplesRecorded << ' ' << stats.strides << ' '
+       << stats.firstTimeExpansions << '\n';
+    for (const profile::MethodEdgeProfile &method :
+         pep.edgeProfile().perMethod) {
+        os << "edges";
+        for (const std::vector<std::uint64_t> &succs : method.counts())
+            for (const std::uint64_t count : succs)
+                os << ' ' << count;
+        os << '\n';
+    }
+    os << "clock " << machine.now() << '\n';
+    return os.str();
+}
+
+/** One PEP configuration of the inline-vs-hook sweeps. */
+struct PepRun
+{
+    vm::EngineKind engine = vm::EngineKind::Switch;
+    bool osr = false;
+    std::uint32_t k = 1;
+    std::uint32_t samples = 64;
+    std::uint32_t stride = 17;
+
+    /** Behind a ForwardingHooks wrapper instead of attached directly. */
+    bool wrapped = false;
+};
+
+/** What one run left behind, and how much it exercised. */
+struct PepOutcome
+{
+    std::string observables;
+    std::uint64_t samplesRecorded = 0;
+    std::uint64_t osrs = 0;
+};
+
+/** Attach PEP as `run` says, let `body` drive the machine, and collect
+ *  the outcome. */
+template <typename Body>
+PepOutcome
+runPep(const bytecode::Program &program, const PepRun &run,
+       std::uint64_t tick_cycles, Body body)
+{
+    vm::SimParams params;
+    params.engine = run.engine;
+    params.enableOsr = run.osr;
+    params.tickCycles = tick_cycles;
+    vm::Machine machine(program, params);
+    SimplifiedArnoldGrove controller(run.samples, run.stride);
+    PepOptions options;
+    options.scheme = profile::NumberingScheme::Smart;
+    options.kIterations = run.k;
+    PepProfiler pep(machine, controller, options);
+    ForwardingHooks wrapper(pep);
+    machine.addHooks(run.wrapped ? static_cast<vm::ExecutionHooks *>(&wrapper)
+                                 : &pep);
+    machine.addCompileObserver(&pep);
+    body(machine);
+    return {pepObservables(machine, pep), pep.pepStats().samplesRecorded,
+            machine.stats().osrs};
+}
+
+TEST(PathEngine, InlineRegisterMatchesHookDrivenRegister)
+{
+    // Attached directly, PEP runs inline under the threaded engine and
+    // through hooks under the switch engine; wrapped, it runs through
+    // hooks under both. Every variant must leave byte-identical
+    // observables: the same arithmetic, the same completions, and the
+    // same sampleability rule, whichever yieldpoints core was skipped
+    // at.
+    std::uint64_t samples = 0;
+    std::uint64_t osrs = 0;
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        testing::FuzzSpec spec;
+        spec.seed = seed;
+        spec.loopBias = 0.5;
+        const bytecode::Program program = testing::generateProgram(spec);
+        for (const bool osr : {false, true}) {
+            for (const std::uint32_t k : {1u, 2u}) {
+                for (const auto &[s, t] :
+                     {std::pair{1u, 1u}, std::pair{64u, 17u}}) {
+                    std::string reference;
+                    for (const vm::EngineKind engine :
+                         {vm::EngineKind::Switch,
+                          vm::EngineKind::Threaded}) {
+                        for (const bool wrapped : {true, false}) {
+                            const PepRun run{engine, osr, k, s, t, wrapped};
+                            const PepOutcome outcome = runPep(
+                                program, run, 9'000, [](vm::Machine &m) {
+                                    for (int it = 0; it < 3; ++it)
+                                        m.runIteration();
+                                });
+                            samples += outcome.samplesRecorded;
+                            osrs += outcome.osrs;
+                            if (reference.empty())
+                                reference = outcome.observables;
+                            EXPECT_EQ(outcome.observables, reference)
+                                << "seed " << seed << " osr " << osr
+                                << " k " << k << " PEP(" << s << ','
+                                << t << ") "
+                                << vm::engineKindName(engine)
+                                << (wrapped ? " wrapped" : " direct");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The sweep must actually sample and replace frames.
+    EXPECT_GT(samples, 0u);
+    EXPECT_GT(osrs, 0u);
+}
+
+TEST(PathEngine, InlineRegisterMatchesHooksUnderCooperativeThreads)
+{
+    // Parked threads keep their frames' registers and their pending
+    // paths: a path is sampleable only at its own thread's next
+    // opportunity, however the scheduler interleaves threads between.
+    runtime::RequestStreamSpec spec;
+    spec.seed = 21;
+    spec.requests = 60;
+    spec.handlers = 3;
+    spec.leaves = 2;
+    const runtime::RequestStream stream(spec);
+    std::uint64_t samples = 0;
+    for (const std::uint32_t threads : {1u, 3u}) {
+        for (const bool osr : {false, true}) {
+            for (const auto &[s, t] :
+                 {std::pair{1u, 1u}, std::pair{64u, 17u}}) {
+                std::string reference;
+                for (const vm::EngineKind engine :
+                     {vm::EngineKind::Switch, vm::EngineKind::Threaded}) {
+                    for (const bool wrapped : {true, false}) {
+                        const PepRun run{engine, osr, 1, s, t, wrapped};
+                        const PepOutcome outcome = runPep(
+                            stream.program(), run, 5'000,
+                            [&](vm::Machine &machine) {
+                                runtime::CoopScheduler scheduler(
+                                    machine, {threads, 77});
+                                scheduler.assignRoundRobin(stream);
+                                scheduler.run();
+                            });
+                        samples += outcome.samplesRecorded;
+                        if (reference.empty())
+                            reference = outcome.observables;
+                        EXPECT_EQ(outcome.observables, reference)
+                            << threads << " threads, osr " << osr
+                            << ", PEP(" << s << ',' << t << ") "
+                            << vm::engineKindName(engine)
+                            << (wrapped ? " wrapped" : " direct");
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(samples, 0u);
 }
 
 } // namespace

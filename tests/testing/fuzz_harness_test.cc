@@ -308,6 +308,34 @@ TEST(Differ, TruncatedWindowInjectionIsCaughtAndCleanWithout)
     EXPECT_TRUE(k1.ok()) << k1.violations.front();
 }
 
+TEST(Differ, StaleOsrPlanInjectionIsCaughtAndCleanWithout)
+{
+    // A frame left on its old version's plan at OSR: the rebind the
+    // threaded engine's inline register performs (docs/ENGINE.md).
+    const fz::DiffOptions *base = fz::findConfig("smart-spanning-osr");
+    ASSERT_NE(base, nullptr);
+    ASSERT_TRUE(base->enableOsr) << "injection needs frames to replace";
+    fz::DiffOptions opts = *base;
+    opts.inject = fz::InjectKind::StaleOsrPlan;
+
+    const std::uint64_t seed = findCaughtSeed(opts);
+    ASSERT_NE(seed, 0u)
+        << "no seed in 1..20 caught the stale-osr-plan injection";
+
+    fz::FuzzSpec spec;
+    spec.seed = seed;
+    const bytecode::Program program = fz::generateProgram(spec);
+    const fz::DiffReport clean = fz::runDiff(program, *base);
+    EXPECT_TRUE(clean.ok()) << clean.violations.front();
+
+    // Without OSR no frame is ever replaced: the same injection must be
+    // invisible.
+    fz::DiffOptions no_osr = opts;
+    no_osr.enableOsr = false;
+    const fz::DiffReport still = fz::runDiff(program, no_osr);
+    EXPECT_TRUE(still.ok()) << still.violations.front();
+}
+
 TEST(Shrinker, ReducesInjectedFailureWhileItStillFails)
 {
     const fz::DiffOptions *base =

@@ -29,8 +29,9 @@
  *                          0 is the legacy byte-identical stream
  *     --inject KIND        none | corrupt-increment |
  *                          engine-divergence | impossible-profile |
- *                          truncated-window — deliberately break one
- *                          invariant (harness self-test)
+ *                          truncated-window | stale-osr-plan —
+ *                          deliberately break one invariant (harness
+ *                          self-test)
  *     --expect-caught      exit 0 iff at least one violation was found
  *     --no-shrink          skip reduction of failing programs
  *     --corpus-dir DIR     where to write reproducers (none by default)
