@@ -8,9 +8,8 @@
  *
  *   switch-none           the reference interpreter;
  *   threaded-none         the pre-decoded threaded engine, plain
- *                         per-opcode templates — methodologically the
- *                         same measurement as BENCH_PR5's "threaded"
- *                         cell, so it is the speedup baseline;
+ *                         per-opcode templates — the speedup
+ *                         baseline;
  *   threaded-pairs        superinstruction pairs/triples with
  *                         burned-in operands (PEP_FUSE=pairs);
  *   threaded-pairs-traces pairs plus straightened hot-trace segments
@@ -59,13 +58,11 @@ secondsSince(std::chrono::steady_clock::time_point start)
 }
 
 /**
- * Serialize everything a run may legitimately observe (the same blob
- * perf_suite's engine microbenchmark compares): ground-truth and
- * one-time edge profiles, the simulated clock, and the
- * engine-independent machine counters. methodsDecoded and
- * templateInvalidations are deliberately excluded — they describe the
- * harness's translation cache, not simulated behaviour, and differ
- * across the matrix by design.
+ * Serialize everything a run may legitimately observe: ground-truth
+ * and one-time edge profiles, the simulated clock, and the
+ * engine-independent machine counters. methodsDecoded is deliberately
+ * excluded — it describes the harness's translation cache, not
+ * simulated behaviour, and differs across the matrix by design.
  */
 std::string
 serializeObservables(const vm::Machine &machine)
@@ -177,11 +174,10 @@ struct CellResult
 };
 
 /**
- * Time one cell over the replay workload, exactly like perf_suite's
- * engine microbenchmark: iteration 1 compiles every method at its
- * final level (untimed), then kEngineIters measured iterations run
- * under the pinned engine and fusion selection with no profilers
- * attached. Best-of kRepeats fresh machines.
+ * Time one cell over the replay workload: iteration 1 compiles every
+ * method at its final level (untimed), then kEngineIters measured
+ * iterations run under the pinned engine and fusion selection with no
+ * profilers attached. Best-of kRepeats fresh machines.
  */
 CellResult
 runCellBench(const bench::Prepared &prepared,
@@ -360,8 +356,7 @@ main(int argc, char **argv)
     }
     std::fprintf(json, "  },\n");
     std::fprintf(json,
-                 "  \"baseline\": \"threaded-none (BENCH_PR5 "
-                 "threaded methodology)\",\n");
+                 "  \"baseline\": \"threaded-none\",\n");
     std::fprintf(json,
                  "  \"pairs_speedup_edges_per_sec\": %.4f,\n",
                  pairs_speedup);

@@ -18,6 +18,8 @@
  *     --record-advice FILE                 write advice after the run
  *     --replay-advice FILE                 replay a recorded run
  *     --top N                              paths/branches to print
+ *   Every N and CYCLES must be a positive integer; a file that does
+ *   not assemble or verify is reported with its name (exit 1).
  *
  * Examples:
  *   pep_run examples/programs/sort.pepasm
@@ -27,10 +29,13 @@
  */
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -59,6 +64,33 @@ struct Options
     std::size_t top = 8;
 };
 
+/** Parse a positive decimal count; false on zero, junk or overflow. */
+template <typename T>
+bool
+parseCount(const char *text, T &out)
+{
+    if (!text || !std::isdigit(static_cast<unsigned char>(*text)))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (errno != 0 || *end != '\0' || value == 0 ||
+        value > static_cast<unsigned long long>(
+                    std::numeric_limits<T>::max()))
+        return false;
+    out = static_cast<T>(value);
+    return true;
+}
+
+/** Take a string argument; false when it is missing. */
+bool
+parseText(const char *text, std::string &out)
+{
+    if (text)
+        out = text;
+    return text != nullptr;
+}
+
 bool
 parseArgs(int argc, char **argv, Options &options)
 {
@@ -67,57 +99,35 @@ parseArgs(int argc, char **argv, Options &options)
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
-        if (arg == "--profiler") {
-            const char *v = next();
-            if (!v)
-                return false;
-            options.profiler = v;
-        } else if (arg == "--samples") {
-            const char *v = next();
-            if (!v)
-                return false;
-            options.samples =
-                static_cast<std::uint32_t>(std::atoi(v));
-        } else if (arg == "--stride") {
-            const char *v = next();
-            if (!v)
-                return false;
-            options.stride = static_cast<std::uint32_t>(std::atoi(v));
-        } else if (arg == "--iterations") {
-            const char *v = next();
-            if (!v)
-                return false;
-            options.iterations = std::atoi(v);
-        } else if (arg == "--tick") {
-            const char *v = next();
-            if (!v)
-                return false;
-            options.tick = static_cast<std::uint64_t>(std::atoll(v));
-        } else if (arg == "--osr") {
+        bool ok = true;
+        if (arg == "--profiler")
+            ok = parseText(next(), options.profiler);
+        else if (arg == "--samples")
+            ok = parseCount(next(), options.samples);
+        else if (arg == "--stride")
+            ok = parseCount(next(), options.stride);
+        else if (arg == "--iterations")
+            ok = parseCount(next(), options.iterations);
+        else if (arg == "--tick")
+            ok = parseCount(next(), options.tick);
+        else if (arg == "--osr")
             options.osr = true;
-        } else if (arg == "--inline") {
+        else if (arg == "--inline")
             options.inlining = true;
-        } else if (arg == "--record-advice") {
-            const char *v = next();
-            if (!v)
-                return false;
-            options.recordAdvice = v;
-        } else if (arg == "--replay-advice") {
-            const char *v = next();
-            if (!v)
-                return false;
-            options.replayAdvice = v;
-        } else if (arg == "--top") {
-            const char *v = next();
-            if (!v)
-                return false;
-            options.top = static_cast<std::size_t>(std::atoi(v));
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            return false;
-        } else {
+        else if (arg == "--record-advice")
+            ok = parseText(next(), options.recordAdvice);
+        else if (arg == "--replay-advice")
+            ok = parseText(next(), options.replayAdvice);
+        else if (arg == "--top")
+            ok = parseCount(next(), options.top);
+        else if (arg.rfind("--", 0) != 0)
             options.programPath = arg;
+        else {
+            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+            ok = false;
         }
+        if (!ok)
+            return false;
     }
     return !options.programPath.empty();
 }
@@ -194,8 +204,9 @@ main(int argc, char **argv)
                      "usage: pep_run <program.pepasm> [--profiler "
                      "pep|perfect|blpp|none] [--samples N] [--stride "
                      "N] [--iterations N] [--tick C] [--osr] "
-                     "[--record-advice F] [--replay-advice F] "
-                     "[--top N]\n");
+                     "[--inline] [--record-advice F] "
+                     "[--replay-advice F] [--top N]\n"
+                     "  (every N and C is a positive integer)\n");
         return 1;
     }
 
@@ -207,8 +218,14 @@ main(int argc, char **argv)
     }
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    const bytecode::Program program =
-        bytecode::assembleOrDie(buffer.str());
+    bytecode::AssembleResult assembled =
+        bytecode::assembleVerified(buffer.str());
+    if (!assembled.ok) {
+        std::fprintf(stderr, "%s: %s\n", options.programPath.c_str(),
+                     assembled.error.c_str());
+        return 1;
+    }
+    const bytecode::Program program = std::move(assembled.program);
 
     vm::SimParams params;
     params.tickCycles = options.tick;
@@ -275,13 +292,10 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         machine.stats().timerTicks));
     }
-    std::printf("engine %s: %llu versions translated, %llu template "
-                "invalidations\n",
+    std::printf("engine %s: %llu versions translated\n",
                 vm::engineKindName(machine.params().engine),
                 static_cast<unsigned long long>(
-                    machine.stats().methodsDecoded),
-                static_cast<unsigned long long>(
-                    machine.stats().templateInvalidations));
+                    machine.stats().methodsDecoded));
 
     // Reports.
     if (pep) {

@@ -78,6 +78,7 @@ main(int argc, char **argv)
     using namespace pep;
 
     std::string source = kSample;
+    std::string source_name = "<built-in sample>";
     bool dot = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -92,10 +93,18 @@ main(int argc, char **argv)
             std::ostringstream buffer;
             buffer << in.rdbuf();
             source = buffer.str();
+            source_name = arg;
         }
     }
 
-    const bytecode::Program program = bytecode::assembleOrDie(source);
+    bytecode::AssembleResult assembled =
+        bytecode::assembleVerified(source);
+    if (!assembled.ok) {
+        std::fprintf(stderr, "%s: %s\n", source_name.c_str(),
+                     assembled.error.c_str());
+        return 1;
+    }
+    const bytecode::Program program = std::move(assembled.program);
     const bytecode::Method &method =
         program.methods[program.mainMethod];
     const bytecode::MethodCfg cfg = bytecode::buildCfg(method);

@@ -76,20 +76,16 @@ lintProgram(bytecode::Program &program, const LintOptions &options)
 {
     DiagnosticList diagnostics;
 
-    if (options.runVerifier) {
-        const bytecode::VerifyResult verified =
-            bytecode::verifyProgram(program);
-        for (const bytecode::VerifyDiagnostic &d :
-             verified.diagnostics) {
-            Diagnostic &out = diagnostics.report(
-                Severity::Error, "verify", d.method, d.message);
-            out.hasPc = d.hasPc;
-            out.pc = d.pc;
-        }
-        // The CFG builder panics on unverified code; stop here.
-        if (!verified.ok)
-            return diagnostics;
+    const bytecode::VerifyResult verified = bytecode::verifyProgram(program);
+    for (const bytecode::VerifyDiagnostic &d : verified.diagnostics) {
+        Diagnostic &out = diagnostics.report(Severity::Error, "verify",
+                                             d.method, d.message);
+        out.hasPc = d.hasPc;
+        out.pc = d.pc;
     }
+    // The CFG builder panics on unverified code; stop here.
+    if (!verified.ok)
+        return diagnostics;
 
     if (!options.runMethodPasses && !options.runPlanChecks)
         return diagnostics;

@@ -27,10 +27,10 @@
 
 namespace pep::analysis {
 
-/** Which parts of the pipeline to run. */
+/** Which parts of the pipeline to run after verification, which
+ *  always runs. */
 struct LintOptions
 {
-    bool runVerifier = true;
     bool runMethodPasses = true;
     bool runPlanChecks = true;
 

@@ -313,15 +313,28 @@ assemble(const std::string &source)
     return result;
 }
 
+AssembleResult
+assembleVerified(const std::string &source)
+{
+    AssembleResult assembled = assemble(source);
+    if (!assembled.ok) {
+        assembled.error = "assembly failed: " + assembled.error;
+        return assembled;
+    }
+    const VerifyResult verified = verifyProgram(assembled.program);
+    if (!verified.ok) {
+        assembled.ok = false;
+        assembled.error = "verification failed: " + verified.error;
+    }
+    return assembled;
+}
+
 Program
 assembleOrDie(const std::string &source)
 {
-    AssembleResult assembled = assemble(source);
+    AssembleResult assembled = assembleVerified(source);
     if (!assembled.ok)
-        support::fatal("assembly failed: " + assembled.error);
-    const VerifyResult verified = verifyProgram(assembled.program);
-    if (!verified.ok)
-        support::fatal("verification failed: " + verified.error);
+        support::fatal(assembled.error);
     return std::move(assembled.program);
 }
 

@@ -37,8 +37,14 @@ struct AssembleResult
 AssembleResult assemble(const std::string &source);
 
 /**
- * Assemble and verify; calls support::fatal on any error. Convenient for
- * examples and tests with known-good sources.
+ * Assemble and verify; on failure `error` holds the assembler's or the
+ * verifier's first error. The entry point for user-supplied files.
+ */
+AssembleResult assembleVerified(const std::string &source);
+
+/**
+ * assembleVerified, calling support::fatal on any error. Convenient
+ * for tests and built-in programs with known-good sources.
  */
 Program assembleOrDie(const std::string &source);
 

@@ -97,8 +97,7 @@ estimateLayoutCost(const bytecode::MethodCfg &method_cfg,
                    const std::vector<std::vector<std::uint64_t>> &weights,
                    const std::vector<cfg::BlockId> &order,
                    const std::vector<std::int16_t> &branch_layout,
-                   const vm::CostModel &cost,
-                   const ChainLayoutOptions &options)
+                   const vm::CostModel &cost)
 {
     const cfg::Graph &graph = method_cfg.graph;
     std::vector<cfg::BlockId> next(graph.numBlocks(), cfg::kInvalidBlock);
@@ -145,8 +144,7 @@ estimateLayoutCost(const bytecode::MethodCfg &method_cfg,
             const cfg::BlockId dst = succs[i];
             if (!method_cfg.isCodeBlock(dst) || dst == next[b])
                 continue;
-            total += options.icachePenaltyFactor *
-                     static_cast<double>(cost.icacheBreakPenalty) *
+            total += static_cast<double>(cost.icacheBreakPenalty) *
                      static_cast<double>(edgeWeight(weights, b, i));
         }
     }
@@ -156,8 +154,7 @@ estimateLayoutCost(const bytecode::MethodCfg &method_cfg,
 ChainLayout
 computeChainLayout(const bytecode::MethodCfg &method_cfg,
                    const std::vector<std::vector<std::uint64_t>> &weights,
-                   const vm::CostModel &cost,
-                   const ChainLayoutOptions &options)
+                   const vm::CostModel &cost)
 {
     const cfg::Graph &graph = method_cfg.graph;
 
@@ -169,7 +166,7 @@ computeChainLayout(const bytecode::MethodCfg &method_cfg,
     ChainLayout result;
     result.baselineCost = estimateLayoutCost(
         method_cfg, weights, natural,
-        std::vector<std::int16_t>(graph.numBlocks(), -1), cost, options);
+        std::vector<std::int16_t>(graph.numBlocks(), -1), cost);
 
     const std::vector<std::uint64_t> inflow = blockInflow(graph, weights);
     std::uint64_t total_weight = 0;
@@ -185,7 +182,7 @@ computeChainLayout(const bytecode::MethodCfg &method_cfg,
     }
 
     // Hot/cold split by cumulative coverage: the hottest blocks that
-    // together cover hotCutoffPercentile of all weight are laid out by
+    // together cover kHotCutoffPercentile of all weight are laid out by
     // chain merging; zero-weight blocks are always cold.
     std::vector<cfg::BlockId> by_weight = natural;
     std::sort(by_weight.begin(), by_weight.end(),
@@ -196,7 +193,7 @@ computeChainLayout(const bytecode::MethodCfg &method_cfg,
               });
     std::vector<bool> hot(graph.numBlocks(), false);
     const double cutoff =
-        options.hotCutoffPercentile * static_cast<double>(total_weight);
+        kHotCutoffPercentile * static_cast<double>(total_weight);
     std::uint64_t covered = 0;
     for (cfg::BlockId b : by_weight) {
         if (inflow[b] == 0)
@@ -240,7 +237,7 @@ computeChainLayout(const bytecode::MethodCfg &method_cfg,
             if (w == 0 || dst == b || !hot[dst])
                 continue;
             if (static_cast<double>(w) <
-                options.minFlowRatio * static_cast<double>(outflow))
+                kMinFlowRatio * static_cast<double>(outflow))
                 continue;
             candidates.push_back({w, b, i, dst});
         }
@@ -261,7 +258,7 @@ computeChainLayout(const bytecode::MethodCfg &method_cfg,
             continue;
         if (chains[sc].back() != c.src || chains[dc].front() != c.dst)
             continue;
-        if (chains[sc].size() + chains[dc].size() > options.maxChainLength)
+        if (chains[sc].size() + chains[dc].size() > kMaxChainLength)
             continue;
         for (cfg::BlockId b : chains[dc]) {
             chains[sc].push_back(b);
@@ -323,9 +320,9 @@ computeChainLayout(const bytecode::MethodCfg &method_cfg,
     std::vector<std::int16_t> natural_layout =
         deriveBranchLayout(method_cfg, weights, natural);
     const double chained_cost = estimateLayoutCost(
-        method_cfg, weights, chained, chained_layout, cost, options);
+        method_cfg, weights, chained, chained_layout, cost);
     const double natural_cost = estimateLayoutCost(
-        method_cfg, weights, natural, natural_layout, cost, options);
+        method_cfg, weights, natural, natural_layout, cost);
 
     if (chained_cost <= natural_cost) {
         result.order = std::move(chained);

@@ -11,11 +11,11 @@
  * derived from it are scored by a static fallthrough/icache cost model
  * built on CostModel::layoutMissPenalty and icacheBreakPenalty.
  *
- * Knobs follow Propeller's (SNIPPETS.md snippet 1): a hot-cutoff
+ * Its three limits follow Propeller's knobs (SNIPPETS.md snippet 1)
+ * but are fixed constants, since no caller varies them: a hot-cutoff
  * percentile that splits hot from cold blocks by cumulative weight
- * coverage, a maximum chain length, a minimum flow ratio below which
- * an edge cannot merge chains, and an icache penalty factor scaling
- * the break term of the scorer.
+ * coverage, a maximum chain length, and a minimum flow ratio below
+ * which an edge cannot merge chains.
  *
  * The simulator charges cycles for *direction misses* only
  * (CostModel::layoutMissPenalty — see docs/ENGINE.md), so the
@@ -34,25 +34,18 @@
 
 namespace pep::opt {
 
-/** Propeller-style chain-layout knobs. */
-struct ChainLayoutOptions
-{
-    /** Blocks covering this fraction of total block weight (hottest
-     *  first) are laid out by chain merging; the rest are appended
-     *  cold, in natural order. */
-    double hotCutoffPercentile = 0.95;
+/** Blocks covering this fraction of total block weight (hottest
+ *  first) are laid out by chain merging; the rest are appended cold,
+ *  in natural order. */
+inline constexpr double kHotCutoffPercentile = 0.95;
 
-    /** Maximum blocks per merged chain (bounds the straight-line run
-     *  a single merge decision can commit to). */
-    std::uint32_t maxChainLength = 64;
+/** Maximum blocks per merged chain (bounds the straight-line run a
+ *  single merge decision can commit to). */
+inline constexpr std::uint32_t kMaxChainLength = 64;
 
-    /** An edge may merge chains only if it carries at least this
-     *  fraction of its source block's outgoing weight. */
-    double minFlowRatio = 0.05;
-
-    /** Scales CostModel::icacheBreakPenalty in the static scorer. */
-    double icachePenaltyFactor = 1.0;
-};
+/** An edge may merge chains only if it carries at least this fraction
+ *  of its source block's outgoing weight. */
+inline constexpr double kMinFlowRatio = 0.05;
 
 /** Result of the pass for one method CFG. */
 struct ChainLayout
@@ -78,14 +71,14 @@ struct ChainLayout
  * (layoutMissPenalty times the weight that goes against each block's
  * laid-out direction) plus the icache break term (icacheBreakPenalty
  * times the weight of edges whose target does not immediately follow
- * their source in `order`, scaled by icachePenaltyFactor).
+ * their source in `order`).
  */
 double estimateLayoutCost(
     const bytecode::MethodCfg &method_cfg,
     const std::vector<std::vector<std::uint64_t>> &edge_weights,
     const std::vector<cfg::BlockId> &order,
     const std::vector<std::int16_t> &branch_layout,
-    const vm::CostModel &cost, const ChainLayoutOptions &options);
+    const vm::CostModel &cost);
 
 /**
  * Compute the chain layout of one method CFG under the given edge
@@ -98,7 +91,7 @@ double estimateLayoutCost(
 ChainLayout computeChainLayout(
     const bytecode::MethodCfg &method_cfg,
     const std::vector<std::vector<std::uint64_t>> &edge_weights,
-    const vm::CostModel &cost, const ChainLayoutOptions &options);
+    const vm::CostModel &cost);
 
 } // namespace pep::opt
 

@@ -36,7 +36,7 @@ anchorRetargetable(TerminatorKind kind, std::uint32_t index)
 /** Try to grow a plan whose anchor is path.edges[start]. */
 std::optional<ClonePlan>
 tryPlanAt(const bytecode::MethodCfg &method_cfg, const HotPath &path,
-          std::size_t start, const CloneOptions &options)
+          std::size_t start)
 {
     const cfg::Graph &graph = method_cfg.graph;
     const cfg::EdgeRef first = path.edges[start];
@@ -59,7 +59,7 @@ tryPlanAt(const bytecode::MethodCfg &method_cfg, const HotPath &path,
     plan.blocks.push_back(head);
     plan.weight = path.weight;
     for (std::size_t i = start + 1; i < path.edges.size(); ++i) {
-        if (plan.blocks.size() >= options.maxPathBlocks)
+        if (plan.blocks.size() >= kMaxPathBlocks)
             break;
         const cfg::EdgeRef e = path.edges[i];
         if (e.src != plan.blocks.back() ||
@@ -76,8 +76,7 @@ tryPlanAt(const bytecode::MethodCfg &method_cfg, const HotPath &path,
         plan.edgeIndex.push_back(e.index);
         plan.blocks.push_back(dst);
     }
-    if (plan.blocks.size() < options.minPathBlocks ||
-        plan.weight < options.minPathWeight)
+    if (plan.blocks.size() < kMinPathBlocks || plan.weight == 0)
         return std::nullopt;
     return plan;
 }
@@ -85,14 +84,13 @@ tryPlanAt(const bytecode::MethodCfg &method_cfg, const HotPath &path,
 } // namespace
 
 std::optional<ClonePlan>
-planFromPath(const bytecode::MethodCfg &method_cfg, const HotPath &path,
-             const CloneOptions &options)
+planFromPath(const bytecode::MethodCfg &method_cfg, const HotPath &path)
 {
     // Paths often start at the method entry or a loop header reached
     // by fall-through; scan forward for the first usable anchor edge
     // (typically the back edge into the header).
     for (std::size_t s = 0; s < path.edges.size(); ++s) {
-        if (auto plan = tryPlanAt(method_cfg, path, s, options))
+        if (auto plan = tryPlanAt(method_cfg, path, s))
             return plan;
     }
     return std::nullopt;
@@ -100,8 +98,7 @@ planFromPath(const bytecode::MethodCfg &method_cfg, const HotPath &path,
 
 std::optional<ClonePlan>
 selectClonePath(const bytecode::MethodCfg &method_cfg,
-                const std::vector<std::vector<std::uint64_t>> &weights,
-                const CloneOptions &options)
+                const std::vector<std::vector<std::uint64_t>> &weights)
 {
     const cfg::Graph &graph = method_cfg.graph;
     auto weight_of = [&](cfg::BlockId b, std::uint32_t i) -> std::uint64_t {
@@ -135,7 +132,7 @@ selectClonePath(const bytecode::MethodCfg &method_cfg,
             }
         }
     }
-    if (best == 0 || best < options.minPathWeight)
+    if (best == 0)
         return std::nullopt;
     plan.weight = best;
     plan.blocks.push_back(head);
@@ -143,7 +140,7 @@ selectClonePath(const bytecode::MethodCfg &method_cfg,
     // Follow the hottest successor edge until the path repeats, goes
     // cold, or reaches the length cap.
     cfg::BlockId cur = head;
-    while (plan.blocks.size() < options.maxPathBlocks) {
+    while (plan.blocks.size() < kMaxPathBlocks) {
         const auto &succs = graph.succs(cur);
         std::uint64_t best_w = 0;
         std::uint32_t best_i = 0;
@@ -166,7 +163,7 @@ selectClonePath(const bytecode::MethodCfg &method_cfg,
         plan.blocks.push_back(best_dst);
         cur = best_dst;
     }
-    if (plan.blocks.size() < options.minPathBlocks)
+    if (plan.blocks.size() < kMinPathBlocks)
         return std::nullopt;
     return plan;
 }

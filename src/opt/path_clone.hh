@@ -35,19 +35,12 @@
 
 namespace pep::opt {
 
-/** Cloning policy knobs. */
-struct CloneOptions
-{
-    /** Maximum path blocks to clone (longer paths are truncated). */
-    std::uint32_t maxPathBlocks = 8;
+/** Maximum path blocks to clone (longer paths are truncated). */
+inline constexpr std::uint32_t kMaxPathBlocks = 8;
 
-    /** Minimum path blocks worth cloning (below this the copy has no
-     *  internal branch to specialize). */
-    std::uint32_t minPathBlocks = 2;
-
-    /** Minimum observed weight of the anchor edge / path. */
-    std::uint64_t minPathWeight = 1;
-};
+/** Minimum path blocks worth cloning (below this the copy has no
+ *  internal branch to specialize). */
+inline constexpr std::uint32_t kMinPathBlocks = 2;
 
 /** A validated cloning decision on one method's original CFG. */
 struct ClonePlan
@@ -98,26 +91,25 @@ struct ClonedBody
  * into a clone plan: the first edge must be a retargetable anchor
  * (Goto, the taken leg of a Cond, or any Switch leg — never a
  * positional fall-through), the head must be a join block, and the
- * path is truncated at maxPathBlocks or at the first repeated block
+ * path is truncated at kMaxPathBlocks or at the first repeated block
  * (a k-iteration path wrapping a loop repeats its header; the
  * truncated plan then closes the loop in the copy). Returns nullopt
- * when no valid plan of at least minPathBlocks remains.
+ * for a path of zero weight, or when no valid plan of at least
+ * kMinPathBlocks remains.
  */
 std::optional<ClonePlan>
-planFromPath(const bytecode::MethodCfg &method_cfg, const HotPath &path,
-             const CloneOptions &options);
+planFromPath(const bytecode::MethodCfg &method_cfg, const HotPath &path);
 
 /**
  * Greedy fallback for edge-only profiles: anchor at the hottest
  * retargetable edge into a join block, then repeatedly follow the
  * hottest successor edge until the path repeats, goes cold, or hits
- * maxPathBlocks. Deterministic: ties break on block id, then edge
+ * kMaxPathBlocks. Deterministic: ties break on block id, then edge
  * index.
  */
 std::optional<ClonePlan>
 selectClonePath(const bytecode::MethodCfg &method_cfg,
-                const std::vector<std::vector<std::uint64_t>> &weights,
-                const CloneOptions &options);
+                const std::vector<std::vector<std::uint64_t>> &weights);
 
 /**
  * Realize a plan: synthesize the cloned body for `method` (which must

@@ -96,16 +96,14 @@ OptPipeline::run(vm::Machine &machine, vm::CompiledMethod &cm)
     if (options_.clone && !cm.inlinedBody) {
         std::optional<ClonePlan> plan;
         for (const HotPath &path : consumer_.hotPaths(cm.method)) {
-            plan = planFromPath(original_cfg, path,
-                                options_.cloneOptions);
+            plan = planFromPath(original_cfg, path);
             if (plan)
                 break;
         }
         if (!plan) {
             const auto weights =
                 foldWeights(machine, cm, original_cfg, consumer_);
-            plan = selectClonePath(original_cfg, weights,
-                                   options_.cloneOptions);
+            plan = selectClonePath(original_cfg, weights);
         }
         if (plan) {
             ClonedBody cloned = buildClonedBody(
@@ -134,8 +132,7 @@ OptPipeline::run(vm::Machine &machine, vm::CompiledMethod &cm)
             foldWeights(machine, cm, version_cfg, consumer_);
         if (anyWeight(weights)) {
             ChainLayout layout = computeChainLayout(
-                version_cfg, weights, machine.params().cost,
-                options_.chainOptions);
+                version_cfg, weights, machine.params().cost);
             cm.branchLayout = std::move(layout.branchLayout);
             cm.layoutOrder = std::move(layout.order);
             ++stats_.layoutsApplied;

@@ -39,13 +39,11 @@
 
 namespace pep::opt {
 
-/** Which passes run, and their knobs. */
+/** Which passes run. */
 struct PipelineOptions
 {
     bool layout = true;
     bool clone = true;
-    ChainLayoutOptions chainOptions;
-    CloneOptions cloneOptions;
 };
 
 /** Parse PEP_OPT ("layout,clone" / "layout" / "clone" / "none");

@@ -106,8 +106,8 @@ PepConsumer::hotPaths(bytecode::MethodId method)
                       return a.count > b.count;
                   return a.number < b.number;
               });
-    if (candidates.size() > maxPaths_)
-        candidates.resize(maxPaths_);
+    if (candidates.size() > kMaxHotPathsPerMethod)
+        candidates.resize(kMaxHotPathsPerMethod);
 
     std::vector<HotPath> paths;
     paths.reserve(candidates.size());

@@ -124,22 +124,22 @@ class WindowedProfileConsumer final : public ProfileConsumer
     std::uint64_t builtAtAdvance_ = ~0ull;
 };
 
+/** Most hot paths PepConsumer reconstructs per method. */
+inline constexpr std::size_t kMaxHotPathsPerMethod = 8;
+
 /**
  * Adapts a core::PepProfiler: edges from its continuous edge profile,
- * hot paths from its sampled per-version path tables (reconstructed
- * through the version's numbering, k-iteration windows expanded to
- * their full CFG edge sequence). Versions running a synthesized body
- * (inlined or cloned) are skipped — their path edges live in the
- * synthesized CFG's coordinate space, not the method's.
+ * hot paths — the kMaxHotPathsPerMethod hottest — from its sampled
+ * per-version path tables (reconstructed through the version's
+ * numbering, k-iteration windows expanded to their full CFG edge
+ * sequence). Versions running a synthesized body (inlined or cloned)
+ * are skipped — their path edges live in the synthesized CFG's
+ * coordinate space, not the method's.
  */
 class PepConsumer final : public ProfileConsumer
 {
   public:
-    explicit PepConsumer(core::PepProfiler &pep,
-                         std::size_t max_paths_per_method = 8)
-        : pep_(pep), maxPaths_(max_paths_per_method)
-    {
-    }
+    explicit PepConsumer(core::PepProfiler &pep) : pep_(pep) {}
 
     const profile::MethodEdgeProfile *
     edges(bytecode::MethodId method) override;
@@ -150,7 +150,6 @@ class PepConsumer final : public ProfileConsumer
 
   private:
     core::PepProfiler &pep_;
-    std::size_t maxPaths_;
 };
 
 } // namespace pep::opt

@@ -25,9 +25,8 @@ shapedLike(const std::vector<const bytecode::MethodCfg *> &cfgs)
 } // namespace
 
 WindowedProfile::WindowedProfile(
-    const std::vector<const bytecode::MethodCfg *> &cfgs, double decay,
-    double prune_epsilon)
-    : decay_(decay), pruneEpsilon_(prune_epsilon)
+    const std::vector<const bytecode::MethodCfg *> &cfgs, double decay)
+    : decay_(decay)
 {
     PEP_ASSERT(decay >= 0.0 && decay < 1.0);
     edgeWindow_ = shapedLike(cfgs);
@@ -87,7 +86,7 @@ WindowedProfile::advance()
     // Bounded memory over indefinite runs: paths from dead phases
     // decay below epsilon and leave the table.
     for (auto it = pathWindow_.begin(); it != pathWindow_.end();) {
-        if (it->second < pruneEpsilon_)
+        if (it->second < kWindowPruneEpsilon)
             it = pathWindow_.erase(it);
         else
             ++it;

@@ -42,6 +42,9 @@ namespace pep::runtime {
 
 struct PathKey; // sharded_profile.hh
 
+/** Windowed path entries decaying below this weight are pruned. */
+inline constexpr double kWindowPruneEpsilon = 1e-6;
+
 /** Decayed per-edge / per-path weights for one shard. */
 class WindowedProfile
 {
@@ -49,7 +52,7 @@ class WindowedProfile
     WindowedProfile() = default;
 
     WindowedProfile(const std::vector<const bytecode::MethodCfg *> &cfgs,
-                    double decay, double prune_epsilon = 1e-6);
+                    double decay);
 
     /** Accumulate into the current (not yet decayed) epoch. */
     void addEdge(bytecode::MethodId method, cfg::EdgeRef edge,
@@ -67,7 +70,8 @@ class WindowedProfile
         return edgeWindow_;
     }
 
-    /** Decayed path weights (ordered; pruned below epsilon). */
+    /** Decayed path weights (ordered; pruned below
+     *  kWindowPruneEpsilon). */
     const std::map<std::pair<bytecode::MethodId, std::uint64_t>, double> &
     pathWeights() const
     {
@@ -91,7 +95,6 @@ class WindowedProfile
 
   private:
     double decay_ = 0.5;
-    double pruneEpsilon_ = 1e-6;
 
     std::vector<std::vector<std::vector<double>>> edgeWindow_;
     std::vector<std::vector<std::vector<double>>> edgeEpoch_;

@@ -14,10 +14,8 @@ RingAggregator::RingAggregator(
     for (std::uint32_t s = 0; s < shards; ++s)
         lanes_.push_back(std::make_unique<Lane>(options.capacity));
     windows_.reserve(shards);
-    for (std::uint32_t s = 0; s < shards; ++s) {
-        windows_.emplace_back(cfgs, options.windowDecay,
-                              options.windowPruneEpsilon);
-    }
+    for (std::uint32_t s = 0; s < shards; ++s)
+        windows_.emplace_back(cfgs, options.windowDecay);
     collector_ = std::thread([this] { collectorBody(); });
 }
 

@@ -64,9 +64,6 @@ struct RingOptions
      *  effective window length is 1/(1-decay) epochs. */
     double windowDecay = 0.5;
 
-    /** Windowed path entries decaying below this weight are pruned. */
-    double windowPruneEpsilon = 1e-6;
-
     /**
      * Fault injection for the differ's harness self-test
      * (`ring-lost-sample`): shard 0's `injectLoseAt`-th record is

@@ -279,22 +279,65 @@ dumpEdgeSet(std::ostringstream &os, const profile::EdgeProfileSet &set,
 }
 
 /**
+ * The PEP profilers a differ machine runs — one per configured
+ * sampling config, not yet attached — and, when the options ask for
+ * it, the reoptimization pipeline fed by the first of them, installed
+ * as a compile pass.
+ */
+struct PepStack
+{
+    std::vector<std::unique_ptr<core::SimplifiedArnoldGrove>> controllers;
+    std::vector<std::unique_ptr<core::PepProfiler>> peps;
+    std::unique_ptr<opt::PepConsumer> consumer;
+    std::unique_ptr<opt::OptPipeline> pipeline;
+};
+
+PepStack
+buildPepStack(vm::Machine &machine, const DiffOptions &opts)
+{
+    PepStack stack;
+    core::PepOptions pep_options;
+    pep_options.scheme = opts.scheme;
+    pep_options.mode = opts.mode;
+    pep_options.placement = opts.placement;
+    pep_options.kIterations = opts.kIterations;
+    for (const PepConfig &pc : opts.pepConfigs) {
+        stack.controllers.push_back(
+            std::make_unique<core::SimplifiedArnoldGrove>(pc.samples,
+                                                          pc.stride));
+        stack.peps.push_back(std::make_unique<core::PepProfiler>(
+            machine, *stack.controllers.back(), pep_options));
+    }
+    if ((opts.optLayout || opts.optClone) && !stack.peps.empty()) {
+        stack.consumer =
+            std::make_unique<opt::PepConsumer>(*stack.peps.front());
+        opt::PipelineOptions pipeline_options;
+        pipeline_options.layout = opts.optLayout;
+        pipeline_options.clone = opts.optClone;
+        stack.pipeline = std::make_unique<opt::OptPipeline>(
+            *stack.consumer, pipeline_options);
+        machine.addCompilePass(stack.pipeline.get());
+    }
+    return stack;
+}
+
+/**
  * Serialize everything observable about one engine's run — simulated
  * clock, machine stats, ground truth, one-time profile, full BLPP path
- * tables, PEP path tables and sampling stats. Byte-equality of two
- * such strings is the docs/ENGINE.md determinism contract; the
- * engine-specific methodsDecoded/templateInvalidations counters are
- * deliberately excluded (they differ by design).
+ * tables, and every PEP profiler's path tables, edge profile and
+ * stats, and the opt pipeline's stats. Byte-equality of two such
+ * strings is the docs/ENGINE.md determinism contract; the
+ * engine-specific methodsDecoded counter is deliberately excluded (it
+ * differs by design).
  */
 std::string
 serializeEngineRun(const vm::Machine &machine, const ExactOracle &oracle,
                    const core::FullPathProfiler &full,
-                   const core::PepProfiler &pep)
+                   const PepStack &stack)
 {
     std::ostringstream os;
     dumpEdgeSet(os, machine.truthEdges(), "truth");
     dumpEdgeSet(os, machine.oneTimeEdges(), "one-time");
-    dumpEdgeSet(os, pep.edgeProfile(), "pep-edges");
 
     const auto dump_paths = [&os](const auto &profiles,
                                   const char *tag) {
@@ -310,19 +353,29 @@ serializeEngineRun(const vm::Machine &machine, const ExactOracle &oracle,
         }
     };
     dump_paths(full.versionProfiles(), "full-paths");
-    dump_paths(pep.versionProfiles(), "pep-paths");
+    for (const auto &pep : stack.peps) {
+        dumpEdgeSet(os, pep->edgeProfile(), "pep-edges");
+        dump_paths(pep->versionProfiles(), "pep-paths");
+        const core::PepStats &pep_stats = pep->pepStats();
+        os << "pep-stats " << pep_stats.pathsCompleted << ' '
+           << pep_stats.samplesTaken << ' ' << pep_stats.samplesRecorded
+           << ' ' << pep_stats.strides << ' '
+           << pep_stats.firstTimeExpansions << '\n';
+    }
+    if (stack.pipeline) {
+        const opt::OptPipeline::Stats &opt_stats = stack.pipeline->stats();
+        os << "opt-stats " << opt_stats.runs << ' '
+           << opt_stats.layoutsApplied << ' ' << opt_stats.clonesApplied
+           << ' ' << opt_stats.clonesDeclined << '\n';
+    }
 
     const vm::MachineStats &stats = machine.stats();
-    const core::PepStats &pep_stats = pep.pepStats();
     os << "oracle " << oracle.totalSegments() << '\n'
        << "stats " << stats.instructionsExecuted << ' '
        << stats.methodInvocations << ' ' << stats.yieldpointsExecuted
        << ' ' << stats.timerTicks << ' ' << stats.compileCycles << ' '
        << stats.compiles << ' ' << stats.osrs << ' '
        << stats.layoutMisses << ' ' << stats.branchesExecuted << '\n'
-       << "pep-stats " << pep_stats.pathsCompleted << ' '
-       << pep_stats.samplesTaken << ' ' << pep_stats.samplesRecorded
-       << '\n'
        << "clock " << machine.now() << '\n';
     return os.str();
 }
@@ -361,40 +414,26 @@ runEngineOnce(const bytecode::Program &program, const DiffOptions &opts,
                                 /*charge_costs=*/false, opts.scheme,
                                 core::PathStoreKind::Array,
                                 opts.placement, opts.kIterations);
-    const PepConfig pep_config =
-        opts.pepConfigs.empty() ? PepConfig{} : opts.pepConfigs.front();
-    core::SimplifiedArnoldGrove controller(pep_config.samples,
-                                           pep_config.stride);
-    core::PepOptions pep_options;
-    pep_options.scheme = opts.scheme;
-    pep_options.mode = opts.mode;
-    pep_options.placement = opts.placement;
-    pep_options.kIterations = opts.kIterations;
-    core::PepProfiler pep(machine, controller, pep_options);
+    // Both engine machines install the identical reoptimization
+    // pipeline, fed by their own (deterministically identical) first
+    // PEP profiler — layout and cloning decisions replay byte-for-byte,
+    // keeping the check-7 contract meaningful for optimized runs.
+    const PepStack stack = buildPepStack(machine, opts);
 
-    // PEP is attached first, so the threaded machine runs PEP's
-    // register inline (docs/ENGINE.md) and drives the full profiler by
-    // hooks — the opposite of runDiff's main machine, which attaches
-    // the full profiler first. The switch machine drives both by hooks
-    // and is the reference either way.
-    machine.addHooks(&pep);
-    machine.addCompileObserver(&pep);
+    // The PEPs are attached first, so the threaded machine runs the
+    // first one's register inline (docs/ENGINE.md) and drives the
+    // others and the full profiler by hooks — the opposite of
+    // runDiff's main machine, which attaches the full profiler first.
+    // The switch machine drives all of them by hooks and is the
+    // reference either way.
+    for (const auto &pep : stack.peps) {
+        machine.addHooks(pep.get());
+        machine.addCompileObserver(pep.get());
+    }
     machine.addHooks(&oracle);
     machine.addCompileObserver(&oracle);
     machine.addHooks(&full);
     machine.addCompileObserver(&full);
-
-    // Both engine machines install the identical reoptimization
-    // pipeline, fed by their own (deterministically identical) PEP
-    // profiler — layout and cloning decisions replay byte-for-byte,
-    // keeping the check-7 contract meaningful for optimized runs.
-    opt::PepConsumer consumer(pep);
-    opt::PipelineOptions pipeline_options;
-    pipeline_options.layout = opts.optLayout;
-    pipeline_options.clone = opts.optClone;
-    opt::OptPipeline pipeline(consumer, pipeline_options);
-    if (opts.optLayout || opts.optClone)
-        machine.addCompilePass(&pipeline);
 
     try {
         for (std::uint32_t it = 0; it < opts.iterations; ++it)
@@ -406,7 +445,7 @@ runEngineOnce(const bytecode::Program &program, const DiffOptions &opts,
         result.death = std::string("fatal: ") + e.what();
         return result;
     }
-    result.blob = serializeEngineRun(machine, oracle, full, pep);
+    result.blob = serializeEngineRun(machine, oracle, full, stack);
     return result;
 }
 
@@ -804,21 +843,13 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
                                 core::PathStoreKind::Array,
                                 opts.placement, opts.kIterations);
 
-    std::vector<std::unique_ptr<core::SimplifiedArnoldGrove>>
-        controllers;
-    std::vector<std::unique_ptr<core::PepProfiler>> peps;
-    for (const PepConfig &pc : opts.pepConfigs) {
-        controllers.push_back(
-            std::make_unique<core::SimplifiedArnoldGrove>(pc.samples,
-                                                          pc.stride));
-        core::PepOptions pep_options;
-        pep_options.scheme = opts.scheme;
-        pep_options.mode = opts.mode;
-        pep_options.placement = opts.placement;
-        pep_options.kIterations = opts.kIterations;
-        peps.push_back(std::make_unique<core::PepProfiler>(
-            machine, *controllers.back(), pep_options));
-    }
+    // The profile-guided reoptimization pipeline (src/opt/), when
+    // configured, is fed by the first PEP configuration's live profile
+    // and installed before the first iteration, so tier-up recompiles
+    // run through it.
+    const PepStack stack = buildPepStack(machine, opts);
+    const std::vector<std::unique_ptr<core::PepProfiler>> &peps =
+        stack.peps;
 
     // Under the threaded engine the full profiler, the first path
     // engine attached, runs inline and the PEPs by hooks (check 7's
@@ -830,22 +861,6 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
     for (auto &pep : peps) {
         machine.addHooks(pep.get());
         machine.addCompileObserver(pep.get());
-    }
-
-    // The profile-guided reoptimization pipeline (src/opt/), fed by
-    // the first PEP configuration's live profile. Installed before the
-    // first iteration so tier-up recompiles run through it.
-    std::unique_ptr<opt::PepConsumer> consumer;
-    std::unique_ptr<opt::OptPipeline> pipeline;
-    if ((opts.optLayout || opts.optClone) && !peps.empty()) {
-        consumer = std::make_unique<opt::PepConsumer>(*peps.front());
-        opt::PipelineOptions pipeline_options;
-        pipeline_options.layout = opts.optLayout;
-        pipeline_options.clone = opts.optClone;
-        pipeline =
-            std::make_unique<opt::OptPipeline>(*consumer,
-                                               pipeline_options);
-        machine.addCompilePass(pipeline.get());
     }
 
     // OSR happens while methods tier up, mostly in the first

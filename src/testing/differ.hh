@@ -168,8 +168,8 @@ struct DiffOptions
     bool optClone = false;
 
     /**
-     * Fusion selection (docs/ENGINE.md) installed on every machine of
-     * the run via Machine::setFuseOptions — superinstruction pairs
+     * Fusion selection (docs/ENGINE.md) every machine of the run is
+     * constructed with (SimParams::fuse) — superinstruction pairs
      * and/or straightened hot-trace segments in the threaded engine's
      * template streams. Switch dispatch ignores it entirely, so the
      * engine cross-check (check 7) proves fusion is observation-

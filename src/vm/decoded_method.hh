@@ -205,8 +205,8 @@ struct DecodedMethod
     const bytecode::Method *code = nullptr;
     const MethodInfo *info = nullptr;
 
-    /** Fusion selection this stream was translated under — part of the
-     *  cache key in Machine::decodedFor. */
+    /** Fusion selection this stream was translated under (the
+     *  machine's; the stream proof checks the templates against it). */
     FuseOptions fuse;
 
     std::vector<Template> stream;

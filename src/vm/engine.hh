@@ -65,12 +65,6 @@ operator==(const FuseOptions &a, const FuseOptions &b)
     return a.pairs == b.pairs && a.traces == b.traces;
 }
 
-inline bool
-operator!=(const FuseOptions &a, const FuseOptions &b)
-{
-    return !(a == b);
-}
-
 /** Human-readable fusion selection ("none" / "pairs" / "traces" /
  *  "pairs,traces"). */
 const char *fuseOptionsName(const FuseOptions &fuse);

@@ -17,12 +17,12 @@ using bytecode::Pc;
 /** True if the callee may be spliced into `root`. */
 bool
 eligible(const bytecode::Program &program, bytecode::MethodId root,
-         bytecode::MethodId callee, const InlineOptions &options)
+         bytecode::MethodId callee)
 {
     if (callee == root)
         return false;
     const Method &method = program.methods[callee];
-    if (method.code.size() > options.maxCalleeSize)
+    if (method.code.size() > kInlineMaxCalleeSize)
         return false;
     for (const Instr &instr : method.code) {
         if (instr.op == Opcode::Invoke)
@@ -42,7 +42,7 @@ struct InstrOrigin
 
 std::unique_ptr<InlinedBody>
 inlineLeafCalls(const bytecode::Program &program,
-                bytecode::MethodId root, const InlineOptions &options)
+                bytecode::MethodId root)
 {
     const Method &root_method = program.methods[root];
 
@@ -50,10 +50,8 @@ inlineLeafCalls(const bytecode::Program &program,
     bool any = false;
     for (const Instr &instr : root_method.code) {
         if (instr.op == Opcode::Invoke &&
-            eligible(program,
-                     root,
-                     static_cast<bytecode::MethodId>(instr.a),
-                     options)) {
+            eligible(program, root,
+                     static_cast<bytecode::MethodId>(instr.a))) {
             any = true;
             break;
         }
@@ -88,10 +86,9 @@ inlineLeafCalls(const bytecode::Program &program,
         body->rootPcMap[root_pc] = static_cast<Pc>(code.size());
 
         const bool splice =
-            instr.op == Opcode::Invoke && sites < options.maxSites &&
+            instr.op == Opcode::Invoke && sites < kInlineMaxSites &&
             eligible(program, root,
-                     static_cast<bytecode::MethodId>(instr.a),
-                     options);
+                     static_cast<bytecode::MethodId>(instr.a));
         if (!splice) {
             code.push_back(instr);
             origin.push_back(InstrOrigin{root, root_pc});

@@ -35,15 +35,11 @@
 
 namespace pep::vm {
 
-/** Inlining policy knobs. */
-struct InlineOptions
-{
-    /** Maximum callee code size (instructions) to inline. */
-    std::uint32_t maxCalleeSize = 120;
+/** Largest callee (in instructions) that is inlined. */
+inline constexpr std::uint32_t kInlineMaxCalleeSize = 120;
 
-    /** Maximum call sites inlined per method. */
-    std::uint32_t maxSites = 8;
-};
+/** Most call sites inlined per method. */
+inline constexpr std::uint32_t kInlineMaxSites = 8;
 
 /** Where an inlined-code block came from. */
 struct BlockOrigin
@@ -139,13 +135,13 @@ foldEdge(profile::EdgeProfileSet &edges, bytecode::MethodId method,
 }
 
 /**
- * Inline eligible call sites of `root`. Returns nullptr when nothing
- * was inlined (no eligible sites). The result verifies against the
- * program.
+ * Inline eligible call sites of `root`, at most kInlineMaxSites of
+ * them. Returns nullptr when nothing was inlined (no eligible sites).
+ * The result verifies against the program.
  */
 std::unique_ptr<InlinedBody>
 inlineLeafCalls(const bytecode::Program &program,
-                bytecode::MethodId root, const InlineOptions &options);
+                bytecode::MethodId root);
 
 } // namespace pep::vm
 

@@ -200,12 +200,6 @@ Interpreter::yieldpoint(YieldpointKind kind, cfg::BlockId block)
         // or without PEP, so it never appears as PEP overhead.
         vm_.cycles_ += vm_.params_.cost.tickHandlerCost;
         vm_.methodSample(f.method);
-        // The handler also samples the dynamic call graph: the
-        // (caller, callee) pair at the top of the stack.
-        if (frames_.size() >= 2) {
-            vm_.sampledCalls_.addCall(
-                frames_[frames_.size() - 2].method, f.method);
-        }
         if (vm_.cycles_ - iterationStart_ >
             vm_.params_.maxCyclesPerIteration) {
             support::fatal("iteration exceeded cycle budget");
@@ -554,7 +548,6 @@ Interpreter::loop()
           case Opcode::Invoke: {
             const auto callee =
                 static_cast<bytecode::MethodId>(instr.a);
-            vm_.truthCalls_.addCall(f.method, callee);
             advance(f); // resume point; also fires block-end edge
             pushFrame(callee, &f);
             break;

@@ -610,7 +610,6 @@ dispatch_top:
         const Template &t = ts[tp];
         PEP_CHARGE(t);
         const auto callee = static_cast<bytecode::MethodId>(t.a);
-        vm_.truthCalls_.addCall(f->method, callee);
         // Resume point for the caller; when the Invoke ends its block,
         // its fall-through is a CFG edge (possibly into a header, whose
         // yieldpoint may OSR this frame — pushFrame then proceeds

@@ -47,6 +47,9 @@ optLevelName(OptLevel level)
 Machine::Machine(const bytecode::Program &program, const SimParams &params)
     : program_(program), params_(params), rng_(params.rngSeed)
 {
+    // A zero period would never let the timer catch up with the clock.
+    if (params_.tickCycles == 0)
+        support::fatal("tick period must be at least one cycle");
     const bytecode::VerifyResult verified =
         bytecode::verifyProgram(program_);
     if (!verified.ok) {
@@ -251,12 +254,8 @@ Machine::compile(bytecode::MethodId m, OptLevel level)
     }
 
     // Optimizing tiers may inline small leaf callees.
-    if (level != OptLevel::Baseline && params_.enableInlining) {
-        InlineOptions inline_options;
-        inline_options.maxCalleeSize = params_.inlineMaxCalleeSize;
-        inline_options.maxSites = params_.inlineMaxSites;
-        cm->inlinedBody = inlineLeafCalls(program_, m, inline_options);
-    }
+    if (level != OptLevel::Baseline && params_.enableInlining)
+        cm->inlinedBody = inlineLeafCalls(program_, m);
 
     cm->scaledCost.resize(bytecode::kNumOpcodes);
     for (std::size_t op = 0; op < bytecode::kNumOpcodes; ++op) {
@@ -315,15 +314,6 @@ Machine::decodedFor(const CompiledMethod &cm)
     if (slots.size() <= cm.version)
         slots.resize(cm.version + 1);
     std::unique_ptr<DecodedMethod> &slot = slots[cm.version];
-    // The cache is keyed on the full translation-option tuple: a stream
-    // translated under a different fusion selection is a miss, not a
-    // hit — otherwise flipping PEP_FUSE mid-process (tests, differ
-    // sweeps, setFuseOptions) would execute templates from the wrong
-    // mode.
-    if (slot && slot->fuse != params_.fuse) {
-        slot.reset();
-        ++stats_.templateInvalidations;
-    }
     if (!slot) {
         const bytecode::Method &code =
             cm.inlinedBody ? cm.inlinedBody->method

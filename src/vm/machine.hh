@@ -28,7 +28,6 @@
 #include "bytecode/method.hh"
 #include "profile/edge_profile.hh"
 #include "support/rng.hh"
-#include "vm/call_graph.hh"
 #include "vm/compiled_method.hh"
 #include "vm/cost_model.hh"
 #include "vm/engine.hh"
@@ -54,12 +53,13 @@ struct SimParams
      * Template-fusion selection for the threaded engine
      * (docs/ENGINE.md). Defaults from PEP_FUSE; purely a translation
      * choice — observables stay byte-identical across the full
-     * PEP_ENGINE x PEP_FUSE matrix. Cached template streams are keyed
-     * on this tuple (decodedFor), so changing it mid-run is safe.
+     * PEP_ENGINE x PEP_FUSE matrix. Fixed for the machine's lifetime,
+     * so every cached template stream was translated under it.
      */
     FuseOptions fuse = defaultFuseOptions();
 
-    /** Timer tick period in cycles (the paper's ~20 ms interrupt). */
+    /** Timer tick period in cycles (the paper's ~20 ms interrupt);
+     *  the Machine rejects 0 with fatal(). */
     std::uint64_t tickCycles = 2'500'000;
 
     /** Method samples before promotion to Opt1 / Opt2 (adaptive). */
@@ -90,10 +90,9 @@ struct SimParams
      * After inlining, several compiled branches map to one
      * bytecode-level branch; profiles use the shared counters
      * (Section 4.3). Off by default, like the paper's configuration.
+     * The size and site limits are vm/inliner.hh's constants.
      */
     bool enableInlining = false;
-    std::uint32_t inlineMaxCalleeSize = 120;
-    std::uint32_t inlineMaxSites = 8;
 
     /** Maximum interpreter call depth before fatal(). */
     std::uint32_t maxCallDepth = 4000;
@@ -185,11 +184,9 @@ struct MachineStats
     std::uint64_t layoutMisses = 0;
     std::uint64_t branchesExecuted = 0;
 
-    /** Threaded engine: versions translated into template streams, and
-     *  streams dropped because the fusion selection changed
+    /** Threaded engine: versions translated into template streams
      *  (docs/ENGINE.md). */
     std::uint64_t methodsDecoded = 0;
-    std::uint64_t templateInvalidations = 0;
 };
 
 /** The virtual machine. */
@@ -272,22 +269,9 @@ class Machine
         return oneTime_;
     }
 
-    /** Ground-truth dynamic call graph (every Invoke, zero cost). */
-    const CallGraph &truthCalls() const { return truthCalls_; }
-
-    /** Call graph sampled at timer ticks (the Jikes adaptive system's
-     *  Arnold-Grove-style dynamic call graph). */
-    const CallGraph &sampledCalls() const { return sampledCalls_; }
-
-    /** Reset ground-truth counts and collected call graphs (e.g.,
-     *  between replay iterations). */
-    void
-    clearTruth()
-    {
-        truth_.clear();
-        truthCalls_.clear();
-        sampledCalls_.clear();
-    }
+    /** Reset ground-truth edge counts (e.g., between replay
+     *  iterations). */
+    void clearTruth() { truth_.clear(); }
 
     /** Latest compiled version of a method (nullptr if never run). */
     const CompiledMethod *currentVersion(bytecode::MethodId m) const;
@@ -344,20 +328,10 @@ class Machine
      * this is a cache hit on the hot path). Translation charges no
      * simulated cycles — the stream is a harness artifact, and both
      * engines must report identical cycle counts. Installed versions
-     * never change, so a cached stream stays fresh for as long as the
-     * fusion selection does.
+     * never change and the fusion selection is fixed per machine, so
+     * a cached stream never goes stale.
      */
     const DecodedMethod &decodedFor(const CompiledMethod &cm);
-
-    /**
-     * Switch the fusion selection mid-run. Takes effect at the next
-     * decodedFor(): cached streams carry the tuple they were
-     * translated under, and decodedFor() retranslates any stream whose
-     * tuple no longer matches — so a stale fused stream can never be
-     * executed after the switch (the cross-mode cache-pollution
-     * regression in tests/vm/fusion_test.cc pins this down).
-     */
-    void setFuseOptions(const FuseOptions &fuse) { params_.fuse = fuse; }
 
     // ---- Verification support (analysis/verify, docs/ANALYSIS.md) -----
 
@@ -422,8 +396,6 @@ class Machine
     /** Profiles. */
     profile::EdgeProfileSet truth_;
     profile::EdgeProfileSet oneTime_;
-    CallGraph truthCalls_;
-    CallGraph sampledCalls_;
 
     /** Attached components (not owned). */
     std::vector<ExecutionHooks *> hooks_;

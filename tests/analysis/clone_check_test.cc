@@ -88,7 +88,7 @@ struct CloneRig
                 weights[b][1] = 100;
             }
         }
-        const auto plan = opt::selectClonePath(cfg, weights, {});
+        const auto plan = opt::selectClonePath(cfg, weights);
         EXPECT_TRUE(plan.has_value());
         cloned = opt::buildClonedBody(program, program.mainMethod, cfg,
                                       *plan);

@@ -85,7 +85,7 @@ TEST(PathClone, SelectsBackEdgeAnchoredPlanFromEdgeWeights)
 {
     const LoopShape s = loopShape();
     const std::optional<opt::ClonePlan> plan =
-        opt::selectClonePath(s.cfg, hotLoopWeights(s), {});
+        opt::selectClonePath(s.cfg, hotLoopWeights(s));
 
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->anchor, s.backGoto);
@@ -110,7 +110,7 @@ TEST(PathClone, PlanFromObservedHotPath)
     path.edges.push_back({s.header, 1});
 
     const std::optional<opt::ClonePlan> plan =
-        opt::planFromPath(s.cfg, path, {});
+        opt::planFromPath(s.cfg, path);
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->anchor, s.backGoto);
     EXPECT_EQ(plan->blocks[0], s.header);
@@ -121,29 +121,34 @@ TEST(PathClone, DeclinesColdOrShortPaths)
 {
     const LoopShape s = loopShape();
 
-    opt::CloneOptions heavy;
-    heavy.minPathWeight = 1'000;
-    EXPECT_FALSE(
-        opt::selectClonePath(s.cfg, hotLoopWeights(s), heavy));
-
-    opt::CloneOptions long_only;
-    long_only.minPathBlocks = 32;
-    EXPECT_FALSE(
-        opt::selectClonePath(s.cfg, hotLoopWeights(s), long_only));
-
     // All-zero weights: nothing to anchor on.
     std::vector<std::vector<std::uint64_t>> zero(
         s.cfg.graph.numBlocks());
     for (cfg::BlockId b = 0; b < s.cfg.graph.numBlocks(); ++b)
         zero[b].assign(s.cfg.graph.succs(b).size(), 0);
-    EXPECT_FALSE(opt::selectClonePath(s.cfg, zero, {}));
+    EXPECT_FALSE(opt::selectClonePath(s.cfg, zero));
+
+    // A hot anchor whose head goes nowhere hot yields a one-block
+    // path, below kMinPathBlocks.
+    std::vector<std::vector<std::uint64_t>> anchor_only = zero;
+    anchor_only[s.backGoto][0] = 100;
+    EXPECT_FALSE(opt::selectClonePath(s.cfg, anchor_only));
+
+    // An observed path that was never taken is cold.
+    opt::HotPath never;
+    never.method = s.program.mainMethod;
+    never.edges.push_back({s.backGoto, 0});
+    never.edges.push_back({s.header, 1});
+    EXPECT_FALSE(opt::planFromPath(s.cfg, never));
+    never.weight = 1;
+    EXPECT_TRUE(opt::planFromPath(s.cfg, never));
 }
 
 TEST(PathClone, ClonedBodyHonoursTheStructuralContract)
 {
     const LoopShape s = loopShape();
     const std::optional<opt::ClonePlan> plan =
-        opt::selectClonePath(s.cfg, hotLoopWeights(s), {});
+        opt::selectClonePath(s.cfg, hotLoopWeights(s));
     ASSERT_TRUE(plan.has_value());
 
     const opt::ClonedBody cloned = opt::buildClonedBody(
@@ -283,7 +288,7 @@ done:
     weights[back_goto][0] = 100;  // around the loop
 
     const std::optional<opt::ClonePlan> plan =
-        opt::selectClonePath(cfg, weights, {});
+        opt::selectClonePath(cfg, weights);
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->anchor, entry_goto);
     EXPECT_EQ(plan->blocks[0], header);

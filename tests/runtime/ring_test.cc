@@ -214,17 +214,20 @@ TEST_F(RuntimeRingProfileTest, WindowStalenessConvergesOnSteadyInput)
 
 TEST_F(RuntimeRingProfileTest, WindowPrunesDeadPhasePaths)
 {
-    runtime::WindowedProfile window(cfgPtrs_, 0.5, /*prune_epsilon=*/1e-6);
+    runtime::WindowedProfile window(cfgPtrs_, 0.5);
     window.addPath(method_, 3, 1);
     window.advance();
     ASSERT_EQ(window.pathWeights().size(), 1u);
 
-    // 0.5^k drops below 1e-6 after 20 epochs: the dead phase's path
-    // must leave the table, not linger at ~0 forever.
-    for (int epoch = 0; epoch < 25; ++epoch)
+    // 0.5^19 is still above kWindowPruneEpsilon (1e-6); 0.5^20 is
+    // below it, and the dead phase's path must leave the table then,
+    // not linger at ~0 forever.
+    for (int epoch = 0; epoch < 19; ++epoch)
         window.advance();
+    EXPECT_EQ(window.pathWeights().size(), 1u);
+    window.advance();
     EXPECT_TRUE(window.pathWeights().empty());
-    EXPECT_LT(window.mass(), 1e-6);
+    EXPECT_LT(window.mass(), runtime::kWindowPruneEpsilon);
 }
 
 TEST_F(RuntimeRingProfileTest, WindowMergeIsMassWeighted)

@@ -272,7 +272,7 @@ TEST(FusionRuntimeTraces, SelectionIsDeterministicAndBatched)
 // ---- engine identity across the fuse matrix --------------------------
 
 /** Everything a run may observe, minus the engine-private translation
- *  counters (methodsDecoded / templateInvalidations). */
+ *  counter (methodsDecoded). */
 std::string
 observableState(const Machine &machine)
 {
@@ -421,49 +421,6 @@ TEST(FusionRuntimeParkResume, ParksRoundTripThroughFusedStreams)
             EXPECT_EQ(sw.state, th.state);
         }
     }
-}
-
-// ---- the fusion-keyed translation cache ------------------------------
-
-TEST(FusionRuntimeCache, FuseOptionsArePartOfTheCacheKey)
-{
-    // A mid-run fusion change must retranslate — serving a stream
-    // translated under another selection would be cross-mode cache
-    // pollution (and under `traces`, executably wrong batching).
-    const bytecode::Program p = test::simpleLoopProgram();
-
-    SimParams params;
-    params.engine = EngineKind::Threaded;
-    params.fuse = {}; // start unfused whatever PEP_FUSE selects
-    Machine th(p, params);
-    th.runIteration();
-    EXPECT_EQ(th.stats().methodsDecoded, 1u);
-    EXPECT_EQ(th.stats().templateInvalidations, 0u);
-
-    th.setFuseOptions({true, true});
-    th.runIteration();
-    EXPECT_EQ(th.stats().methodsDecoded, 2u)
-        << "stale-fuse stream was served from the cache";
-    EXPECT_EQ(th.stats().templateInvalidations, 1u);
-
-    // Same selection again: the cache is warm, nothing retranslates.
-    th.runIteration();
-    EXPECT_EQ(th.stats().methodsDecoded, 2u);
-
-    // ...and back: the key is the tuple, not a monotonic flag.
-    th.setFuseOptions({});
-    th.runIteration();
-    EXPECT_EQ(th.stats().methodsDecoded, 3u);
-    EXPECT_EQ(th.stats().templateInvalidations, 2u);
-
-    // The whole mode-switching run stays byte-identical to a switch
-    // machine doing the same iterations.
-    SimParams sw_params;
-    sw_params.engine = EngineKind::Switch;
-    Machine sw(p, sw_params);
-    for (int i = 0; i < 4; ++i)
-        sw.runIteration();
-    EXPECT_EQ(observableState(th), observableState(sw));
 }
 
 // ---- check-12 seeded rejections, through the stream proof -----------

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bytecode/assembler.hh"
 #include "common/fixtures.hh"
 #include "core/baseline_profilers.hh"
@@ -97,13 +99,26 @@ done:
 )");
 }
 
+/** `main` invokes, `sites` times, a leaf of `size` instructions. */
+bytecode::Program
+leafCallsProgram(std::uint32_t size, std::uint32_t sites)
+{
+    std::string text = ".method leaf 0 1\n";
+    for (std::uint32_t i = 1; i < size; ++i)
+        text += "    iinc 0 1\n";
+    text += "    return\n.end\n.method main 0 0\n";
+    for (std::uint32_t i = 0; i < sites; ++i)
+        text += "    invoke leaf\n";
+    text += "    return\n.end\n.main main\n";
+    return bytecode::assembleOrDie(text);
+}
+
 TEST(Inliner, TransformsEligibleSites)
 {
     const bytecode::Program program = callHeavyProgram();
     bytecode::MethodId main_id = 0;
     ASSERT_TRUE(program.findMethod("main", main_id));
-    const auto body =
-        inlineLeafCalls(program, main_id, InlineOptions{});
+    const auto body = inlineLeafCalls(program, main_id);
     ASSERT_NE(body, nullptr);
     EXPECT_EQ(body->inlinedSites, 2u);
     // No Invoke survives (both callees were leaves).
@@ -115,9 +130,7 @@ TEST(Inliner, TransformsEligibleSites)
 TEST(Inliner, NothingToInlineReturnsNull)
 {
     const bytecode::Program program = test::simpleLoopProgram();
-    EXPECT_EQ(inlineLeafCalls(program, program.mainMethod,
-                              InlineOptions{}),
-              nullptr);
+    EXPECT_EQ(inlineLeafCalls(program, program.mainMethod), nullptr);
 }
 
 TEST(Inliner, RespectsSizeAndRecursionLimits)
@@ -134,17 +147,26 @@ TEST(Inliner, RespectsSizeAndRecursionLimits)
 .main main
 )");
     // `rec` calls (itself), so it is not a leaf: nothing inlined.
-    EXPECT_EQ(inlineLeafCalls(program, program.mainMethod,
-                              InlineOptions{}),
-              nullptr);
+    EXPECT_EQ(inlineLeafCalls(program, program.mainMethod), nullptr);
 
-    // A size limit of zero rejects every callee.
-    const bytecode::Program call_heavy = callHeavyProgram();
-    bytecode::MethodId main_id = 0;
-    ASSERT_TRUE(call_heavy.findMethod("main", main_id));
-    InlineOptions tiny;
-    tiny.maxCalleeSize = 0;
-    EXPECT_EQ(inlineLeafCalls(call_heavy, main_id, tiny), nullptr);
+    // A callee of kInlineMaxCalleeSize instructions is inlined; one
+    // instruction more is not.
+    const bytecode::Program fits = leafCallsProgram(kInlineMaxCalleeSize, 1);
+    EXPECT_NE(inlineLeafCalls(fits, fits.mainMethod), nullptr);
+    const bytecode::Program too_big =
+        leafCallsProgram(kInlineMaxCalleeSize + 1, 1);
+    EXPECT_EQ(inlineLeafCalls(too_big, too_big.mainMethod), nullptr);
+
+    // At most kInlineMaxSites call sites are spliced; the next one
+    // stays a call.
+    const bytecode::Program many = leafCallsProgram(4, kInlineMaxSites + 1);
+    const auto body = inlineLeafCalls(many, many.mainMethod);
+    ASSERT_NE(body, nullptr);
+    EXPECT_EQ(body->inlinedSites, kInlineMaxSites);
+    std::size_t calls_left = 0;
+    for (const auto &instr : body->method.code)
+        calls_left += instr.op == bytecode::Opcode::Invoke;
+    EXPECT_EQ(calls_left, 1u);
 }
 
 TEST(Inliner, SemanticEquivalence)

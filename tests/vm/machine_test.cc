@@ -72,6 +72,15 @@ TEST(Machine, VerifierFailureReportsEveryDiagnostic)
     }
 }
 
+TEST(Machine, RejectsZeroTickPeriod)
+{
+    // Accepted, it would spin the first yieldpoint forever.
+    SimParams params;
+    params.tickCycles = 0;
+    EXPECT_THROW(Machine(test::simpleLoopProgram(), params),
+                 support::FatalError);
+}
+
 TEST(Machine, FirstInvocationCompilesBaseline)
 {
     const bytecode::Program p = test::simpleLoopProgram();
@@ -162,8 +171,16 @@ TEST(Machine, ReplaySecondIterationCompilesNothing)
     machine.runIteration();
     const std::uint64_t compiles_after_first =
         machine.stats().compiles;
+
+    // The replay harness resets ground truth between iterations, so
+    // each iteration's truth counts only that iteration.
+    ASSERT_GT(machine.truthEdges().totalCount(), 0u);
+    machine.clearTruth();
+    EXPECT_EQ(machine.truthEdges().totalCount(), 0u);
+
     machine.runIteration();
     EXPECT_EQ(machine.stats().compiles, compiles_after_first);
+    EXPECT_GT(machine.truthEdges().totalCount(), 0u);
 }
 
 TEST(Machine, ReplayAdviceSuppliesOneTimeProfile)

@@ -150,8 +150,7 @@ runCoop(const CliOptions &cli)
         if (run == 0) {
             std::printf(
                 "coop: K=%u requests=%zu cycles=%llu switches=%llu "
-                "resumes=%llu samples=%llu engine=%s decoded=%llu "
-                "invalidations=%llu\n",
+                "resumes=%llu samples=%llu engine=%s decoded=%llu\n",
                 cli.threads, stream.requests().size(),
                 static_cast<unsigned long long>(machine.now()),
                 static_cast<unsigned long long>(
@@ -161,9 +160,7 @@ runCoop(const CliOptions &cli)
                     pep.pepStats().samplesRecorded),
                 vm::engineKindName(machine.params().engine),
                 static_cast<unsigned long long>(
-                    machine.stats().methodsDecoded),
-                static_cast<unsigned long long>(
-                    machine.stats().templateInvalidations));
+                    machine.stats().methodsDecoded));
             first = runBlob(machine, pep, stats);
         } else if (runBlob(machine, pep, stats) != first) {
             std::fprintf(stderr,
