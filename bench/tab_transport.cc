@@ -122,7 +122,6 @@ main(int argc, char **argv)
     options.params = params;
     options.aggregation = runtime::ThroughputOptions::Aggregation::Ring;
     options.ring.capacity = 1u << 14;
-    options.ring.windowDecay = 0.5;
 
     bool ok = true;
     const auto checkConservation =
@@ -289,7 +288,7 @@ main(int argc, char **argv)
     std::fprintf(json, "    \"requests\": %u,\n", sustained_requests);
     std::fprintf(json, "    \"ring_capacity\": %u,\n", 1u << 14);
     std::fprintf(json, "    \"window_decay\": %.2f,\n",
-                 options.ring.windowDecay);
+                 runtime::kWindowDecay);
     std::fprintf(json, "    \"wall_seconds\": %.6f,\n",
                  sustained.wallSeconds);
     std::fprintf(json, "    \"requests_per_sec\": %.1f,\n",

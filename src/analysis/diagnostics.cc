@@ -84,9 +84,9 @@ diagnosticLess(const Diagnostic &a, const Diagnostic &b)
 {
     const auto key = [](const Diagnostic &d) {
         return std::make_tuple(
-            std::cref(d.method), d.hasVersion, d.version,
-            std::cref(d.pass), std::cref(d.check), d.hasPc, d.pc,
-            d.hasEdge, d.edge.src, d.edge.index,
+            std::cref(d.file), std::cref(d.method), d.hasVersion,
+            d.version, std::cref(d.pass), std::cref(d.check), d.hasPc,
+            d.pc, d.hasEdge, d.edge.src, d.edge.index,
             static_cast<int>(d.severity), std::cref(d.message));
     };
     return key(a) < key(b);
@@ -103,6 +103,8 @@ std::string
 formatDiagnostic(const Diagnostic &diagnostic)
 {
     std::ostringstream os;
+    if (!diagnostic.file.empty())
+        os << diagnostic.file << ": ";
     os << severityName(diagnostic.severity) << ": ["
        << diagnostic.pass;
     if (!diagnostic.check.empty())
@@ -167,6 +169,11 @@ diagnosticsToJson(const std::vector<Diagnostic> &diagnostics)
     for (const Diagnostic &d : diagnostics) {
         os << (first ? "" : ",") << "\n  {";
         first = false;
+        if (!d.file.empty()) {
+            os << "\"file\": ";
+            appendJsonString(os, d.file);
+            os << ", ";
+        }
         os << "\"severity\": \"" << severityName(d.severity) << "\", ";
         os << "\"pass\": ";
         appendJsonString(os, d.pass);

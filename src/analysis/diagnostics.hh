@@ -3,12 +3,13 @@
 
 /**
  * @file
- * Structured diagnostics for the static-analysis passes and pep-lint.
- * A diagnostic names the pass that produced it, the method it applies
- * to, an optional pc and/or CFG edge location, a severity, and a
- * message. DiagnosticList accumulates them across passes; formatting
- * helpers render one-line text ("error: [pass] method 'm' pc 3: ...")
- * and a machine-readable JSON array for tooling.
+ * Structured diagnostics for the static-analysis passes and
+ * pep-verify. A diagnostic names the pass that produced it, the input
+ * file and method it applies to, an optional pc and/or CFG edge
+ * location, a severity, and a message. DiagnosticList accumulates
+ * them across passes; formatting helpers render one-line text
+ * ("error: [pass] method 'm' pc 3: ...") and a machine-readable JSON
+ * array for tooling.
  */
 
 #include <cstdint>
@@ -43,6 +44,10 @@ struct Diagnostic
      *  the pass has a single check. Part of the sort key. */
     std::string check;
 
+    /** Input file the finding applies to; empty when the caller
+     *  checks an in-memory program. Tools set it before sorting. */
+    std::string file;
+
     /** Method the finding applies to; empty for program-level. */
     std::string method;
 
@@ -63,8 +68,8 @@ struct Diagnostic
 };
 
 /**
- * Deterministic ordering: (method, version, pass, check, pc, edge,
- * severity, message). Tools sort with this before emitting so CI diffs
+ * Deterministic ordering: (file, method, version, pass, check, pc,
+ * edge, severity, message). Tools sort with this before emitting so CI diffs
  * and corpus replays are stable regardless of pass scheduling.
  */
 bool diagnosticLess(const Diagnostic &a, const Diagnostic &b);
@@ -103,10 +108,12 @@ class DiagnosticList
     std::vector<Diagnostic> diagnostics_;
 };
 
-/** One-line human-readable rendering. */
+/** One-line human-readable rendering, prefixed "file: " when the
+ *  diagnostic names a file. */
 std::string formatDiagnostic(const Diagnostic &diagnostic);
 
-/** JSON array rendering (stable key order, no external deps). */
+/** JSON array rendering (stable key order, no external deps); an
+ *  entry leads with a "file" key when the diagnostic names a file. */
 std::string diagnosticsToJson(const std::vector<Diagnostic> &diagnostics);
 
 } // namespace pep::analysis

@@ -36,7 +36,6 @@ void
 checkOnePlan(const bytecode::Method &method,
              const bytecode::MethodCfg &cfg, DagMode mode,
              NumberingScheme scheme, PlacementKind placement,
-             std::uint64_t simulate_limit,
              DiagnosticList &diagnostics)
 {
     const profile::PDag pdag = profile::buildPDag(cfg, mode);
@@ -65,14 +64,13 @@ checkOnePlan(const bytecode::Method &method,
     input.scheme = scheme;
     input.freqs = &freqs;
     input.methodName = method.name;
-    input.simulateLimit = simulate_limit;
     checkInstrumentationPlan(input, diagnostics);
 }
 
 } // namespace
 
 DiagnosticList
-lintProgram(bytecode::Program &program, const LintOptions &options)
+lintProgram(bytecode::Program &program)
 {
     DiagnosticList diagnostics;
 
@@ -87,43 +85,29 @@ lintProgram(bytecode::Program &program, const LintOptions &options)
     if (!verified.ok)
         return diagnostics;
 
-    if (!options.runMethodPasses && !options.runPlanChecks)
-        return diagnostics;
-
     for (const bytecode::Method &method : program.methods) {
         const bytecode::MethodCfg cfg = bytecode::buildCfg(method);
 
-        if (options.runMethodPasses) {
-            const LivenessResult liveness =
-                computeLiveness(method, cfg);
-            reportDeadStores(method, cfg, liveness, diagnostics);
-            reportUnreachableCode(method, cfg, diagnostics);
-            const StackConstResult stack_const =
-                computeStackConst(program, method, cfg);
-            reportStackConstFindings(program, method, cfg, stack_const,
-                                     diagnostics);
-        }
+        const LivenessResult liveness = computeLiveness(method, cfg);
+        reportDeadStores(method, cfg, liveness, diagnostics);
+        reportUnreachableCode(method, cfg, diagnostics);
+        const StackConstResult stack_const =
+            computeStackConst(program, method, cfg);
+        reportStackConstFindings(program, method, cfg, stack_const,
+                                 diagnostics);
 
-        if (options.runPlanChecks) {
-            for (const DagMode mode :
-                 {DagMode::HeaderSplit, DagMode::BackEdgeTruncate}) {
-                checkOnePlan(method, cfg, mode,
-                             NumberingScheme::BallLarus,
-                             PlacementKind::Direct,
-                             options.simulateLimit, diagnostics);
-                checkOnePlan(method, cfg, mode,
-                             NumberingScheme::BallLarus,
-                             PlacementKind::SpanningTree,
-                             options.simulateLimit, diagnostics);
-                checkOnePlan(method, cfg, mode,
-                             NumberingScheme::Smart,
-                             PlacementKind::Direct,
-                             options.simulateLimit, diagnostics);
-            }
-            checkTemplateStreams(method, vm::buildMethodInfo(method),
-                                 nullptr, kEveryFuseOption, method.name,
-                                 std::nullopt, diagnostics);
+        for (const DagMode mode :
+             {DagMode::HeaderSplit, DagMode::BackEdgeTruncate}) {
+            checkOnePlan(method, cfg, mode, NumberingScheme::BallLarus,
+                         PlacementKind::Direct, diagnostics);
+            checkOnePlan(method, cfg, mode, NumberingScheme::BallLarus,
+                         PlacementKind::SpanningTree, diagnostics);
+            checkOnePlan(method, cfg, mode, NumberingScheme::Smart,
+                         PlacementKind::Direct, diagnostics);
         }
+        checkTemplateStreams(method, vm::buildMethodInfo(method),
+                             nullptr, kEveryFuseOption, method.name,
+                             std::nullopt, diagnostics);
     }
     return diagnostics;
 }

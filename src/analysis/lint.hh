@@ -3,8 +3,8 @@
 
 /**
  * @file
- * The full lint pipeline over one program, shared by the pep-lint CLI
- * and the test suite:
+ * The full static check of one program, shared by pep-verify's static
+ * phase and the test suite:
  *
  *  1. bytecode verification (multi-diagnostic), reported under pass
  *     "verify"; if it finds errors the CFG-based passes are skipped
@@ -20,30 +20,16 @@
  *     (analysis/verify/stream_proof.hh, docs/ENGINE.md).
  */
 
-#include <cstdint>
-
 #include "analysis/diagnostics.hh"
 #include "bytecode/method.hh"
 
 namespace pep::analysis {
 
-/** Which parts of the pipeline to run after verification, which
- *  always runs. */
-struct LintOptions
-{
-    bool runMethodPasses = true;
-    bool runPlanChecks = true;
-
-    /** Path-enumeration budget for the plan checker's semantic proof. */
-    std::uint64_t simulateLimit = 4096;
-};
-
 /**
  * Lint one program. The program is mutated only the way verification
  * mutates it (maxStack is filled in).
  */
-DiagnosticList lintProgram(bytecode::Program &program,
-                           const LintOptions &options = {});
+DiagnosticList lintProgram(bytecode::Program &program);
 
 } // namespace pep::analysis
 

@@ -583,7 +583,7 @@ class Checker
     std::uint64_t
     truePathCount() const
     {
-        const std::uint64_t cap = in_.simulateLimit + 1;
+        const std::uint64_t cap = kSimulateLimit + 1;
         std::vector<std::uint64_t> count(dag_.numBlocks(), 0);
         count[dag_.exit()] = 1;
         for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
@@ -686,11 +686,11 @@ class Checker
     {
         const Numbering &numbering = *in_.numbering;
         const std::uint64_t true_paths = truePathCount();
-        if (true_paths > in_.simulateLimit) {
+        if (true_paths > kSimulateLimit) {
             std::ostringstream os;
             os << "semantic enumeration skipped (" << true_paths
                << "+ paths exceed the budget of "
-               << in_.simulateLimit << ")";
+               << kSimulateLimit << ")";
             note(os.str());
             return;
         }

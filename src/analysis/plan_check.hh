@@ -24,11 +24,12 @@
  *     increment, the tree is acyclic, and it spans every live node.
  *  6. Smart-numbering cost (scheme Smart): the hottest outgoing edge of
  *     every DAG node has value 0, i.e. hot edges cost nothing.
- *  7. Bounded semantic proof: when totalPaths <= simulateLimit, every
+ *  7. Bounded semantic proof: when totalPaths <= kSimulateLimit, every
  *     Entry->Exit DAG path is enumerated independently of the greedy
  *     reconstructor; replaying the *plan's* register actions over each
  *     path must reproduce the path's Ball-Larus number, and the numbers
- *     must cover [0, totalPaths) exactly.
+ *     must cover [0, totalPaths) exactly. A method over the budget
+ *     gets a "semantic enumeration skipped" note instead.
  *  8. Edge-table shape: edgeBase holds exact prefix sums of the CFG's
  *     successor counts and flatEdgeActions covers every edge, so the
  *     (src, index) lookups of checks 4 and 7 — and of both engines —
@@ -79,6 +80,9 @@ struct InlinedBody;
 
 namespace pep::analysis {
 
+/** Path-enumeration budget of the semantic proof (check 7). */
+inline constexpr std::uint64_t kSimulateLimit = 4096;
+
 /** Everything the checker inspects for one method. */
 struct PlanCheckInput
 {
@@ -100,9 +104,6 @@ struct PlanCheckInput
 
     /** Method name used in diagnostics. */
     std::string methodName;
-
-    /** Path-enumeration budget for the semantic proof (check 7). */
-    std::uint64_t simulateLimit = 4096;
 };
 
 /**

@@ -103,8 +103,8 @@ inline constexpr vm::FuseOptions kEveryFuseOption[] = {
 
 /**
  * Translate a version under each selection in `fuses` and prove every
- * stream — the entry point lintProgram, verifyProgram and
- * verifyMachine share. A null `cm` stands for the canonical version
+ * stream — the entry point lintProgram and verifyMachine share. A
+ * null `cm` stands for the canonical version
  * the static tools prove: full-opt costs, no layout information, no
  * baseline instrumentation (under that all-fall-through layout
  * `traces` straightens real chains). Returns true if no errors were

@@ -2,37 +2,11 @@
 
 #include "analysis/plan_check.hh"
 #include "analysis/verify/stream_proof.hh"
-#include "bytecode/verifier.hh"
 #include "vm/compiled_method.hh"
 #include "vm/inliner.hh"
 #include "vm/machine.hh"
 
 namespace pep::analysis {
-
-bool
-verifyProgram(bytecode::Program &program, DiagnosticList &diagnostics)
-{
-    const std::size_t before = diagnostics.errorCount();
-
-    const bytecode::VerifyResult verified =
-        bytecode::verifyProgram(program);
-    for (const bytecode::VerifyDiagnostic &d : verified.diagnostics) {
-        Diagnostic &out = diagnostics.report(Severity::Error, "verify",
-                                             d.method, d.message);
-        out.hasPc = d.hasPc;
-        out.pc = d.pc;
-    }
-    // The CFG builder panics on unverified code; stop here.
-    if (!verified.ok)
-        return false;
-
-    for (const bytecode::Method &method : program.methods) {
-        checkTemplateStreams(method, vm::buildMethodInfo(method),
-                             nullptr, kEveryFuseOption, method.name,
-                             std::nullopt, diagnostics);
-    }
-    return diagnostics.errorCount() == before;
-}
 
 bool
 verifyMachine(const vm::Machine &machine, DiagnosticList &diagnostics)

@@ -8,12 +8,9 @@
  *  1. the template-stream proof (verify/stream_proof.hh)
  *  2. profile realizability (verify/realizability.hh)
  *
- * Two entry points:
- *
- *  - verifyProgram: static, no VM. Runs the bytecode verifier, then
- *    proves the canonical full-opt translation of every method under
- *    every fusion selection. This is what `pep-verify --static-only`
- *    runs (pep_lint runs the same proof).
+ * The static half runs inside lintProgram (analysis/lint.hh), which
+ * proves every method's canonical full-opt translation under every
+ * fusion selection. This header holds the live half:
  *
  *  - verifyMachine: inspects a live VM after (or during) a run. For
  *    every installed compiled version it translates the version under
@@ -23,28 +20,18 @@
  *    clone-synthesized body (plan-checker check 11). Installed
  *    versions never change, so a stream cached at install time is the
  *    stream proved here. Realizability of recorded profiles is checked
- *    by the callers that own the profilers (the pep-verify tool and
- *    the differ), since the analysis layer does not depend on the
+ *    by testing::auditRun (testing/differ.hh), which owns the
+ *    profilers, since the analysis layer does not depend on the
  *    profiler runtime.
  */
 
 #include "analysis/diagnostics.hh"
-#include "bytecode/method.hh"
 
 namespace pep::vm {
 class Machine;
 }
 
 namespace pep::analysis {
-
-/**
- * Static verification of a program: bytecode verifier + the stream
- * proof of the canonical full-opt translation of every method. The
- * program is mutated only the way verification mutates it (maxStack
- * is filled in). Returns true if no errors were added.
- */
-bool verifyProgram(bytecode::Program &program,
-                   DiagnosticList &diagnostics);
 
 /**
  * Verify a live machine's installed versions: the stream proof per

@@ -15,7 +15,7 @@ RingAggregator::RingAggregator(
         lanes_.push_back(std::make_unique<Lane>(options.capacity));
     windows_.reserve(shards);
     for (std::uint32_t s = 0; s < shards; ++s)
-        windows_.emplace_back(cfgs, options.windowDecay);
+        windows_.emplace_back(cfgs, kWindowDecay);
     collector_ = std::thread([this] { collectorBody(); });
 }
 

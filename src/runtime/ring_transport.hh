@@ -52,6 +52,10 @@
 
 namespace pep::runtime {
 
+/** EWMA multiplier per epoch for the ring's windowed profiles;
+ *  effective window length is 1/(1-decay) epochs. */
+inline constexpr double kWindowDecay = 0.5;
+
 /** Ring-transport tuning knobs. */
 struct RingOptions
 {
@@ -59,10 +63,6 @@ struct RingOptions
      *  backpressure policy: when the collector lags by more than this
      *  many records, new samples are dropped-and-counted. */
     std::uint32_t capacity = 1u << 14;
-
-    /** EWMA multiplier per epoch for the windowed profiles;
-     *  effective window length is 1/(1-decay) epochs. */
-    double windowDecay = 0.5;
 
     /**
      * Fault injection for the differ's harness self-test

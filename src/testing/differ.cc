@@ -513,9 +513,8 @@ runEngineCrossCheck(const bytecode::Program &program,
 bool
 crossCheck(const DiffOptions &opts)
 {
-    return opts.crossCheckEngines &&
-           (opts.inject == InjectKind::None ||
-            opts.inject == InjectKind::EngineDivergence);
+    return opts.inject == InjectKind::None ||
+           opts.inject == InjectKind::EngineDivergence;
 }
 
 /** Memberwise dump of everything an instrumentation plan carries, for
@@ -583,78 +582,29 @@ checkKDegeneracy(const vm::Machine &machine, const DiffOptions &opts,
     }
 }
 
-/**
- * The static mirror of the dynamic oracles: run the verify passes
- * (docs/ANALYSIS.md) over the machine's installed versions, both
- * profilers' plans, and every recorded profile, turning error
- * diagnostics into violations. Running this inside every fuzz
- * iteration continuously proves the static layer agrees with the
- * dynamic checks — no false alarms on clean runs, and the
- * impossible-profile injection is rejected without executing another
- * instruction.
- */
-void
-runStaticVerifyPasses(
-    const vm::Machine &machine, core::FullPathProfiler &full,
-    const std::vector<std::unique_ptr<core::PepProfiler>> &peps,
-    const DiffOptions &opts, bool bytecode_level_truth,
-    DiffReport &report)
+/** False once a version can run a synthesized (inlined or cloned)
+ *  body: its ground truth keeps bytecode-level *branch* edges only, so
+ *  whole-CFG conservation no longer applies. */
+bool
+bytecodeLevelTruth(const vm::Machine &machine)
 {
-    analysis::DiagnosticList diags;
-    analysis::verifyMachine(machine, diags);
-
-    const auto audit_engine = [&](core::PathEngine &engine,
-                                  const std::string &what,
-                                  std::uint64_t max_total) {
-        analysis::RealizabilityOptions ropts;
-        ropts.what = what;
-        ropts.walkMultiplicity = opts.kIterations;
-        for (auto &[key, vp] : engine.versionProfiles()) {
-            if (!vp->state)
-                continue;
-            const std::string &name =
-                machine.program().methods[key.first].name;
-            analysis::KPathCheckInput kinput;
-            kinput.plan = &vp->state->plan;
-            kinput.kpath = &vp->state->kpath;
-            kinput.kRequested = engine.kIterations();
-            kinput.methodName = name;
-            analysis::checkKPathScheme(kinput, diags);
-            analysis::checkPathProfileRealizability(
-                vp->state->plan, *vp->state->reconstructor, vp->paths,
-                ropts, max_total, name, /*has_version=*/true,
-                key.second, diags, &vp->state->kpath);
-        }
-    };
-    audit_engine(full, "full-path profile", full.pathsStored());
-    for (std::size_t p = 0; p < peps.size(); ++p) {
-        std::ostringstream tag;
-        tag << "pep(" << opts.pepConfigs[p].samples << ','
-            << opts.pepConfigs[p].stride << ')';
-        audit_engine(*peps[p], tag.str() + " paths",
-                     peps[p]->pepStats().samplesRecorded);
-        // The continuous edge profile's conservation/bounds only
-        // apply at bytecode level when no synthesized (inlined or
-        // cloned) CFG is folded in, mirroring the dynamic check-5
-        // gate.
-        if (bytecode_level_truth) {
-            analysis::RealizabilityOptions ropts;
-            ropts.what = tag.str() + " edges";
-            ropts.maxWalks = peps[p]->pepStats().samplesRecorded;
-            ropts.walkMultiplicity = opts.kIterations;
-            analysis::checkEdgeSetRealizability(
-                machine, peps[p]->edgeProfile(), ropts, diags);
+    if (machine.params().enableInlining)
+        return false;
+    for (bytecode::MethodId m = 0; m < machine.numMethods(); ++m) {
+        for (std::uint32_t v = 0; v < machine.numVersions(m); ++v) {
+            if (machine.versionAt(m, v)->cloneApplied)
+                return false;
         }
     }
+    return true;
+}
 
-    std::vector<analysis::Diagnostic> sorted = diags.all();
-    analysis::sortDiagnostics(sorted);
-    for (const analysis::Diagnostic &d : sorted) {
-        if (d.severity == analysis::Severity::Error) {
-            addViolation(report,
-                         "verify: " + analysis::formatDiagnostic(d));
-        }
-    }
+std::string
+pepTag(const PepConfig &config)
+{
+    std::ostringstream tag;
+    tag << "pep(" << config.samples << ',' << config.stride << ')';
+    return tag.str();
 }
 
 } // namespace
@@ -889,24 +839,8 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
     if (opts.inject == InjectKind::ImpossibleProfile && !peps.empty())
         corruptPepEdgeProfile(machine, *peps.front());
 
-    // Once a version runs a synthesized body (inlined or cloned), its
-    // ground truth keeps bytecode-level *branch* edges only; the
-    // whole-CFG conservation checks below no longer apply, exactly as
-    // under enableInlining.
-    bool any_clone = false;
-    for (std::size_t m = 0; m < machine.numMethods() && !any_clone;
-         ++m) {
-        const bytecode::MethodId method =
-            static_cast<bytecode::MethodId>(m);
-        for (std::uint32_t v = 0; v < machine.numVersions(method); ++v) {
-            if (machine.versionAt(method, v)->cloneApplied) {
-                any_clone = true;
-                break;
-            }
-        }
-    }
-    const bool bytecode_level_truth = !opts.enableInlining && !any_clone;
-    if (any_clone && !opts.enableInlining) {
+    const bool bytecode_level_truth = bytecodeLevelTruth(machine);
+    if (!bytecode_level_truth && !opts.enableInlining) {
         report.notes.push_back(
             "cloned versions installed: bytecode-level conservation "
             "checks skipped");
@@ -992,10 +926,7 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
     // Check 5: each PEP configuration.
     for (std::size_t p = 0; p < peps.size(); ++p) {
         core::PepProfiler &pep = *peps[p];
-        std::ostringstream tag;
-        tag << "pep(" << opts.pepConfigs[p].samples << ','
-            << opts.pepConfigs[p].stride << ')';
-        const std::string what = tag.str();
+        const std::string what = pepTag(opts.pepConfigs[p]);
 
         const core::PepStats &stats = pep.pepStats();
         if (stats.pathsCompleted != oracle.totalSegments()) {
@@ -1137,12 +1068,95 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
         runEngineCrossCheck(program, opts, report);
 
     // The static verify passes see everything the dynamic checks saw.
-    if (opts.runStaticVerify) {
-        runStaticVerifyPasses(machine, full, peps, opts,
-                              bytecode_level_truth, report);
+    std::vector<core::PepProfiler *> pep_views;
+    for (const auto &pep : peps)
+        pep_views.push_back(pep.get());
+    analysis::DiagnosticList diags;
+    auditRun(machine, full, pep_views, opts.pepConfigs, diags);
+    std::vector<analysis::Diagnostic> sorted = diags.all();
+    analysis::sortDiagnostics(sorted);
+    for (const analysis::Diagnostic &d : sorted) {
+        if (d.severity == analysis::Severity::Error)
+            addViolation(report, "verify: " + analysis::formatDiagnostic(d));
     }
 
     return report;
+}
+
+void
+auditRun(vm::Machine &machine, core::FullPathProfiler &full,
+         const std::vector<core::PepProfiler *> &peps,
+         const std::vector<PepConfig> &configs,
+         analysis::DiagnosticList &diagnostics)
+{
+    analysis::verifyMachine(machine, diagnostics);
+
+    const auto audit_paths = [&](core::PathEngine &engine,
+                                 const std::string &what,
+                                 std::uint64_t max_total) {
+        analysis::RealizabilityOptions ropts;
+        ropts.what = what;
+        ropts.walkMultiplicity = engine.kIterations();
+        for (auto &[key, vp] : engine.versionProfiles()) {
+            if (!vp->state)
+                continue;
+            const std::string &name =
+                machine.program().methods[key.first].name;
+            analysis::KPathCheckInput kinput;
+            kinput.plan = &vp->state->plan;
+            kinput.kpath = &vp->state->kpath;
+            kinput.kRequested = engine.kIterations();
+            kinput.methodName = name;
+            analysis::checkKPathScheme(kinput, diagnostics);
+            analysis::checkPathProfileRealizability(
+                vp->state->plan, *vp->state->reconstructor, vp->paths,
+                ropts, max_total, name, /*has_version=*/true,
+                key.second, diagnostics, &vp->state->kpath);
+        }
+    };
+    // Edge profiles are sums of recorded walks; a k-window may cross
+    // one edge up to k times.
+    const auto audit_edges = [&](const profile::EdgeProfileSet &edges,
+                                 const core::PathEngine &engine,
+                                 const std::string &what,
+                                 std::uint64_t max_walks) {
+        analysis::RealizabilityOptions ropts;
+        ropts.what = what;
+        ropts.maxWalks = max_walks;
+        ropts.walkMultiplicity = engine.kIterations();
+        analysis::checkEdgeSetRealizability(machine, edges, ropts,
+                                            diagnostics);
+    };
+    const bool bytecode_level_truth = bytecodeLevelTruth(machine);
+
+    audit_paths(full, "full-path profile", full.pathsStored());
+    for (std::size_t p = 0; p < peps.size(); ++p) {
+        const std::string tag = pepTag(configs[p]);
+        const std::uint64_t samples = peps[p]->pepStats().samplesRecorded;
+        audit_paths(*peps[p], tag + " paths", samples);
+        if (bytecode_level_truth)
+            audit_edges(peps[p]->edgeProfile(), *peps[p], tag + " edges",
+                        samples);
+    }
+    if (!bytecode_level_truth)
+        return;
+
+    // Ground truth counts complete frames, so conservation holds at
+    // loop headers too.
+    analysis::RealizabilityOptions truth;
+    truth.what = "truth edges";
+    truth.requireHeaderConservation = true;
+    analysis::checkEdgeSetRealizability(machine, machine.truthEdges(),
+                                        truth, diagnostics);
+    try {
+        audit_edges(core::edgeProfileFromPaths(machine, full), full,
+                    "path-derived edges", full.pathsStored());
+    } catch (const support::PanicError &e) {
+        diagnostics.report(analysis::Severity::Error, "realizability", "",
+                           std::string("path-derived edges: "
+                                       "reconstruction panicked: ") +
+                               e.what());
+    }
 }
 
 namespace {
@@ -1380,101 +1394,85 @@ runThreadedDiff(const ThreadedDiffOptions &opts)
                          report);
 
     // Check 4: aggregation strategy changes throughput, never counts.
-    if (opts.checkAggregation) {
-        runtime::ThroughputOptions t_options;
-        t_options.workers = opts.workers;
-        t_options.epochRequests = opts.epochRequests;
-        t_options.params = params;
+    runtime::ThroughputOptions t_options;
+    t_options.workers = opts.workers;
+    t_options.epochRequests = opts.epochRequests;
+    t_options.params = params;
 
-        t_options.aggregation =
-            runtime::ThroughputOptions::Aggregation::Sharded;
-        const runtime::ThroughputResult sharded =
-            runtime::runThroughput(stream, t_options);
-        t_options.aggregation =
-            runtime::ThroughputOptions::Aggregation::Mutex;
-        const runtime::ThroughputResult mutex_global =
-            runtime::runThroughput(stream, t_options);
+    t_options.aggregation = runtime::ThroughputOptions::Aggregation::Sharded;
+    const runtime::ThroughputResult sharded =
+        runtime::runThroughput(stream, t_options);
+    t_options.aggregation = runtime::ThroughputOptions::Aggregation::Mutex;
+    const runtime::ThroughputResult mutex_global =
+        runtime::runThroughput(stream, t_options);
 
-        if (sharded.requestsCompleted != stream.requests().size()) {
-            std::ostringstream os;
-            os << "throughput: completed " << sharded.requestsCompleted
-               << " of " << stream.requests().size() << " requests";
-            addViolation(report, os.str());
-        }
-        checkEdgeTablesEqual(sharded.edges, mutex_global.edges,
-                             "sharded vs mutex edge totals", report);
-        if (sharded.paths != mutex_global.paths) {
+    if (sharded.requestsCompleted != stream.requests().size()) {
+        std::ostringstream os;
+        os << "throughput: completed " << sharded.requestsCompleted
+           << " of " << stream.requests().size() << " requests";
+        addViolation(report, os.str());
+    }
+    checkEdgeTablesEqual(sharded.edges, mutex_global.edges,
+                         "sharded vs mutex edge totals", report);
+    if (sharded.paths != mutex_global.paths)
+        addViolation(report, "sharded vs mutex path totals diverge");
+    report.blppPaths = sharded.pathRecords;
+
+    // Checks 5-6: the ring transport. Ample capacity first — the run
+    // should be drop-free, making the mutex identity check applicable;
+    // then a deliberately tiny ring, which must drop (and count every
+    // drop) while staying bounded by the mutex totals. Conservation is
+    // checked on both: a transport that loses a sample without counting
+    // it (the ring-lost-sample injection, or a real accounting bug)
+    // fails here.
+    t_options.aggregation = runtime::ThroughputOptions::Aggregation::Ring;
+    t_options.ring.capacity = opts.ringCapacity;
+    t_options.ring.injectLoseAt =
+        opts.inject == InjectKind::RingLostSample ? 10 : 0;
+    const runtime::ThroughputResult ring =
+        runtime::runThroughput(stream, t_options);
+
+    checkRingConservation(ring, "ring (ample)", report);
+    if (ring.transport.dropped == 0) {
+        checkEdgeTablesEqual(ring.edges, mutex_global.edges,
+                             "drop-free ring vs mutex edge totals",
+                             report);
+        if (ring.paths != mutex_global.paths) {
             addViolation(report,
-                         "sharded vs mutex path totals diverge");
+                         "drop-free ring vs mutex path totals diverge");
         }
-        report.blppPaths = sharded.pathRecords;
-
-        // Checks 5-6: the ring transport. Ample capacity first — the
-        // run should be drop-free, making the mutex identity check
-        // applicable; then a deliberately tiny ring, which must drop
-        // (and count every drop) while staying bounded by the mutex
-        // totals. Conservation is checked on both: a transport that
-        // loses a sample without counting it (the ring-lost-sample
-        // injection, or a real accounting bug) fails here.
-        if (opts.checkRing) {
-            t_options.aggregation =
-                runtime::ThroughputOptions::Aggregation::Ring;
-            t_options.ring.capacity = opts.ringCapacity;
-            t_options.ring.injectLoseAt =
-                opts.inject == InjectKind::RingLostSample ? 10 : 0;
-            const runtime::ThroughputResult ring =
-                runtime::runThroughput(stream, t_options);
-
-            checkRingConservation(ring, "ring (ample)", report);
-            if (ring.transport.dropped == 0) {
-                checkEdgeTablesEqual(ring.edges, mutex_global.edges,
-                                     "drop-free ring vs mutex edge "
-                                     "totals",
-                                     report);
-                if (ring.paths != mutex_global.paths) {
-                    addViolation(report,
-                                 "drop-free ring vs mutex path totals "
-                                 "diverge");
-                }
-            } else {
-                std::ostringstream os;
-                os << "ring (ample) dropped "
-                   << ring.transport.dropped
-                   << " samples; identity check skipped";
-                report.notes.push_back(os.str());
-            }
-            if (ring.windowAdvances == 0 &&
-                ring.transport.epochMarks >
-                    ring.transport.droppedEpochMarks) {
-                addViolation(report,
-                             "ring windows never advanced despite "
+    } else {
+        std::ostringstream os;
+        os << "ring (ample) dropped " << ring.transport.dropped
+           << " samples; identity check skipped";
+        report.notes.push_back(os.str());
+    }
+    if (ring.windowAdvances == 0 &&
+        ring.transport.epochMarks > ring.transport.droppedEpochMarks) {
+        addViolation(report, "ring windows never advanced despite "
                              "delivered epoch marks");
-            }
+    }
 
-            if (opts.tightRingCapacity > 0) {
-                t_options.ring.capacity = opts.tightRingCapacity;
-                t_options.ring.injectLoseAt = 0;
-                const runtime::ThroughputResult tight =
-                    runtime::runThroughput(stream, t_options);
-                checkRingConservation(tight, "ring (tight)", report);
-                checkEdgeTablesBounded(tight.edges, mutex_global.edges,
-                                       "ring (tight)", report);
-                for (const auto &[key, count] : tight.paths) {
-                    const auto it = mutex_global.paths.find(key);
-                    const std::uint64_t reference =
-                        it == mutex_global.paths.end() ? 0
-                                                       : it->second;
-                    if (count > reference) {
-                        std::ostringstream os;
-                        os << "ring (tight): path " << key.number
-                           << " of method " << key.method
-                           << " counted " << count << " > mutex "
-                           << reference
-                           << " — drops invented counts";
-                        addViolation(report, os.str());
-                        break;
-                    }
-                }
+    if (opts.tightRingCapacity > 0) {
+        t_options.ring.capacity = opts.tightRingCapacity;
+        t_options.ring.injectLoseAt = 0;
+        const runtime::ThroughputResult tight =
+            runtime::runThroughput(stream, t_options);
+        checkRingConservation(tight, "ring (tight)", report);
+        checkEdgeTablesBounded(tight.edges, mutex_global.edges,
+                               "ring (tight)", report);
+        for (const auto &[key, count] : tight.paths) {
+            const auto it = mutex_global.paths.find(key);
+            const std::uint64_t reference =
+                it == mutex_global.paths.end() ? 0 : it->second;
+            if (count > reference) {
+                std::ostringstream os;
+                os << "ring (tight): path " << key.number
+                   << " of method " << key.method << " counted "
+                   << count << " > mutex " << reference
+                   << " — drops invented counts";
+                addViolation(report, os.str());
+                break;
             }
         }
     }

@@ -42,6 +42,10 @@
  *     took at compile time — a cloned branch whose counters fold to
  *     the wrong (or no) bytecode-level branch cannot hide.
  *
+ * Last, auditRun — the static mirror of checks 5-7 — runs the verify
+ * passes over the finished run; its errors become violations, so every
+ * fuzz iteration also proves the static layer raises no false alarms.
+ *
  * Fault injection (for harness self-tests and CI) deliberately breaks
  * one invariant per run — a corrupted plan increment, a truncated
  * k-path window, an impossible profile, a diverging engine — so the
@@ -57,6 +61,19 @@
 #include "profile/numbering.hh"
 #include "profile/pdag.hh"
 #include "vm/engine.hh"
+
+namespace pep::analysis {
+class DiagnosticList;
+}
+
+namespace pep::core {
+class FullPathProfiler;
+class PepProfiler;
+}
+
+namespace pep::vm {
+class Machine;
+}
 
 namespace pep::testing {
 
@@ -178,19 +195,6 @@ struct DiffOptions
     vm::FuseOptions fuse = {};
 
     InjectKind inject = InjectKind::None;
-
-    /** Check 7: run the program once per execution engine (switch and
-     *  threaded) on otherwise-identical machines and byte-compare
-     *  every observable. On for every standard config. */
-    bool crossCheckEngines = true;
-
-    /** Run the static verify passes (analysis/verify/) over the
-     *  machine, the profilers' plans and every recorded profile at the
-     *  end of the run; their error diagnostics become violations. This
-     *  is the static mirror of checks 5-7 — on for every standard
-     *  config, so the fuzzer continuously proves the static layer
-     *  raises no false alarms. */
-    bool runStaticVerify = true;
 };
 
 /** Result of one differential run. */
@@ -223,6 +227,22 @@ DiffReport runDiff(const bytecode::Program &program,
                    const DiffOptions &opts);
 
 /**
+ * The audit of a finished profiled run, shared by runDiff (after its
+ * dynamic checks) and pep-verify (after its own run): the verify
+ * passes (docs/ANALYSIS.md) over the machine's installed versions,
+ * every profiler's k-path id spaces and path profiles, and — while
+ * the run kept bytecode-level truth (no inlined or cloned version),
+ * check 5's gate — the realizability of ground truth (header
+ * conservation included), of every PEP profiler's continuous edge
+ * profile and of the full profiler's path-derived edge profile.
+ * peps[i] samples with configs[i], which names its findings.
+ */
+void auditRun(vm::Machine &machine, core::FullPathProfiler &full,
+              const std::vector<core::PepProfiler *> &peps,
+              const std::vector<PepConfig> &configs,
+              analysis::DiagnosticList &diagnostics);
+
+/**
  * One multi-threaded scheduler configuration: a request stream run
  * through the concurrent runtime (runtime/coop_scheduler.hh). Inlining
  * and OSR stay off here — truth-edge recording for inlined frames keeps
@@ -252,8 +272,8 @@ struct ThreadedDiffOptions
      *  (docs/KBLPP.md); 1 = classic single-segment paths. */
     std::uint32_t kIterations = 1;
 
-    /** Also cross-check sharded vs mutex aggregation (OS threads). */
-    bool checkAggregation = true;
+    /** OS worker threads and epoch length of the aggregation runs
+     *  (checks 4-6). */
     std::uint32_t workers = 3;
     std::uint32_t epochRequests = 16;
 
@@ -264,9 +284,7 @@ struct ThreadedDiffOptions
      * baseline count for count; a deliberately tiny ring must still
      * satisfy conservation and stay bounded by the mutex totals
      * (drops remove whole records, they never invent counts).
-     * Requires checkAggregation (the mutex run is the reference).
      */
-    bool checkRing = true;
     std::uint32_t ringCapacity = 1u << 16;
     std::uint32_t tightRingCapacity = 128;
 
@@ -290,13 +308,13 @@ const ThreadedDiffOptions *findThreadedConfig(const std::string &name);
  *  3. the interleaved run's merged ground-truth edge profile equals
  *     the sum of K per-thread exact-oracle solo runs (thread t replays
  *     its request subsequence alone, same thread id, fresh machine);
- *  4. (optional) sharded and mutex-global aggregation over OS worker
- *     threads produce count-for-count identical edge and path totals;
- *  5. (optional) the ring transport conserves samples — produced ==
- *     consumed + dropped at quiescence, for both ample and tiny rings
- *     (drops must be *counted*, never silent);
- *  6. (optional) a drop-free ring run is count-for-count identical to
- *     mutex aggregation, and a drop-heavy run stays bounded by it.
+ *  4. sharded and mutex-global aggregation over OS worker threads
+ *     produce count-for-count identical edge and path totals;
+ *  5. the ring transport conserves samples — produced == consumed +
+ *     dropped at quiescence, for both ample and tiny rings (drops must
+ *     be *counted*, never silent);
+ *  6. a drop-free ring run is count-for-count identical to mutex
+ *     aggregation, and a drop-heavy run stays bounded by it.
  */
 DiffReport runThreadedDiff(const ThreadedDiffOptions &opts);
 

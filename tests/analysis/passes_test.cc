@@ -349,5 +349,21 @@ TEST(Lint, JsonRenderingIsWellFormed)
     }
 }
 
+TEST(Lint, JsonEscapesFileNames)
+{
+    // The file name goes through the same escaper as every other
+    // string: a quote or a backslash in a path keeps the JSON valid.
+    Diagnostic d;
+    d.file = R"(dir\we"ird.pepasm)";
+    d.pass = "assemble";
+    d.message = "line 7: missing .end";
+    const std::string json = diagnosticsToJson({d});
+    EXPECT_NE(json.find(R"({"file": "dir\\we\"ird.pepasm", "severity": )"),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(formatDiagnostic(d),
+              R"(dir\we"ird.pepasm: error: [assemble]: line 7: missing .end)");
+}
+
 } // namespace
 } // namespace pep::analysis

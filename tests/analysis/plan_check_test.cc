@@ -434,6 +434,35 @@ checkTemplatesOf(const bytecode::Program &program,
     return diagnostics;
 }
 
+TEST(PlanCheck, NotesSkippedEnumerationOverBudget)
+{
+    // 13 diamonds in sequence: 2^13 = 8192 Entry->Exit paths, over the
+    // semantic proof's budget. Check 7 steps aside with a note; every
+    // other check still runs and passes.
+    std::string text = ".globals 1\n.method main 0 1\n";
+    for (int d = 0; d < 13; ++d) {
+        const std::string n = std::to_string(d);
+        text += "    irnd\n    ifeq t" + n + "\n    iinc 0 1\n    goto j" +
+                n + "\nt" + n + ":\n    iinc 0 2\nj" + n + ":\n";
+    }
+    text += "    return\n.end\n.main main\n";
+    const Built b = build(bytecode::assembleOrDie(text),
+                          DagMode::HeaderSplit, NumberingScheme::BallLarus,
+                          PlacementKind::Direct);
+    ASSERT_EQ(b.plan.totalPaths, 8192u);
+    ASSERT_GT(b.plan.totalPaths, kSimulateLimit);
+
+    DiagnosticList diagnostics;
+    EXPECT_TRUE(checkInstrumentationPlan(inputFor(b), diagnostics))
+        << renderAll(diagnostics);
+    ASSERT_EQ(diagnostics.all().size(), 1u) << renderAll(diagnostics);
+    EXPECT_EQ(diagnostics.all()[0].severity, Severity::Note);
+    EXPECT_NE(diagnostics.all()[0].message.find(
+                  "semantic enumeration skipped"),
+              std::string::npos)
+        << renderAll(diagnostics);
+}
+
 TEST(PlanCheck, TemplateStreamAcceptsTranslatedMethods)
 {
     for (const bytecode::Program &program :

@@ -3,8 +3,9 @@
  * Tests for the pep-verify passes (analysis/verify/, docs/ANALYSIS.md):
  *
  *  - the examples corpus is clean under both passes, statically
- *    (verifyProgram, lintProgram) and on a live machine under both
- *    execution engines (verifyMachine), also after a relayout;
+ *    (lintProgram, and the stream proof alone) and on a live machine
+ *    under both execution engines (verifyMachine), also after a
+ *    relayout;
  *  - seeded-bug rejection per pass: each check catches a deliberately
  *    corrupted template stream / profile;
  *  - diagnostic ordering is deterministic.
@@ -107,8 +108,8 @@ testParams(vm::EngineKind engine)
 
 /**
  * The canonical full-opt translation the static passes check: Opt2,
- * unscaled costs, no layout information — exactly what verifyProgram
- * and the lint's template check synthesize.
+ * unscaled costs, no layout information — exactly what the lint's
+ * template check synthesizes.
  */
 struct CanonicalTranslation
 {
@@ -180,30 +181,35 @@ firstCondBlock(const bytecode::MethodCfg &cfg)
 
 TEST(VerifyProgram, ExamplesCleanStatically)
 {
+    // pep-verify's static phase: no error and no warning anywhere in
+    // the bundled examples.
     for (const auto &path : examplePrograms()) {
         SCOPED_TRACE(path.filename().string());
         bytecode::Program program = loadProgram(path);
 
-        DiagnosticList diagnostics;
-        EXPECT_TRUE(analysis::verifyProgram(program, diagnostics))
-            << describe(diagnostics);
-        EXPECT_EQ(diagnostics.errorCount(), 0u)
+        const DiagnosticList diagnostics = analysis::lintProgram(program);
+        EXPECT_EQ(diagnostics.errorCount(), 0u) << describe(diagnostics);
+        EXPECT_EQ(diagnostics.warningCount(), 0u)
             << describe(diagnostics);
     }
 }
 
 TEST(VerifyProgram, LintVerifyModeCleanOnExamples)
 {
-    // pep_lint always runs the stream proof (what `--verify` used to
-    // add) next to the plan checks, over every example.
+    // The stream proof the lint runs, on its own: every method's
+    // canonical translation under every fusion selection.
     for (const auto &path : examplePrograms()) {
         SCOPED_TRACE(path.filename().string());
         bytecode::Program program = loadProgram(path);
+        ASSERT_TRUE(bytecode::verifyProgram(program).ok);
 
-        analysis::LintOptions options;
-        options.runMethodPasses = false;
-        const DiagnosticList diagnostics =
-            analysis::lintProgram(program, options);
+        DiagnosticList diagnostics;
+        for (const bytecode::Method &method : program.methods) {
+            EXPECT_TRUE(analysis::checkTemplateStreams(
+                method, vm::buildMethodInfo(method), nullptr,
+                analysis::kEveryFuseOption, method.name, std::nullopt,
+                diagnostics));
+        }
         EXPECT_EQ(diagnostics.errorCount(), 0u)
             << describe(diagnostics);
     }

@@ -339,7 +339,6 @@ TEST_F(RuntimeRingProfileTest, WindowAdvancesWithEpochMarksInOrder)
     // exactly the epochs the producer delimited.
     runtime::RingOptions options;
     options.capacity = 1u << 12;
-    options.windowDecay = 0.5;
     runtime::RingAggregator ring(cfgPtrs_, 1, options);
 
     ring.recordEdge(0, method_, edge_, 4);
@@ -352,7 +351,7 @@ TEST_F(RuntimeRingProfileTest, WindowAdvancesWithEpochMarksInOrder)
     EXPECT_EQ(window.advances(), 2u);
     EXPECT_DOUBLE_EQ(
         window.edgeWeights()[method_][edge_.src][edge_.index],
-        0.5 * 4.0 + 2.0);
+        runtime::kWindowDecay * 4.0 + 2.0);
     EXPECT_EQ(ring.globalEdges().perMethod[method_].edgeCount(edge_),
               6u);
 }

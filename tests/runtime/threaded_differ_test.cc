@@ -47,7 +47,6 @@ TEST(RuntimeThreadedDifferTest, ConfigLookup)
     const testing::ThreadedDiffOptions *ring =
         testing::findThreadedConfig("ring-small-epoch");
     ASSERT_NE(ring, nullptr);
-    EXPECT_TRUE(ring->checkRing);
     EXPECT_EQ(ring->tightRingCapacity, 16u)
         << "the standard matrix must keep a drop-heavy ring config";
 }
@@ -112,7 +111,6 @@ TEST(RuntimeThreadedDifferTest, DetectsShortRuns)
     options.name = "empty";
     options.threads = 1;
     options.requests = 0;
-    options.checkAggregation = false;
     const testing::DiffReport report =
         testing::runThreadedDiff(options);
     EXPECT_TRUE(report.ok()) << joinViolations(report);

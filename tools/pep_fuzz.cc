@@ -10,34 +10,42 @@
  * reproduces and writes a minimal .pepasm reproducer to the corpus
  * directory, which the fuzz_regression_test replays forever.
  *
+ * The threaded configs (testing::standardThreadedConfigs: coop-k2 ...
+ * ring-small-epoch) run the concurrent runtime's differential checks
+ * instead (testing::runThreadedDiff): iteration i generates its
+ * request stream, Irnd streams and schedule from the iteration's seed
+ * in place of the config's fixed one.
+ *
  * Usage:
  *   pep_fuzz [options]
- *     --iters N            programs to generate (default 200)
+ *     --iters N            iterations (default 200)
  *     --seed S             base seed (default 1)
  *     --seed-from-run-id   derive the seed from $GITHUB_RUN_ID
- *     --configs a,b,c      comma-separated standard configs (default
- *                          all: headersplit-direct, smart-spanning-osr,
+ *     --configs a,b,c      comma-separated standard configs, program
+ *                          or threaded (default all program configs:
+ *                          headersplit-direct, smart-spanning-osr,
  *                          backedge, inline-smart, kiter2-smart-osr,
- *                          kiter4-backedge, kiter4-inline)
+ *                          kiter4-backedge, kiter4-inline, ...)
  *     --kiter N            override every selected config's k-BLPP
  *                          window length (default: $PEP_KITER if set,
  *                          else each config's own kIterations). Avoid
  *                          with --corpus-dir: corpus replay rebuilds
  *                          options from the config name alone
- *     --loop-bias X        generator loop-heaviness in [0,1] (deeper
- *                          nesting, irregular trips, shared headers);
- *                          0 is the legacy byte-identical stream
  *     --inject KIND        none | corrupt-increment |
  *                          engine-divergence | impossible-profile |
- *                          truncated-window | stale-osr-plan —
- *                          deliberately break one invariant (harness
- *                          self-test)
+ *                          truncated-window | stale-osr-plan |
+ *                          ring-lost-sample — deliberately break one
+ *                          invariant (harness self-test)
  *     --expect-caught      exit 0 iff at least one violation was found
- *     --no-shrink          skip reduction of failing programs
- *     --corpus-dir DIR     where to write reproducers (none by default)
  *     --jobs N             worker threads (default: PEP_BENCH_THREADS
  *                          or hardware concurrency)
  *     --verbose            per-iteration progress
+ *   These shape generated programs only; threaded configs ignore them:
+ *     --loop-bias X        generator loop-heaviness in [0,1] (deeper
+ *                          nesting, irregular trips, shared headers);
+ *                          0 is the legacy byte-identical stream
+ *     --no-shrink          skip reduction of failing programs
+ *     --corpus-dir DIR     where to write reproducers (none by default)
  *
  * Exit status: 0 clean (or caught, with --expect-caught), 1 violations
  * (or nothing caught under --expect-caught), 2 usage errors.
@@ -51,6 +59,7 @@
  * is still a violation.
  */
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -73,12 +82,20 @@ namespace {
 using pep::testing::DiffOptions;
 using pep::testing::DiffReport;
 using pep::testing::InjectKind;
+using pep::testing::ThreadedDiffOptions;
+
+constexpr char kUsage[] =
+    "usage: pep_fuzz [--iters N] [--seed S] [--seed-from-run-id]"
+    " [--configs a,b,c] [--kiter N] [--inject KIND] [--expect-caught]"
+    " [--jobs N] [--verbose] [--loop-bias X] [--no-shrink]"
+    " [--corpus-dir DIR]\n"
+    "  (--loop-bias, --no-shrink and --corpus-dir shape generated"
+    " programs only; threaded configs ignore them)\n";
 
 struct Options
 {
     std::uint64_t iters = 200;
     std::uint64_t seed = 1;
-    bool seedFromRunId = false;
     std::vector<std::string> configs;
     std::uint32_t kiter = 0; // 0 = keep each config's kIterations
     double loopBias = 0.0;
@@ -90,63 +107,70 @@ struct Options
     bool verbose = false;
 };
 
+/** The one numeric parser: the whole of `text` as a T. */
+template <typename T>
+bool
+parseNumber(const char *text, T &out)
+{
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, out);
+    return ec == std::errc() && ptr == end;
+}
+
 bool
 parseArgs(int argc, char **argv, Options &options)
 {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto next = [&](std::uint64_t &out) {
-            if (i + 1 >= argc)
-                return false;
-            out = std::strtoull(argv[++i], nullptr, 10);
-            return true;
+        const auto next = [&]() -> const char * {
+            return i + 1 < argc ? argv[++i] : nullptr;
+        };
+        const auto number = [&](auto &out) {
+            const char *text = next();
+            return text && parseNumber(text, out);
         };
         if (arg == "--iters") {
-            if (!next(options.iters))
+            if (!number(options.iters) || options.iters == 0)
                 return false;
         } else if (arg == "--seed") {
-            if (!next(options.seed))
+            if (!number(options.seed))
                 return false;
         } else if (arg == "--seed-from-run-id") {
-            options.seedFromRunId = true;
-        } else if (arg == "--configs") {
-            if (i + 1 >= argc)
+            const char *run_id = std::getenv("GITHUB_RUN_ID");
+            if (run_id && *run_id && !parseNumber(run_id, options.seed))
                 return false;
-            std::istringstream list(argv[++i]);
+        } else if (arg == "--configs") {
+            const char *text = next();
+            if (!text)
+                return false;
+            std::istringstream list(text);
             std::string name;
             while (std::getline(list, name, ','))
                 if (!name.empty())
                     options.configs.push_back(name);
         } else if (arg == "--kiter") {
-            std::uint64_t kiter = 0;
-            if (!next(kiter))
+            if (!number(options.kiter) || options.kiter == 0)
                 return false;
-            options.kiter = static_cast<std::uint32_t>(kiter);
         } else if (arg == "--loop-bias") {
-            if (i + 1 >= argc)
-                return false;
-            options.loopBias = std::strtod(argv[++i], nullptr);
-            if (options.loopBias < 0.0 || options.loopBias > 1.0)
+            if (!number(options.loopBias) || options.loopBias < 0.0 ||
+                options.loopBias > 1.0)
                 return false;
         } else if (arg == "--inject") {
-            if (i + 1 >= argc ||
-                !pep::testing::parseInjectKind(argv[++i],
-                                               options.inject)) {
+            const char *text = next();
+            if (!text || !pep::testing::parseInjectKind(text, options.inject))
                 return false;
-            }
         } else if (arg == "--expect-caught") {
             options.expectCaught = true;
         } else if (arg == "--no-shrink") {
             options.shrink = false;
         } else if (arg == "--corpus-dir") {
-            if (i + 1 >= argc)
+            const char *text = next();
+            if (!text)
                 return false;
-            options.corpusDir = argv[++i];
+            options.corpusDir = text;
         } else if (arg == "--jobs") {
-            std::uint64_t jobs = 0;
-            if (!next(jobs))
+            if (!number(options.jobs))
                 return false;
-            options.jobs = static_cast<unsigned>(jobs);
         } else if (arg == "--verbose") {
             options.verbose = true;
         } else {
@@ -177,6 +201,7 @@ struct IterOutcome
     std::string firstViolation;
     std::size_t instrumentedVersions = 0;
     std::uint64_t oracleSegments = 0;
+    std::uint64_t threadedSegments = 0;
     std::size_t skippedConfigs = 0;
 };
 
@@ -248,6 +273,21 @@ runGuarded(const pep::bytecode::Program &program,
     return result;
 }
 
+/** Run one threaded config, folding harness crashes into violations. */
+DiffReport
+runThreadedGuarded(const ThreadedDiffOptions &opts)
+{
+    DiffReport report;
+    try {
+        report = pep::testing::runThreadedDiff(opts);
+    } catch (const pep::support::PanicError &e) {
+        report.violations.push_back(std::string("panic: ") + e.what());
+    } catch (const pep::support::FatalError &e) {
+        report.violations.push_back(std::string("fatal: ") + e.what());
+    }
+    return report;
+}
+
 bool
 writeCorpusFile(const Options &options,
                 const pep::bytecode::Program &program,
@@ -281,36 +321,32 @@ main(int argc, char **argv)
 {
     Options options;
     if (!parseArgs(argc, argv, options)) {
-        std::fprintf(stderr, "pep-fuzz: bad usage (see header)\n");
+        std::fprintf(stderr, "%s", kUsage);
         return 2;
     }
 
-    if (options.seedFromRunId) {
-        const char *run_id = std::getenv("GITHUB_RUN_ID");
-        if (run_id && *run_id)
-            options.seed = std::strtoull(run_id, nullptr, 10);
-    }
     options.iters = pep::testing::fuzzItersFromEnv(options.iters);
     if (options.kiter == 0)
         options.kiter = pep::testing::kIterationsFromEnv(0);
 
     std::vector<const DiffOptions *> configs;
+    std::vector<const ThreadedDiffOptions *> threaded;
     if (options.configs.empty()) {
         for (const DiffOptions &config :
              pep::testing::standardConfigs()) {
             configs.push_back(&config);
         }
-    } else {
-        for (const std::string &name : options.configs) {
-            const DiffOptions *config =
-                pep::testing::findConfig(name);
-            if (!config) {
-                std::fprintf(stderr,
-                             "pep-fuzz: unknown config '%s'\n",
-                             name.c_str());
-                return 2;
-            }
+    }
+    for (const std::string &name : options.configs) {
+        if (const DiffOptions *config = pep::testing::findConfig(name)) {
             configs.push_back(config);
+        } else if (const ThreadedDiffOptions *config =
+                       pep::testing::findThreadedConfig(name)) {
+            threaded.push_back(config);
+        } else {
+            std::fprintf(stderr, "pep-fuzz: unknown config '%s'\n",
+                         name.c_str());
+            return 2;
         }
     }
 
@@ -319,11 +355,22 @@ main(int argc, char **argv)
     runner.run(options.iters, [&](std::size_t index) {
         IterOutcome &outcome = outcomes[index];
         outcome.seed = mixSeed(options.seed, index);
+        const auto clean = [&](const DiffReport &report,
+                               const std::string &config) {
+            outcome.oracleSegments += report.oracleSegments;
+            if (report.ok())
+                return true;
+            outcome.violated = true;
+            outcome.config = config;
+            outcome.firstViolation = report.violations.front();
+            return false;
+        };
         pep::testing::FuzzSpec spec;
         spec.seed = outcome.seed;
         spec.loopBias = options.loopBias;
         const pep::bytecode::Program program =
-            pep::testing::generateProgram(spec);
+            configs.empty() ? pep::bytecode::Program{}
+                            : pep::testing::generateProgram(spec);
         for (const DiffOptions *config : configs) {
             DiffOptions opts = *config;
             opts.inject = options.inject;
@@ -334,26 +381,33 @@ main(int argc, char **argv)
                 ++outcome.skippedConfigs;
                 continue;
             }
-            const DiffReport &report = guarded.report;
             outcome.instrumentedVersions +=
-                report.instrumentedVersions;
-            outcome.oracleSegments += report.oracleSegments;
-            if (!report.ok()) {
-                outcome.violated = true;
-                outcome.config = config->name;
-                outcome.firstViolation = report.violations.front();
-                break;
-            }
+                guarded.report.instrumentedVersions;
+            if (!clean(guarded.report, config->name))
+                return;
+        }
+        for (const ThreadedDiffOptions *config : threaded) {
+            ThreadedDiffOptions opts = *config;
+            opts.seed = outcome.seed;
+            opts.inject = options.inject;
+            if (options.kiter > 0)
+                opts.kIterations = options.kiter;
+            const DiffReport report = runThreadedGuarded(opts);
+            outcome.threadedSegments += report.oracleSegments;
+            if (!clean(report, config->name))
+                return;
         }
     });
 
     std::size_t total_instrumented = 0;
     std::uint64_t total_segments = 0;
+    std::uint64_t total_threaded_segments = 0;
     std::size_t total_skipped = 0;
     const IterOutcome *first_failure = nullptr;
     for (const IterOutcome &outcome : outcomes) {
         total_instrumented += outcome.instrumentedVersions;
         total_segments += outcome.oracleSegments;
+        total_threaded_segments += outcome.threadedSegments;
         total_skipped += outcome.skippedConfigs;
         if (outcome.violated && !first_failure)
             first_failure = &outcome;
@@ -372,10 +426,10 @@ main(int argc, char **argv)
     }
 
     std::fprintf(stderr,
-                 "pep-fuzz: %llu programs x %zu configs, %zu "
+                 "pep-fuzz: %llu iterations x %zu configs, %zu "
                  "instrumented versions, %llu oracle segments\n",
                  static_cast<unsigned long long>(options.iters),
-                 configs.size(), total_instrumented,
+                 configs.size() + threaded.size(), total_instrumented,
                  static_cast<unsigned long long>(total_segments));
     if (total_skipped > 0) {
         std::fprintf(stderr,
@@ -384,10 +438,16 @@ main(int argc, char **argv)
                      total_skipped);
     }
 
-    if (total_instrumented == 0) {
+    if (!configs.empty() && total_instrumented == 0) {
         std::fprintf(stderr,
                      "pep-fuzz: coverage failure: no generated "
                      "program produced an instrumented version\n");
+        return 1;
+    }
+    if (!threaded.empty() && total_threaded_segments == 0) {
+        std::fprintf(stderr,
+                     "pep-fuzz: coverage failure: no threaded run "
+                     "recorded an oracle segment\n");
         return 1;
     }
 
@@ -407,14 +467,15 @@ main(int argc, char **argv)
                  first_failure->config.c_str(),
                  first_failure->firstViolation.c_str());
 
-    if (options.shrink || !options.corpusDir.empty()) {
+    // Only a generated program can be shrunk or written to the corpus.
+    const DiffOptions *config =
+        pep::testing::findConfig(first_failure->config);
+    if (config && (options.shrink || !options.corpusDir.empty())) {
         pep::testing::FuzzSpec spec;
         spec.seed = first_failure->seed;
         spec.loopBias = options.loopBias;
         pep::bytecode::Program failing =
             pep::testing::generateProgram(spec);
-        const DiffOptions *config =
-            pep::testing::findConfig(first_failure->config);
         DiffOptions opts = *config;
         opts.inject = options.inject;
         if (options.kiter > 0)

@@ -1,30 +1,27 @@
 /**
  * @file
- * pep-verify: symbolic engine-equivalence and profile-realizability
- * verifier for .pepasm programs (docs/ANALYSIS.md). Assembles each
- * input, proves the threaded engine's template translation equivalent
- * to the bytecode for every method (pass 1, the template-stream
- * proof), then — unless --static-only — runs the program under the
- * configured engine with a full path profiler and a PEP(1,1) sampler
- * attached and verifies the resulting machine state and recorded
- * profiles:
- *
- *  - the stream proof of every installed version (baked layouts
- *    included) and the origin audit of every cloned body;
- *  - the k-path id space of every instrumentation plan;
- *  - realizability of every recorded profile: ground-truth edge
- *    counts (flow conservation incl. headers), PEP's sampled
- *    continuous edge profile and the full profiler's path-derived
- *    edge profile (conservation at non-header blocks, walk bounds),
- *    and both engines' path profiles (numbering range,
- *    reconstructibility, sample budgets).
+ * pep-verify: static checker and profile-realizability verifier for
+ * .pepasm programs (docs/ANALYSIS.md). Assembles each input and runs
+ * the static phase (analysis/lint.hh): the multi-diagnostic bytecode
+ * verifier, the dataflow lints (dead stores, unreachable code,
+ * abstract stack/constant findings), the instrumentation-plan checker
+ * over every (DAG mode, numbering scheme, placement) configuration the
+ * profiling pipeline can produce, and the template-stream proof
+ * (analysis/verify/stream_proof.hh) over every fusion selection. Then
+ * — unless --static-only, and only when the static phase found no
+ * error — it runs the program under the configured engine with a full
+ * path profiler and a PEP(1,1) sampler attached and audits the
+ * finished run (testing::auditRun): the stream proof of every
+ * installed version, the origin audit of every cloned body, the k-path
+ * id space of every plan, and the realizability of every recorded
+ * profile.
  *
  * Usage:
  *   pep_verify [options] <program.pepasm>...
  *     --json          emit diagnostics as a JSON array
  *     --werror        exit nonzero on warnings too
  *     --quiet         print errors only (text mode)
- *     --static-only   skip the dynamic run (pass 1 + bytecode verify)
+ *     --static-only   skip the dynamic run
  *     --iters N       iterations of the dynamic run (default 3)
  *     --kiter N       k-BLPP window length of the dynamic profilers
  *                     (default 1 = classic BLPP); path profiles are
@@ -32,10 +29,15 @@
  *                     space, including per-digit reconstruction and
  *                     window chaining (docs/KBLPP.md)
  *
+ * Findings are emitted in a deterministic order — sorted by (file,
+ * method, version, pass, check, location) — so CI diffs are stable
+ * regardless of pass scheduling.
+ *
  * Exit status: 0 clean, 1 diagnostics at the failing severity, 2 usage
  * or file errors.
  */
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -46,17 +48,20 @@
 #include <vector>
 
 #include "analysis/diagnostics.hh"
-#include "analysis/plan_check.hh"
-#include "analysis/verify/realizability.hh"
-#include "analysis/verify/verify.hh"
+#include "analysis/lint.hh"
 #include "bytecode/assembler.hh"
 #include "core/baseline_profilers.hh"
 #include "core/pep_profiler.hh"
 #include "core/sampling.hh"
 #include "support/panic.hh"
+#include "testing/differ.hh"
 #include "vm/machine.hh"
 
 namespace {
+
+using pep::analysis::Diagnostic;
+using pep::analysis::DiagnosticList;
+using pep::analysis::Severity;
 
 struct Options
 {
@@ -68,6 +73,15 @@ struct Options
     std::uint32_t iters = 3;
     std::uint32_t kiter = 1;
 };
+
+/** The one numeric parser: a whole positive decimal count. */
+bool
+parseCount(const char *text, std::uint32_t &out)
+{
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, out);
+    return ec == std::errc() && ptr == end && out > 0;
+}
 
 bool
 parseArgs(int argc, char **argv, Options &options)
@@ -82,17 +96,10 @@ parseArgs(int argc, char **argv, Options &options)
             options.quiet = true;
         } else if (arg == "--static-only") {
             options.staticOnly = true;
-        } else if (arg == "--iters") {
-            if (i + 1 >= argc)
-                return false;
-            options.iters = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--kiter") {
-            if (i + 1 >= argc)
-                return false;
-            options.kiter = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-            if (options.kiter == 0)
+        } else if (arg == "--iters" || arg == "--kiter") {
+            if (i + 1 >= argc ||
+                !parseCount(argv[++i], arg == "--iters" ? options.iters
+                                                        : options.kiter))
                 return false;
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "pep-verify: unknown option '%s'\n",
@@ -117,65 +124,36 @@ readFile(const std::string &path, std::string &out)
     return true;
 }
 
-/** Audit one path engine's plans, k-path id spaces and path
- *  profiles. */
+/** Run the program with a full path profiler and PEP(1,1) attached,
+ *  then audit the finished run. */
 void
-verifyEngineProfiles(const pep::vm::Machine &machine,
-                     const pep::core::PathEngine &engine,
-                     const std::string &what, std::uint64_t max_total,
-                     pep::analysis::DiagnosticList &diagnostics)
+dynamicPhase(const pep::bytecode::Program &program, const Options &options,
+             DiagnosticList &diagnostics)
 {
-    pep::analysis::RealizabilityOptions opts;
-    opts.what = what;
-    opts.walkMultiplicity = engine.kIterations();
-    for (const auto &[key, vp] : engine.versionProfiles()) {
-        const std::string &name =
-            machine.program().methods[key.first].name;
-        pep::analysis::KPathCheckInput kinput;
-        kinput.plan = &vp->state->plan;
-        kinput.kpath = &vp->state->kpath;
-        kinput.kRequested = engine.kIterations();
-        kinput.methodName = name;
-        pep::analysis::checkKPathScheme(kinput, diagnostics);
-        pep::analysis::checkPathProfileRealizability(
-            vp->state->plan, *vp->state->reconstructor, vp->paths, opts,
-            max_total, name, /*has_version=*/true, key.second,
-            diagnostics, &vp->state->kpath);
-    }
-}
-
-/** Run the program with profilers attached and verify machine state
- *  and every recorded profile. */
-void
-dynamicVerify(const pep::bytecode::Program &program,
-              std::uint32_t iters, std::uint32_t kiter,
-              pep::analysis::DiagnosticList &diagnostics)
-{
-    using pep::analysis::Severity;
-
     pep::vm::SimParams params;
     params.tickCycles = 9'000;
     params.maxCyclesPerIteration = 50'000'000;
-
     pep::vm::Machine machine(program, params);
 
     pep::core::FullPathProfiler full(
         machine, pep::profile::DagMode::HeaderSplit,
         /*charge_costs=*/false, pep::profile::NumberingScheme::BallLarus,
         pep::core::PathStoreKind::Array,
-        pep::profile::PlacementKind::Direct, kiter);
+        pep::profile::PlacementKind::Direct, options.kiter);
     machine.addHooks(&full);
     machine.addCompileObserver(&full);
 
-    pep::core::SimplifiedArnoldGrove controller(1, 1);
+    const pep::testing::PepConfig sampling{1, 1};
+    pep::core::SimplifiedArnoldGrove controller(sampling.samples,
+                                                sampling.stride);
     pep::core::PepOptions pep_options;
-    pep_options.kIterations = kiter;
+    pep_options.kIterations = options.kiter;
     pep::core::PepProfiler pep(machine, controller, pep_options);
     machine.addHooks(&pep);
     machine.addCompileObserver(&pep);
 
     try {
-        for (std::uint32_t it = 0; it < iters; ++it)
+        for (std::uint32_t it = 0; it < options.iters; ++it)
             machine.runIteration();
     } catch (const pep::support::PanicError &e) {
         diagnostics.report(Severity::Error, "run", "",
@@ -187,45 +165,7 @@ dynamicVerify(const pep::bytecode::Program &program,
         return;
     }
 
-    // Installed versions: stream proofs and cloned-body audits.
-    pep::analysis::verifyMachine(machine, diagnostics);
-
-    // Plans and path profiles of both engines.
-    verifyEngineProfiles(machine, full, "full-path profile",
-                         full.pathsStored(), diagnostics);
-    verifyEngineProfiles(machine, pep, "pep-sampled profile",
-                         pep.pepStats().samplesRecorded, diagnostics);
-
-    // Ground truth: complete frames, so conservation holds at loop
-    // headers too.
-    {
-        pep::analysis::RealizabilityOptions opts;
-        opts.what = "truth edges";
-        opts.requireHeaderConservation = true;
-        pep::analysis::checkEdgeSetRealizability(
-            machine, machine.truthEdges(), opts, diagnostics);
-    }
-    // PEP's continuous edge profile: sums of sampled walks (k-windows
-    // may cross one edge up to k times).
-    {
-        pep::analysis::RealizabilityOptions opts;
-        opts.what = "pep-sampled edges";
-        opts.maxWalks = pep.pepStats().samplesRecorded;
-        opts.walkMultiplicity = kiter;
-        pep::analysis::checkEdgeSetRealizability(
-            machine, pep.edgeProfile(), opts, diagnostics);
-    }
-    // The full profiler's path-derived edge profile.
-    {
-        pep::analysis::RealizabilityOptions opts;
-        opts.what = "path-derived edges";
-        opts.maxWalks = full.pathsStored();
-        opts.walkMultiplicity = kiter;
-        const pep::profile::EdgeProfileSet derived =
-            pep::core::edgeProfileFromPaths(machine, full);
-        pep::analysis::checkEdgeSetRealizability(machine, derived, opts,
-                                                 diagnostics);
-    }
+    pep::testing::auditRun(machine, full, {&pep}, {sampling}, diagnostics);
 }
 
 } // namespace
@@ -243,13 +183,9 @@ main(int argc, char **argv)
         return 2;
     }
 
-    using pep::analysis::Diagnostic;
-    using pep::analysis::Severity;
-
     bool io_error = false;
     std::size_t errors = 0, warnings = 0;
-    std::vector<std::pair<std::string, Diagnostic>> findings;
-
+    std::vector<Diagnostic> findings;
     for (const std::string &path : options.files) {
         std::string source;
         if (!readFile(path, source)) {
@@ -259,51 +195,33 @@ main(int argc, char **argv)
             continue;
         }
 
-        pep::analysis::DiagnosticList diagnostics;
+        DiagnosticList diagnostics;
         pep::bytecode::AssembleResult assembled =
             pep::bytecode::assemble(source);
         if (!assembled.ok) {
             diagnostics.report(Severity::Error, "assemble", "",
                                assembled.error);
         } else {
-            const bool clean = pep::analysis::verifyProgram(
-                assembled.program, diagnostics);
-            if (clean && !options.staticOnly) {
-                dynamicVerify(assembled.program, options.iters,
-                              options.kiter, diagnostics);
-            }
+            diagnostics = pep::analysis::lintProgram(assembled.program);
+            if (!diagnostics.hasErrors() && !options.staticOnly)
+                dynamicPhase(assembled.program, options, diagnostics);
         }
-
         errors += diagnostics.errorCount();
         warnings += diagnostics.warningCount();
-        std::vector<Diagnostic> sorted = diagnostics.all();
-        pep::analysis::sortDiagnostics(sorted);
-        for (Diagnostic &d : sorted)
-            findings.emplace_back(path, std::move(d));
+        for (Diagnostic d : diagnostics.all()) {
+            d.file = path;
+            findings.push_back(std::move(d));
+        }
     }
+    pep::analysis::sortDiagnostics(findings);
 
     if (options.json) {
-        // One top-level array; each entry gains a "file" key.
-        std::printf("[");
-        bool first = true;
-        for (const auto &[path, d] : findings) {
-            std::vector<Diagnostic> one{d};
-            std::string body = pep::analysis::diagnosticsToJson(one);
-            const std::size_t brace = body.find('{');
-            const std::size_t end = body.rfind('}');
-            std::printf("%s\n  {\"file\": \"%s\", %s}",
-                        first ? "" : ",", path.c_str(),
-                        body.substr(brace + 1, end - brace - 1)
-                            .c_str());
-            first = false;
-        }
-        std::printf("\n]\n");
+        std::printf("%s", pep::analysis::diagnosticsToJson(findings).c_str());
     } else {
-        for (const auto &[path, d] : findings) {
-            if (options.quiet && d.severity != Severity::Error)
-                continue;
-            std::printf("%s: %s\n", path.c_str(),
-                        pep::analysis::formatDiagnostic(d).c_str());
+        for (const Diagnostic &d : findings) {
+            if (!options.quiet || d.severity == Severity::Error)
+                std::printf("%s\n",
+                            pep::analysis::formatDiagnostic(d).c_str());
         }
         if (!options.quiet) {
             std::printf("pep-verify: %zu file(s), %zu error(s), "
