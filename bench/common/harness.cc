@@ -1,25 +1,38 @@
 #include "common/harness.hh"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
-#include "support/panic.hh"
 #include "support/stats.hh"
 
 namespace pep::bench {
 
+double
+benchScale()
+{
+    const char *env = std::getenv("PEP_BENCH_SCALE");
+    if (!env || !*env)
+        return 1.0;
+    const char *end = env + std::strlen(env);
+    double scale = 0.0;
+    const auto [parsed_end, error] = std::from_chars(env, end, scale);
+    if (error != std::errc() || parsed_end != end || !(scale > 0.0) ||
+        scale > 1.0) {
+        std::fprintf(stderr,
+                     "PEP_BENCH_SCALE=%s: expected a number in (0, 1]\n",
+                     env);
+        std::exit(2);
+    }
+    return scale;
+}
+
 std::vector<workload::WorkloadSpec>
 benchSuite()
 {
-    double scale = 1.0;
-    if (const char *env = std::getenv("PEP_BENCH_SCALE")) {
-        scale = std::atof(env);
-        if (scale <= 0.0 || scale > 1.0) {
-            support::warn("ignoring invalid PEP_BENCH_SCALE");
-            scale = 1.0;
-        }
-    }
     std::vector<workload::WorkloadSpec> suite =
-        workload::scaledSuite(scale);
+        workload::scaledSuite(benchScale());
     if (const char *only = std::getenv("PEP_BENCH_ONLY")) {
         std::erase_if(suite, [&](const workload::WorkloadSpec &spec) {
             return spec.name != only;

@@ -15,7 +15,8 @@
  *
  * Scale the suite with PEP_BENCH_SCALE (0 < s <= 1, default 1) to trade
  * fidelity for wall-clock time, e.g. PEP_BENCH_SCALE=0.2 for smoke
- * runs. Set PEP_BENCH_ONLY=<name> to run a single benchmark.
+ * runs; any other value is rejected (benchScale). Set
+ * PEP_BENCH_ONLY=<name> to run a single benchmark.
  */
 
 #include <cstddef>
@@ -36,7 +37,15 @@
 
 namespace pep::bench {
 
-/** Suite scaled per the PEP_BENCH_SCALE environment variable. */
+/**
+ * PEP_BENCH_SCALE, the one parse every bench uses: 1 when unset or
+ * empty; a value that is not a number in (0, 1] prints a message
+ * naming the variable and the value and exits 2, so a typo fails
+ * loudly instead of running at some other scale.
+ */
+double benchScale();
+
+/** Suite scaled per benchScale(). */
 std::vector<workload::WorkloadSpec> benchSuite();
 
 /** The default simulation parameters used by every harness. */

@@ -10,7 +10,8 @@
  *      edge-profile accuracy (relative / absolute overlap of PEP's
  *      continuous profile against the run's own ground truth),
  *      compared against the K = 1 baseline. Each PEP run executes
- *      twice and must serialize byte-identically (the determinism
+ *      twice and must serialize byte-identically (testing::serializeRun
+ *      with the PEP and the scheduler's CoopStats: the determinism
  *      contract of docs/RUNTIME.md);
  *   2. throughput worker scaling — the same stream sharded over
  *      1..N OS worker threads with the sharded, cache-line-padded
@@ -31,8 +32,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,55 +43,12 @@
 #include "runtime/coop_scheduler.hh"
 #include "runtime/request_stream.hh"
 #include "runtime/throughput.hh"
+#include "testing/observables.hh"
 #include "vm/machine.hh"
 
 using namespace pep;
 
 namespace {
-
-double
-benchScale()
-{
-    double scale = 1.0;
-    if (const char *env = std::getenv("PEP_BENCH_SCALE")) {
-        scale = std::atof(env);
-        if (scale <= 0.0 || scale > 1.0)
-            scale = 1.0;
-    }
-    return scale;
-}
-
-/** Everything observable about one cooperative run, serialized; two
- *  runs with identical seeds must compare equal byte for byte. */
-std::string
-serializeRun(const vm::Machine &machine, const core::PepProfiler &pep,
-             const runtime::CoopStats &stats)
-{
-    std::ostringstream os;
-    const auto dump = [&os](const profile::EdgeProfileSet &set) {
-        for (const auto &method : set.perMethod) {
-            for (const auto &per_block : method.counts())
-                for (std::uint64_t count : per_block)
-                    os << count << ' ';
-            os << '\n';
-        }
-    };
-    dump(machine.truthEdges());
-    dump(pep.edgeProfile());
-    for (const auto &[key, vp] : pep.versionProfiles()) {
-        std::map<std::uint64_t, std::uint64_t> ordered;
-        for (const auto &[number, record] : vp->paths.paths())
-            ordered[number] = record.count;
-        os << key.first << '/' << key.second << ':';
-        for (const auto &[number, count] : ordered)
-            os << ' ' << number << '=' << count;
-        os << '\n';
-    }
-    os << stats.contextSwitches << ' ' << stats.requestsCompleted
-       << ' ' << machine.stats().instructionsExecuted << ' '
-       << machine.now() << '\n';
-    return os.str();
-}
 
 struct CoopRow
 {
@@ -153,6 +109,8 @@ runCoopCell(const runtime::RequestStream &stream,
         machine.addHooks(&pep);
         machine.addCompileObserver(&pep);
         const runtime::CoopStats stats = drive(machine);
+        const std::string blob = testing::serializeRun(
+            machine, {.peps = {&pep}, .coop = &stats});
 
         if (run == 0) {
             row.pepCycles = machine.now();
@@ -170,10 +128,9 @@ runCoopCell(const runtime::RequestStream &stream,
                 machine.truthEdges(), pep.edgeProfile());
             row.contextSwitches = stats.contextSwitches;
             row.samplesRecorded = pep.pepStats().samplesRecorded;
-            first_blob = serializeRun(machine, pep, stats);
+            first_blob = blob;
         } else {
-            row.deterministic =
-                serializeRun(machine, pep, stats) == first_blob;
+            row.deterministic = blob == first_blob;
         }
     }
     return row;
@@ -188,18 +145,6 @@ struct ThroughputRow
     std::uint64_t flushedEdgeCount = 0;
 };
 
-bool
-edgesIdentical(const profile::EdgeProfileSet &a,
-               const profile::EdgeProfileSet &b)
-{
-    if (a.perMethod.size() != b.perMethod.size())
-        return false;
-    for (std::size_t m = 0; m < a.perMethod.size(); ++m)
-        if (a.perMethod[m].counts() != b.perMethod[m].counts())
-            return false;
-    return true;
-}
-
 } // namespace
 
 int
@@ -211,7 +156,7 @@ main(int argc, char **argv)
     runtime::RequestStreamSpec spec;
     spec.seed = 401;
     spec.requests = std::max<std::uint32_t>(
-        64, static_cast<std::uint32_t>(4096 * benchScale()));
+        64, static_cast<std::uint32_t>(4096 * bench::benchScale()));
     const runtime::RequestStream stream(spec);
 
     vm::SimParams params = bench::defaultParams();
@@ -287,7 +232,7 @@ main(int argc, char **argv)
         runtime::runThroughput(stream, t_options);
 
     const bool identical =
-        edgesIdentical(sharded.edges, mutex_global.edges) &&
+        sharded.edges == mutex_global.edges &&
         sharded.paths == mutex_global.paths;
     // The ring transport's own invariant: every sample offered is
     // either applied or counted as dropped (see docs/RUNTIME.md).

@@ -21,12 +21,12 @@
  * template streams (how many dispatches fusion and tracing removed).
  *
  * Two gates decide the exit status:
- *   - identity: every observable (profiles, clock, stats) must be
+ *   - identity: every observable (testing::serializeRun) must be
  *     byte-identical across all four cells — always enforced;
  *   - speedup: the fully fused cell must reach >= 1.20x the
- *     threaded-none baseline in edges/sec — enforced at full scale
- *     only (PEP_BENCH_SCALE < 1 runs are smoke tests on noisy CI
- *     boxes, where wall-clock gates would flake).
+ *     threaded-none baseline in edges/sec — enforced exactly when
+ *     PEP_BENCH_SCALE is 1 (smaller scales are smoke tests on noisy
+ *     CI boxes, where wall-clock gates would flake).
  *
  * Usage: tab_fusion [output.json]   (default BENCH_PR10.json)
  * PEP_BENCH_SCALE / PEP_BENCH_ONLY apply.
@@ -35,11 +35,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/harness.hh"
+#include "testing/observables.hh"
 #include "vm/decoded_method.hh"
 #include "vm/engine.hh"
 #include "vm/machine.hh"
@@ -55,57 +55,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
-}
-
-/**
- * Serialize everything a run may legitimately observe: ground-truth
- * and one-time edge profiles, the simulated clock, and the
- * engine-independent machine counters. methodsDecoded is deliberately
- * excluded — it describes the harness's translation cache, not
- * simulated behaviour, and differs across the matrix by design.
- */
-std::string
-serializeObservables(const vm::Machine &machine)
-{
-    std::string out;
-    char line[192];
-    const auto dump_set = [&](const profile::EdgeProfileSet &set,
-                              const char *tag) {
-        for (std::size_t m = 0; m < set.perMethod.size(); ++m) {
-            const auto &counts = set.perMethod[m].counts();
-            for (std::size_t b = 0; b < counts.size(); ++b) {
-                for (std::size_t i = 0; i < counts[b].size(); ++i) {
-                    if (counts[b][i] == 0)
-                        continue;
-                    std::snprintf(line, sizeof(line),
-                                  "%s %zu %zu %zu %llu\n", tag, m, b, i,
-                                  static_cast<unsigned long long>(
-                                      counts[b][i]));
-                    out += line;
-                }
-            }
-        }
-    };
-    dump_set(machine.truthEdges(), "truth");
-    dump_set(machine.oneTimeEdges(), "one-time");
-    const vm::MachineStats &s = machine.stats();
-    std::snprintf(line, sizeof(line),
-                  "clock %llu\nstats %llu %llu %llu %llu %llu %llu "
-                  "%llu %llu %llu\n",
-                  static_cast<unsigned long long>(machine.now()),
-                  static_cast<unsigned long long>(
-                      s.instructionsExecuted),
-                  static_cast<unsigned long long>(s.methodInvocations),
-                  static_cast<unsigned long long>(
-                      s.yieldpointsExecuted),
-                  static_cast<unsigned long long>(s.timerTicks),
-                  static_cast<unsigned long long>(s.compileCycles),
-                  static_cast<unsigned long long>(s.compiles),
-                  static_cast<unsigned long long>(s.osrs),
-                  static_cast<unsigned long long>(s.layoutMisses),
-                  static_cast<unsigned long long>(s.branchesExecuted));
-    out += line;
-    return out;
 }
 
 /** Static anatomy of one cell's translated template streams. */
@@ -206,7 +155,7 @@ runCellBench(const bench::Prepared &prepared,
         result.instructions =
             after.instructionsExecuted - before.instructionsExecuted;
         result.edges = run.machine().truthEdges().totalCount();
-        result.blob = serializeObservables(run.machine());
+        result.blob = testing::serializeRun(run.machine());
         if (repeat == kRepeats - 1)
             result.streams = analyzeStreams(
                 run.machine(), prepared.program.methods.size());
@@ -216,15 +165,6 @@ runCellBench(const bench::Prepared &prepared,
     result.edgesPerSec =
         static_cast<double>(result.edges) / result.seconds;
     return result;
-}
-
-double
-benchScale()
-{
-    const char *env = std::getenv("PEP_BENCH_SCALE");
-    if (!env || !*env)
-        return 1.0;
-    return std::atof(env);
 }
 
 } // namespace
@@ -290,8 +230,7 @@ main(int argc, char **argv)
             ? results[kFused].edgesPerSec /
                   results[kBaseline].edgesPerSec
             : 0.0;
-    const double scale = benchScale();
-    const bool enforce_speedup = scale >= 1.0;
+    const bool enforce_speedup = bench::benchScale() == 1.0;
     const bool speedup_ok = fused_speedup >= kSpeedupGate;
 
     std::printf("  pairs speedup:        %.3fx vs threaded-none\n",

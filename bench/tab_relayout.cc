@@ -50,6 +50,7 @@
 
 #include "bytecode/assembler.hh"
 #include "bytecode/cfg_builder.hh"
+#include "common/harness.hh"
 #include "opt/pipeline.hh"
 #include "opt/profile_consumer.hh"
 #include "opt/reopt_driver.hh"
@@ -73,12 +74,7 @@ struct Shape
 Shape
 benchShape()
 {
-    double scale = 1.0;
-    if (const char *env = std::getenv("PEP_BENCH_SCALE")) {
-        const double parsed = std::atof(env);
-        if (parsed > 0.0 && parsed <= 1.0)
-            scale = parsed;
-    }
+    const double scale = bench::benchScale();
     Shape shape;
     shape.total = std::max<std::uint32_t>(
         8, static_cast<std::uint32_t>(60.0 * scale));

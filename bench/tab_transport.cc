@@ -40,18 +40,6 @@ using namespace pep;
 
 namespace {
 
-double
-benchScale()
-{
-    double scale = 1.0;
-    if (const char *env = std::getenv("PEP_BENCH_SCALE")) {
-        scale = std::atof(env);
-        if (scale <= 0.0 || scale > 1.0)
-            scale = 1.0;
-    }
-    return scale;
-}
-
 /** Peak resident set (VmHWM) in kB; 0 where /proc is unavailable.
  *  The peak — not the current RSS — is what a leaky transport moves. */
 std::uint64_t
@@ -72,18 +60,6 @@ peakRssKb()
     return kb;
 }
 
-bool
-edgesIdentical(const profile::EdgeProfileSet &a,
-               const profile::EdgeProfileSet &b)
-{
-    if (a.perMethod.size() != b.perMethod.size())
-        return false;
-    for (std::size_t m = 0; m < a.perMethod.size(); ++m)
-        if (a.perMethod[m].counts() != b.perMethod[m].counts())
-            return false;
-    return true;
-}
-
 struct SweepRow
 {
     std::uint32_t capacity = 0;
@@ -100,7 +76,7 @@ main(int argc, char **argv)
 {
     const std::string json_path =
         argc > 1 ? argv[1] : "BENCH_PR7.json";
-    const double scale = benchScale();
+    const double scale = bench::benchScale();
 
     const std::uint32_t workers = std::max<std::uint32_t>(
         16, std::thread::hardware_concurrency());
@@ -260,10 +236,10 @@ main(int argc, char **argv)
 
     const bool drop_free = id_ring.transport.dropped == 0;
     const bool ring_matches =
-        drop_free && edgesIdentical(id_ring.edges, id_mutex.edges) &&
+        drop_free && id_ring.edges == id_mutex.edges &&
         id_ring.paths == id_mutex.paths;
     const bool sharded_matches =
-        edgesIdentical(id_sharded.edges, id_mutex.edges) &&
+        id_sharded.edges == id_mutex.edges &&
         id_sharded.paths == id_mutex.paths;
     std::printf("tab_transport: identity at %u requests — ring "
                 "dropped %llu, ring %s, sharded %s\n",

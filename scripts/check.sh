@@ -4,8 +4,9 @@
 # compiles against src/ and that the regular build never compiles), a
 # second build with AddressSanitizer + UBSanitizer (-DPEP_SANITIZE=ON)
 # and the same test run under it, then a ThreadSanitizer build
-# (-DPEP_SANITIZE=thread) running the concurrent-runtime tests (the
-# only suites with real OS-thread concurrency).
+# (-DPEP_SANITIZE=thread) running the `runtime`-labelled tests (the
+# only ones with real OS-thread concurrency, and the engine state they
+# share).
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 
@@ -35,8 +36,8 @@ run_suite build-sanitize -DPEP_SANITIZE=ON
 echo "== check.sh: TSan build (runtime suites) =="
 cmake -B build-tsan -S . -DPEP_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$(nproc)" --target runtime_test \
-    workload_test fusion_test
-ctest --test-dir build-tsan --output-on-failure \
-    -R 'Runtime|ParallelRunner' "${CTEST_ARGS[@]}"
+    parallel_runner_test fusion_test pep_fuzz
+ctest --test-dir build-tsan --output-on-failure -L runtime \
+    "${CTEST_ARGS[@]}"
 
 echo "== check.sh: all suites passed =="

@@ -962,8 +962,8 @@ class StreamProof
     std::size_t headerMismatches_ = 0;
 };
 
-/** The version the static tools prove: full-opt costs, no layout
- *  information, no baseline instrumentation. */
+} // namespace
+
 vm::CompiledMethod
 canonicalVersion(const bytecode::MethodCfg &cfg)
 {
@@ -977,8 +977,6 @@ canonicalVersion(const bytecode::MethodCfg &cfg)
     cm.branchLayout.assign(cfg.graph.numBlocks(), -1);
     return cm;
 }
-
-} // namespace
 
 bool
 checkTemplateStream(const TemplateCheckInput &input,

@@ -65,6 +65,10 @@
 #include "bytecode/method.hh"
 #include "vm/engine.hh"
 
+namespace pep::bytecode {
+struct MethodCfg;
+}
+
 namespace pep::vm {
 class CompiledMethod;
 struct DecodedMethod;
@@ -96,6 +100,10 @@ struct TemplateCheckInput
  */
 bool checkTemplateStream(const TemplateCheckInput &input,
                          DiagnosticList &diagnostics);
+
+/** The version the static tools prove: full-opt costs, no layout
+ *  information, no baseline instrumentation. */
+vm::CompiledMethod canonicalVersion(const bytecode::MethodCfg &cfg);
 
 /** Every fusion selection (the whole PEP_FUSE matrix). */
 inline constexpr vm::FuseOptions kEveryFuseOption[] = {

@@ -63,12 +63,6 @@ WindowedProfileConsumer::edges(bytecode::MethodId method)
     return p.totalCount() > 0 ? &p : nullptr;
 }
 
-std::uint64_t
-WindowedProfileConsumer::generation() const
-{
-    return window_.advances();
-}
-
 const profile::MethodEdgeProfile *
 PepConsumer::edges(bytecode::MethodId method)
 {
@@ -127,12 +121,6 @@ PepConsumer::hotPaths(bytecode::MethodId method)
         }
     }
     return paths;
-}
-
-std::uint64_t
-PepConsumer::generation() const
-{
-    return pep_.pepStats().samplesRecorded;
 }
 
 } // namespace pep::opt

@@ -7,10 +7,9 @@
  * LayoutSource answers exactly one question — "edge counts for this
  * method?" — which made the built-in layout predictor the only
  * possible profile consumer. ProfileConsumer widens the contract so a
- * pass pipeline can ask for edge counts, *hot observed paths* (what
- * the cloning pass feeds on), and a freshness generation (what the
- * online reoptimization driver keys phase detection on), while every
- * existing profile carrier plugs in through a thin adapter:
+ * pass pipeline can ask for edge counts and *hot observed paths* (what
+ * the cloning pass feeds on), while every existing profile carrier
+ * plugs in through a thin adapter:
  *
  *  - LayoutSourceConsumer wraps any vm::LayoutSource (the one-time
  *    baseline profile, FixedLayoutSource snapshots, PepProfiler's
@@ -70,12 +69,6 @@ class ProfileConsumer
         (void)method;
         return {};
     }
-
-    /** Monotonic freshness counter: bumps when the underlying profile
-     *  materially changed (a window advanced, samples arrived). The
-     *  reoptimization driver compares generations to skip no-op
-     *  epochs. Default: always 0 (static snapshot). */
-    virtual std::uint64_t generation() const { return 0; }
 };
 
 /** Adapts any vm::LayoutSource (one-time, fixed, PEP continuous). */
@@ -96,9 +89,9 @@ class LayoutSourceConsumer final : public ProfileConsumer
 
 /**
  * Adapts a runtime::WindowedProfile: decayed edge weights are rounded
- * to integer counts and materialized lazily, once per window advance
- * (generation == advances). Paths in the window are keyed by path
- * number without a reconstructor, so this adapter serves edges only.
+ * to integer counts and materialized lazily, once per window advance.
+ * Paths in the window are keyed by path number without a
+ * reconstructor, so this adapter serves edges only.
  */
 class WindowedProfileConsumer final : public ProfileConsumer
 {
@@ -110,8 +103,6 @@ class WindowedProfileConsumer final : public ProfileConsumer
 
     const profile::MethodEdgeProfile *
     edges(bytecode::MethodId method) override;
-
-    std::uint64_t generation() const override;
 
   private:
     /** Rebuild the materialized integer profiles if the window
@@ -145,8 +136,6 @@ class PepConsumer final : public ProfileConsumer
     edges(bytecode::MethodId method) override;
 
     std::vector<HotPath> hotPaths(bytecode::MethodId method) override;
-
-    std::uint64_t generation() const override;
 
   private:
     core::PepProfiler &pep_;

@@ -90,6 +90,7 @@ class MethodEdgeProfile
 
     /** True if no counts have been recorded. */
     bool empty() const { return totalCount() == 0; }
+    bool operator==(const MethodEdgeProfile &) const = default;
 
   private:
     std::vector<std::vector<std::uint64_t>> counts_;
@@ -123,6 +124,7 @@ struct EdgeProfileSet
 
     /** Total count across all methods. */
     std::uint64_t totalCount() const;
+    bool operator==(const EdgeProfileSet &) const = default;
 };
 
 } // namespace pep::profile

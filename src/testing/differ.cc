@@ -1,5 +1,6 @@
 #include "testing/differ.hh"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -20,6 +21,7 @@
 #include "runtime/request_stream.hh"
 #include "runtime/throughput.hh"
 #include "support/panic.hh"
+#include "testing/observables.hh"
 #include "testing/oracle.hh"
 #include "vm/inliner.hh"
 #include "vm/machine.hh"
@@ -141,20 +143,23 @@ corruptPepEdgeProfile(const vm::Machine &machine,
     }
 }
 
-/** Compare two per-method count tables (parallel to successor lists). */
+/** Two edge profiles must be equal; names the first method that
+ *  differs. */
 void
 checkEdgeTablesEqual(const profile::EdgeProfileSet &got,
                      const profile::EdgeProfileSet &want,
                      const std::string &what, DiffReport &report)
 {
-    for (std::size_t m = 0; m < want.perMethod.size(); ++m) {
-        if (got.perMethod[m].counts() != want.perMethod[m].counts()) {
-            std::ostringstream os;
-            os << what << ": method " << m
-               << " edge counts diverge from ground truth";
-            addViolation(report, os.str());
-        }
-    }
+    if (got == want)
+        return;
+    const auto first = std::mismatch(got.perMethod.begin(),
+                                     got.perMethod.end(),
+                                     want.perMethod.begin(),
+                                     want.perMethod.end())
+                           .first;
+    addViolation(report, what + ": method " +
+                             std::to_string(first - got.perMethod.begin()) +
+                             " edge counts diverge from ground truth");
 }
 
 /** got[e] <= bound[e] for every edge. */
@@ -263,21 +268,6 @@ segmentsFromProfile(const core::MethodProfilingState &state,
     return result;
 }
 
-/** Dump one edge-profile set as whitespace-separated counts. */
-void
-dumpEdgeSet(std::ostringstream &os, const profile::EdgeProfileSet &set,
-            const char *tag)
-{
-    os << tag << '\n';
-    for (std::size_t m = 0; m < set.perMethod.size(); ++m) {
-        for (const auto &per_block : set.perMethod[m].counts()) {
-            for (std::uint64_t count : per_block)
-                os << count << ' ';
-        }
-        os << '\n';
-    }
-}
-
 /**
  * The PEP profilers a differ machine runs — one per configured
  * sampling config, not yet attached — and, when the options ask for
@@ -319,65 +309,6 @@ buildPepStack(vm::Machine &machine, const DiffOptions &opts)
         machine.addCompilePass(stack.pipeline.get());
     }
     return stack;
-}
-
-/**
- * Serialize everything observable about one engine's run — simulated
- * clock, machine stats, ground truth, one-time profile, full BLPP path
- * tables, and every PEP profiler's path tables, edge profile and
- * stats, and the opt pipeline's stats. Byte-equality of two such
- * strings is the docs/ENGINE.md determinism contract; the
- * engine-specific methodsDecoded counter is deliberately excluded (it
- * differs by design).
- */
-std::string
-serializeEngineRun(const vm::Machine &machine, const ExactOracle &oracle,
-                   const core::FullPathProfiler &full,
-                   const PepStack &stack)
-{
-    std::ostringstream os;
-    dumpEdgeSet(os, machine.truthEdges(), "truth");
-    dumpEdgeSet(os, machine.oneTimeEdges(), "one-time");
-
-    const auto dump_paths = [&os](const auto &profiles,
-                                  const char *tag) {
-        os << tag << '\n';
-        for (const auto &[key, vp] : profiles) {
-            os << key.first << " v" << key.second << ':';
-            std::map<std::uint64_t, std::uint64_t> ordered;
-            for (const auto &[number, record] : vp->paths.paths())
-                ordered[number] = record.count;
-            for (const auto &[number, count] : ordered)
-                os << ' ' << number << '=' << count;
-            os << '\n';
-        }
-    };
-    dump_paths(full.versionProfiles(), "full-paths");
-    for (const auto &pep : stack.peps) {
-        dumpEdgeSet(os, pep->edgeProfile(), "pep-edges");
-        dump_paths(pep->versionProfiles(), "pep-paths");
-        const core::PepStats &pep_stats = pep->pepStats();
-        os << "pep-stats " << pep_stats.pathsCompleted << ' '
-           << pep_stats.samplesTaken << ' ' << pep_stats.samplesRecorded
-           << ' ' << pep_stats.strides << ' '
-           << pep_stats.firstTimeExpansions << '\n';
-    }
-    if (stack.pipeline) {
-        const opt::OptPipeline::Stats &opt_stats = stack.pipeline->stats();
-        os << "opt-stats " << opt_stats.runs << ' '
-           << opt_stats.layoutsApplied << ' ' << opt_stats.clonesApplied
-           << ' ' << opt_stats.clonesDeclined << '\n';
-    }
-
-    const vm::MachineStats &stats = machine.stats();
-    os << "oracle " << oracle.totalSegments() << '\n'
-       << "stats " << stats.instructionsExecuted << ' '
-       << stats.methodInvocations << ' ' << stats.yieldpointsExecuted
-       << ' ' << stats.timerTicks << ' ' << stats.compileCycles << ' '
-       << stats.compiles << ' ' << stats.osrs << ' '
-       << stats.layoutMisses << ' ' << stats.branchesExecuted << '\n'
-       << "clock " << machine.now() << '\n';
-    return os.str();
 }
 
 /** One engine's complete outcome: the serialized observables, or the
@@ -445,14 +376,21 @@ runEngineOnce(const bytecode::Program &program, const DiffOptions &opts,
         result.death = std::string("fatal: ") + e.what();
         return result;
     }
-    result.blob = serializeEngineRun(machine, oracle, full, stack);
+    RunObservers observers;
+    observers.full = &full;
+    for (const auto &pep : stack.peps)
+        observers.peps.push_back(pep.get());
+    observers.pipeline = stack.pipeline.get();
+    result.blob = serializeRun(machine, observers) + "oracle " +
+                  std::to_string(oracle.totalSegments()) + '\n';
     return result;
 }
 
 /** First line two serialized runs disagree on, truncated for the
- *  violation message. */
+ *  violation message, each side named by its label. */
 std::string
-firstBlobDiff(const std::string &a, const std::string &b)
+firstBlobDiff(const std::string &a, const std::string &b,
+              const std::string &a_label, const std::string &b_label)
 {
     std::istringstream as(a);
     std::istringstream bs(b);
@@ -467,9 +405,9 @@ firstBlobDiff(const std::string &a, const std::string &b)
         if (!more_a && !more_b)
             return "<identical>";
         if (la != lb || more_a != more_b) {
-            return "switch [" + trim(more_a ? la : "<eof>") +
-                   "] vs threaded [" + trim(more_b ? lb : "<eof>") +
-                   ']';
+            return a_label + " [" + trim(more_a ? la : "<eof>") +
+                   "] vs " + b_label + " [" +
+                   trim(more_b ? lb : "<eof>") + ']';
         }
     }
 }
@@ -503,7 +441,8 @@ runEngineCrossCheck(const bytecode::Program &program,
         addViolation(report,
                      "engines: switch and threaded observables "
                      "diverge: " +
-                         firstBlobDiff(sw.blob, th.blob));
+                         firstBlobDiff(sw.blob, th.blob, "switch",
+                                       "threaded"));
     }
 }
 
@@ -1161,53 +1100,6 @@ auditRun(vm::Machine &machine, core::FullPathProfiler &full,
 
 namespace {
 
-/**
- * Serialize everything observable about a cooperative run — ground
- * truth, the PEP edge profile, every per-version path table, PEP stats,
- * scheduler counters — into one string. Byte-equality of two such
- * strings is the determinism contract of docs/RUNTIME.md.
- */
-std::string
-serializeCoopRun(const vm::Machine &machine,
-                 const core::PepProfiler &pep,
-                 const runtime::CoopStats &stats)
-{
-    std::ostringstream os;
-    const auto dump_edges = [&os](const profile::EdgeProfileSet &set,
-                                  const char *tag) {
-        os << tag << '\n';
-        for (std::size_t m = 0; m < set.perMethod.size(); ++m) {
-            for (const auto &per_block : set.perMethod[m].counts()) {
-                for (std::uint64_t count : per_block)
-                    os << count << ' ';
-            }
-            os << '\n';
-        }
-    };
-    dump_edges(machine.truthEdges(), "truth");
-    dump_edges(pep.edgeProfile(), "pep-edges");
-
-    os << "pep-paths\n";
-    for (const auto &[key, vp] : pep.versionProfiles()) {
-        os << key.first << " v" << key.second << ':';
-        std::map<std::uint64_t, std::uint64_t> ordered;
-        for (const auto &[number, record] : vp->paths.paths())
-            ordered[number] = record.count;
-        for (const auto &[number, count] : ordered)
-            os << ' ' << number << '=' << count;
-        os << '\n';
-    }
-
-    const core::PepStats &pep_stats = pep.pepStats();
-    os << "stats " << pep_stats.pathsCompleted << ' '
-       << pep_stats.samplesTaken << ' ' << pep_stats.samplesRecorded
-       << ' ' << stats.contextSwitches << ' '
-       << stats.requestsCompleted << ' ' << stats.resumes << ' '
-       << machine.stats().instructionsExecuted << ' '
-       << machine.now() << '\n';
-    return os.str();
-}
-
 /** Check 5: every sample offered to the ring transport is either
  *  applied by the collector or counted as dropped — never lost
  *  silently. */
@@ -1348,8 +1240,8 @@ runThreadedDiff(const ThreadedDiffOptions &opts)
         checkEdgeTablesBounded(pep.edgeProfile(), machine.truthEdges(),
                                "pep (coop)", report);
 
-        const std::string blob =
-            serializeCoopRun(machine, pep, scheduler.stats());
+        const std::string blob = serializeRun(
+            machine, {.peps = {&pep}, .coop = &scheduler.stats()});
         if (run == 0) {
             first_blob = blob;
             interleaved_truth = machine.truthEdges();
@@ -1359,7 +1251,9 @@ runThreadedDiff(const ThreadedDiffOptions &opts)
             addViolation(report,
                          "determinism: repeating the cooperative run "
                          "with identical seeds changed the serialized "
-                         "profiles");
+                         "profiles: " +
+                             firstBlobDiff(first_blob, blob, "first run",
+                                           "repeat"));
         }
     }
 

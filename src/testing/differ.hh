@@ -23,9 +23,11 @@
  *     dropped mid-path);
  *  7. the switch-dispatch and threaded (pre-decoded template)
  *     execution engines are byte-identical: the same program run on
- *     two otherwise-identical machines, one per engine, produces the
- *     same cycles, stats, ground truth, one-time profile, BLPP path
- *     tables and PEP samples (docs/ENGINE.md determinism contract);
+ *     two otherwise-identical machines, one per engine, serializes
+ *     identically (serializeRun, testing/observables.hh: the
+ *     docs/ENGINE.md determinism contract) with the full profiler,
+ *     every PEP and the opt pipeline attached, plus the oracle's
+ *     segment total;
  *  8. (kIterations > 1, docs/KBLPP.md) every comparison above runs
  *     over k-path window ids instead of raw Ball-Larus numbers — the
  *     oracle records literal k-iteration segment concatenations and
@@ -303,8 +305,9 @@ const ThreadedDiffOptions *findThreadedConfig(const std::string &name);
  *
  *  1. a K-thread cooperative run completes every request, and its PEP
  *     edge profile is bounded by the machine's ground truth;
- *  2. the same run repeated is *byte-identical* (every profile and
- *     scheduler counter serialized and compared);
+ *  2. the same run repeated is *byte-identical*: serializeRun
+ *     (testing/observables.hh) with the PEP and the scheduler's
+ *     CoopStats attached;
  *  3. the interleaved run's merged ground-truth edge profile equals
  *     the sum of K per-thread exact-oracle solo runs (thread t replays
  *     its request subsequence alone, same thread id, fresh machine);

@@ -35,7 +35,6 @@
 #include "profile/pdag.hh"
 #include "profile/reconstruct.hh"
 #include "vm/compiled_method.hh"
-#include "vm/cost_model.hh"
 #include "vm/decoded_method.hh"
 #include "vm/layout.hh"
 #include "vm/machine.hh"
@@ -106,37 +105,10 @@ testParams(vm::EngineKind engine)
     return params;
 }
 
-/**
- * The canonical full-opt translation the static passes check: Opt2,
- * unscaled costs, no layout information — exactly what the lint's
- * template check synthesizes.
- */
-struct CanonicalTranslation
-{
-    vm::MethodInfo info;
-    vm::CompiledMethod cm;
-    vm::DecodedMethod decoded;
-};
-
-CanonicalTranslation
-translateCanonical(const bytecode::Method &method)
-{
-    CanonicalTranslation t;
-    t.info = vm::buildMethodInfo(method);
-    t.cm.level = vm::OptLevel::Opt2;
-    const vm::CostModel cost;
-    t.cm.scaledCost.resize(bytecode::kNumOpcodes);
-    for (std::size_t op = 0; op < bytecode::kNumOpcodes; ++op)
-        t.cm.scaledCost[op] =
-            cost.instrCost(static_cast<bytecode::Opcode>(op));
-    t.cm.branchLayout.assign(t.info.cfg.graph.numBlocks(), -1);
-    t.decoded = vm::translateMethod(method, t.info, t.cm);
-    return t;
-}
+using test::Translated;
 
 analysis::TemplateCheckInput
-equivInput(const bytecode::Method &method,
-           const CanonicalTranslation &t)
+equivInput(const bytecode::Method &method, const Translated &t)
 {
     analysis::TemplateCheckInput input;
     input.code = &method;
@@ -298,7 +270,7 @@ TEST_P(VerifyMachineTest, RelayoutThenVerifyRoundTrip)
 TEST(EngineEquiv, CanonicalTranslationIsEquivalent)
 {
     const bytecode::Method method = methodWithCondBranch();
-    const CanonicalTranslation t = translateCanonical(method);
+    const Translated t(method);
     DiagnosticList diagnostics;
     EXPECT_TRUE(analysis::checkTemplateStream(equivInput(method, t),
                                                  diagnostics))
@@ -308,7 +280,7 @@ TEST(EngineEquiv, CanonicalTranslationIsEquivalent)
 TEST(EngineEquiv, RejectsCorruptedSegmentCost)
 {
     const bytecode::Method method = methodWithCondBranch();
-    CanonicalTranslation t = translateCanonical(method);
+    Translated t(method);
 
     bool corrupted = false;
     for (vm::Template &tpl : t.decoded.stream) {
@@ -330,7 +302,7 @@ TEST(EngineEquiv, RejectsCorruptedSegmentCost)
 TEST(EngineEquiv, RejectsCorruptedEdgeBase)
 {
     const bytecode::Method method = methodWithCondBranch();
-    CanonicalTranslation t = translateCanonical(method);
+    Translated t(method);
     ASSERT_GT(t.decoded.edgeBase.size(), 2u);
     ++t.decoded.edgeBase[2];
 
@@ -344,7 +316,7 @@ TEST(EngineEquiv, RejectsCorruptedEdgeBase)
 TEST(EngineEquiv, RejectsCorruptedBakedLayout)
 {
     const bytecode::Method method = methodWithCondBranch();
-    CanonicalTranslation t = translateCanonical(method);
+    Translated t(method);
 
     const cfg::BlockId b = firstCondBlock(t.info.cfg);
     ASSERT_NE(b, cfg::kInvalidBlock);
@@ -362,7 +334,7 @@ TEST(EngineEquiv, RejectsCorruptedBakedLayout)
 TEST(EngineEquiv, RejectsCorruptedFlatEdgeId)
 {
     const bytecode::Method method = methodWithCondBranch();
-    CanonicalTranslation t = translateCanonical(method);
+    Translated t(method);
 
     const cfg::BlockId b = firstCondBlock(t.info.cfg);
     ASSERT_NE(b, cfg::kInvalidBlock);
@@ -380,7 +352,7 @@ TEST(EngineEquiv, RejectsCorruptedFlatEdgeId)
 TEST(EngineEquiv, RejectsCorruptedHeaderFlag)
 {
     const bytecode::Method method = methodWithCondBranch();
-    CanonicalTranslation t = translateCanonical(method);
+    Translated t(method);
 
     const cfg::BlockId b = firstCondBlock(t.info.cfg);
     ASSERT_NE(b, cfg::kInvalidBlock);

@@ -1,7 +1,10 @@
 #include "common/fixtures.hh"
 
+#include "analysis/verify/stream_proof.hh"
 #include "bytecode/verifier.hh"
 #include "support/panic.hh"
+#include "testing/observables.hh"
+#include "vm/interpreter.hh"
 
 namespace pep::test {
 
@@ -140,4 +143,60 @@ randomStructuredProgram(std::uint64_t seed, std::uint32_t max_elements)
     return program;
 }
 
+Translated::Translated(const bytecode::Method &method, vm::FuseOptions fuse)
+    : info(vm::buildMethodInfo(method)),
+      cm(analysis::canonicalVersion(info.cfg)),
+      decoded(vm::translateMethod(method, info, cm, fuse))
+{
+}
+
+namespace {
+
+struct SwitchEveryYieldpoint : vm::ThreadScheduler
+{
+    bool
+    onYieldpoint(std::uint32_t, vm::YieldpointKind, bool) override
+    {
+        return true;
+    }
+};
+
+} // namespace
+
+ParkedRun
+runWithConstantParking(const bytecode::Program &p, vm::EngineKind kind,
+                       vm::FuseOptions fuse)
+{
+    vm::SimParams params;
+    params.engine = kind;
+    params.fuse = fuse;
+    params.tickCycles = 20'000; // fast ticks: exercise promotion
+    vm::Machine machine(p, params);
+    SwitchEveryYieldpoint scheduler;
+    machine.setScheduler(&scheduler);
+    vm::Interpreter interp(machine, 0);
+    interp.start(p.mainMethod);
+    ParkedRun run;
+    while (!interp.resume())
+        ++run.parks;
+    machine.setScheduler(nullptr);
+    run.state = testing::serializeRun(machine);
+    return run;
+}
+
 } // namespace pep::test
+
+namespace pep::profile {
+
+void
+PrintTo(const EdgeProfileSet &set, std::ostream *os)
+{
+    for (std::size_t m = 0; m < set.perMethod.size(); ++m) {
+        *os << "\nmethod " << m << ':';
+        for (const auto &per_block : set.perMethod[m].counts())
+            for (const std::uint64_t count : per_block)
+                *os << ' ' << count;
+    }
+}
+
+} // namespace pep::profile

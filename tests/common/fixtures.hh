@@ -3,15 +3,25 @@
 
 /**
  * @file
- * Shared test helpers: canned assembly programs and a random-CFG
- * method generator for property tests.
+ * Shared test helpers: canned assembly programs, a random-CFG method
+ * generator for property tests, an always-sample controller, the
+ * canonical translation the stream proof checks, a run that parks
+ * at every yieldpoint, and gtest's printer for edge-profile sets.
  */
 
+#include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "bytecode/assembler.hh"
 #include "bytecode/method.hh"
+#include "core/sampling.hh"
+#include "profile/edge_profile.hh"
 #include "support/rng.hh"
+#include "vm/compiled_method.hh"
+#include "vm/decoded_method.hh"
+#include "vm/engine.hh"
+#include "vm/machine.hh"
 #include "workload/program_builder.hh"
 
 namespace pep::test {
@@ -125,6 +135,59 @@ bytecode::Method randomStructuredMethod(support::Rng &rng,
 bytecode::Program randomStructuredProgram(std::uint64_t seed,
                                           std::uint32_t max_elements);
 
+/** Samples at every opportunity. */
+class AlwaysSample final : public core::SamplingController
+{
+  public:
+    core::SampleAction
+    onOpportunity(bool) override
+    {
+        return core::SampleAction::Sample;
+    }
+    void reset() override {}
+    std::string name() const override { return "always"; }
+};
+
+/** One method translated under `fuse` against the canonical version
+ *  the static tools prove (analysis::canonicalVersion): full-opt
+ *  costs, no layout information. */
+struct Translated
+{
+    vm::MethodInfo info;
+    vm::CompiledMethod cm;
+    vm::DecodedMethod decoded;
+
+    explicit Translated(const bytecode::Method &method,
+                        vm::FuseOptions fuse = {});
+};
+
+/** A run whose scheduler requests a context switch at every
+ *  yieldpoint, so frames park at every opportunity the contract
+ *  allows — including with a caller sitting mid-block at an Invoke
+ *  while its callee's entry yieldpoint fires. */
+struct ParkedRun
+{
+    /** testing::serializeRun of the finished machine. */
+    std::string state;
+    std::uint64_t parks = 0;
+};
+
+/** Run `p`'s main to completion that way on a fast-ticking machine.
+ *  `fuse` defaults to the environment's selection (PEP_FUSE), as
+ *  SimParams' does. */
+ParkedRun runWithConstantParking(const bytecode::Program &p,
+                                 vm::EngineKind kind,
+                                 vm::FuseOptions fuse =
+                                     vm::defaultFuseOptions());
+
 } // namespace pep::test
+
+namespace pep::profile {
+
+/** gtest's printer for EXPECT_EQ on edge-profile sets: one line per
+ *  method, as testing::serializeRun writes them. */
+void PrintTo(const EdgeProfileSet &set, std::ostream *os);
+
+} // namespace pep::profile
 
 #endif // PEP_TESTS_COMMON_FIXTURES_HH

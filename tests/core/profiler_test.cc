@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <sstream>
+#include <string>
 
 #include "bytecode/assembler.hh"
 #include "common/fixtures.hh"
@@ -25,6 +25,7 @@
 #include "runtime/coop_scheduler.hh"
 #include "runtime/request_stream.hh"
 #include "testing/generator.hh"
+#include "testing/observables.hh"
 #include "vm/compiled_method.hh"
 #include "vm/inliner.hh"
 #include "vm/layout.hh"
@@ -33,18 +34,6 @@
 
 namespace pep::core {
 namespace {
-
-class AlwaysSample final : public SamplingController
-{
-  public:
-    SampleAction
-    onOpportunity(bool) override
-    {
-        return SampleAction::Sample;
-    }
-    void reset() override {}
-    std::string name() const override { return "always"; }
-};
 
 vm::SimParams
 fastTick()
@@ -177,7 +166,7 @@ rec:
 .main main
 )");
     OptMachine om(program);
-    AlwaysSample always;
+    test::AlwaysSample always;
     PepProfiler pep(om.machine, always);
     FullPathProfiler truth(om.machine, profile::DagMode::HeaderSplit,
                            false);
@@ -280,13 +269,7 @@ TEST(Pep, EdgeProfileIsExpansionOfSampledPaths)
 
     // Rebuild the edge profile from the sampled path records; it must
     // equal the incrementally maintained one exactly.
-    profile::EdgeProfileSet rebuilt =
-        edgeProfileFromPaths(om.machine, pep);
-    for (std::size_t m = 0; m < om.machine.numMethods(); ++m) {
-        EXPECT_EQ(rebuilt.perMethod[m].counts(),
-                  pep.edgeProfile().perMethod[m].counts())
-            << "method " << m;
-    }
+    EXPECT_EQ(edgeProfileFromPaths(om.machine, pep), pep.edgeProfile());
 }
 
 TEST(Pep, LayoutSourceFallsBackUntilEvidence)
@@ -316,7 +299,7 @@ TEST(Pep, LayoutSourceUsesOwnProfileOnceRich)
     spec.outerIterations = 100;
     const bytecode::Program program = workload::generateWorkload(spec);
     OptMachine om(program);
-    AlwaysSample always;
+    test::AlwaysSample always;
     PepProfiler pep(om.machine, always);
     om.machine.addHooks(&pep);
     om.machine.addCompileObserver(&pep);
@@ -333,7 +316,7 @@ TEST(Pep, ClearProfilesResetsEverything)
 {
     const bytecode::Program program = test::callSwitchProgram();
     OptMachine om(program);
-    AlwaysSample always;
+    test::AlwaysSample always;
     PepProfiler pep(om.machine, always);
     om.machine.addHooks(&pep);
     om.machine.addCompileObserver(&pep);
@@ -387,7 +370,7 @@ TEST(Pep, SpanningPlacementReproducesGroundTruthExactly)
     // holds at path ends.
     const bytecode::Program program = test::callSwitchProgram();
     OptMachine om(program);
-    AlwaysSample always;
+    test::AlwaysSample always;
     PepOptions options;
     options.placement = profile::PlacementKind::SpanningTree;
     PepProfiler pep(om.machine, always, options);
@@ -441,13 +424,8 @@ TEST(PathEngine, OverflowedMethodIsSkippedGracefully)
 void
 expectDerivedEdgesEqualTruth(vm::Machine &machine, PathEngine &engine)
 {
-    const profile::EdgeProfileSet derived =
-        edgeProfileFromPaths(machine, engine);
-    for (std::size_t m = 0; m < machine.numMethods(); ++m) {
-        EXPECT_EQ(derived.perMethod[m].counts(),
-                  machine.truthEdges().perMethod[m].counts())
-            << "method " << m;
-    }
+    EXPECT_EQ(edgeProfileFromPaths(machine, engine),
+              machine.truthEdges());
 }
 
 TEST(PathEngine, DerivedEdgesFoldInlinedVersionsLikeTruth)
@@ -577,36 +555,6 @@ class ForwardingHooks final : public vm::ExecutionHooks
     vm::ExecutionHooks &inner_;
 };
 
-/** PEP's path tables, stats and continuous edge profile, plus the
- *  machine's clock, serialized in a canonical order. */
-std::string
-pepObservables(const vm::Machine &machine, const PepProfiler &pep)
-{
-    std::ostringstream os;
-    for (const auto &[key, vp] : pep.versionProfiles()) {
-        const std::map<std::uint64_t, profile::PathRecord> sorted(
-            vp->paths.paths().begin(), vp->paths.paths().end());
-        os << "paths " << key.first << '.' << key.second << ':';
-        for (const auto &[number, record] : sorted)
-            os << ' ' << number << 'x' << record.count;
-        os << '\n';
-    }
-    const PepStats &stats = pep.pepStats();
-    os << "stats " << stats.pathsCompleted << ' ' << stats.samplesTaken
-       << ' ' << stats.samplesRecorded << ' ' << stats.strides << ' '
-       << stats.firstTimeExpansions << '\n';
-    for (const profile::MethodEdgeProfile &method :
-         pep.edgeProfile().perMethod) {
-        os << "edges";
-        for (const std::vector<std::uint64_t> &succs : method.counts())
-            for (const std::uint64_t count : succs)
-                os << ' ' << count;
-        os << '\n';
-    }
-    os << "clock " << machine.now() << '\n';
-    return os.str();
-}
-
 /** One PEP configuration of the inline-vs-hook sweeps. */
 struct PepRun
 {
@@ -650,8 +598,8 @@ runPep(const bytecode::Program &program, const PepRun &run,
                                  : &pep);
     machine.addCompileObserver(&pep);
     body(machine);
-    return {pepObservables(machine, pep), pep.pepStats().samplesRecorded,
-            machine.stats().osrs};
+    return {testing::serializeRun(machine, {.peps = {&pep}}),
+            pep.pepStats().samplesRecorded, machine.stats().osrs};
 }
 
 TEST(PathEngine, InlineRegisterMatchesHookDrivenRegister)

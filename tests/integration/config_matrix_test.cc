@@ -40,18 +40,6 @@ class ConfigMatrix : public ::testing::TestWithParam<MatrixConfig>
     }
 };
 
-class AlwaysSample final : public core::SamplingController
-{
-  public:
-    core::SampleAction
-    onOpportunity(bool) override
-    {
-        return core::SampleAction::Sample;
-    }
-    void reset() override {}
-    std::string name() const override { return "always"; }
-};
-
 TEST_P(ConfigMatrix, FullSamplingMatchesGroundTruth)
 {
     workload::WorkloadSpec spec = workload::standardSuite()[3]; // db
@@ -68,7 +56,7 @@ TEST_P(ConfigMatrix, FullSamplingMatchesGroundTruth)
     vm::Machine machine(program, params());
     machine.enableReplay(&advice);
 
-    AlwaysSample always;
+    test::AlwaysSample always;
     core::PepOptions options;
     options.scheme = GetParam().scheme;
     options.placement = GetParam().placement;

@@ -20,21 +20,6 @@
 namespace pep {
 namespace {
 
-/** Samples at every opportunity (100% sampling for equality tests). */
-class AlwaysSample final : public core::SamplingController
-{
-  public:
-    core::SampleAction
-    onOpportunity(bool) override
-    {
-        return core::SampleAction::Sample;
-    }
-
-    void reset() override {}
-
-    std::string name() const override { return "always"; }
-};
-
 workload::WorkloadSpec
 smallSpec()
 {
@@ -116,7 +101,7 @@ class PepVsTruth : public ::testing::Test
         machine->runIteration(); // measured
     }
 
-    AlwaysSample always;
+    test::AlwaysSample always;
     std::unique_ptr<vm::Machine> machine;
     std::unique_ptr<core::PepProfiler> pep;
     std::unique_ptr<core::FullPathProfiler> truth;

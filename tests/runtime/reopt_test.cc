@@ -6,9 +6,9 @@
  * direction flips, recompiles through the ordinary compile path (a
  * new version every time, never an edit of an installed one), and
  * stays quiet
- * while the window does not advance or the phase is stable. Suite
- * names start with "Runtime" so `ctest -R Runtime` (the TSan CI job)
- * selects them.
+ * while the window does not advance or the phase is stable. They
+ * run in the `runtime`-labelled runtime_test binary, so the TSan CI
+ * job (`ctest -L runtime`) selects them.
  */
 
 #include <gtest/gtest.h>
@@ -165,12 +165,10 @@ TEST(RuntimeReopt, WindowedConsumerMaterializesRoundedCounts)
 {
     ReoptRig rig;
 
-    EXPECT_EQ(rig.consumer.generation(), rig.window.advances());
     EXPECT_EQ(rig.consumer.edges(0), nullptr)
         << "no weight in the window yet";
 
     feedPhase(rig.window, rig.diamond, 7, 3);
-    EXPECT_EQ(rig.consumer.generation(), 1u);
     const profile::MethodEdgeProfile *edges = rig.consumer.edges(0);
     ASSERT_NE(edges, nullptr);
     EXPECT_EQ(edges->counts()[rig.diamond][0], 7u);
@@ -179,7 +177,6 @@ TEST(RuntimeReopt, WindowedConsumerMaterializesRoundedCounts)
     // After a decayed epoch the weights halve (EWMA, decay 0.5) and
     // the adapter re-materializes them rounded.
     rig.window.advance();
-    EXPECT_EQ(rig.consumer.generation(), 2u);
     const profile::MethodEdgeProfile *decayed = rig.consumer.edges(0);
     ASSERT_NE(decayed, nullptr);
     EXPECT_EQ(decayed->counts()[rig.diamond][0], 4u); // llround(3.5)

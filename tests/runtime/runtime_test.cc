@@ -2,21 +2,24 @@
  * @file
  * Tests of the concurrent profiling runtime: the request-stream
  * workload, the deterministic cooperative scheduler, and the sharded
- * aggregation layer. Suite names start with "Runtime" so `ctest -R
- * Runtime` selects exactly these (the TSan CI job does).
+ * aggregation layer. The binary carries the `runtime` label, so the
+ * TSan sweep (`ctest -L runtime`) runs it.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bytecode/cfg_builder.hh"
+#include "common/fixtures.hh"
 #include "support/rng.hh"
 #include "runtime/coop_scheduler.hh"
 #include "runtime/request_stream.hh"
 #include "runtime/sharded_profile.hh"
 #include "runtime/throughput.hh"
+#include "testing/observables.hh"
 #include "vm/interpreter.hh"
 #include "vm/machine.hh"
 
@@ -122,15 +125,10 @@ TEST(RuntimeCoopSchedulerTest, SameSeedsReproduceGroundTruth)
         runtime::CoopScheduler scheduler(machine, {3, 77});
         scheduler.assignRoundRobin(stream);
         scheduler.run();
-        if (run == 0) {
+        if (run == 0)
             first = machine.truthEdges();
-        } else {
-            for (std::size_t m = 0; m < first.perMethod.size(); ++m) {
-                EXPECT_EQ(machine.truthEdges().perMethod[m].counts(),
-                          first.perMethod[m].counts())
-                    << "method " << m;
-            }
-        }
+        else
+            EXPECT_EQ(machine.truthEdges(), first);
     }
 }
 
@@ -153,11 +151,7 @@ TEST(RuntimeCoopSchedulerTest, InterleavingDoesNotChangeGroundTruth)
             first_switches = scheduler.stats().contextSwitches;
         } else {
             EXPECT_GT(scheduler.stats().contextSwitches, 0u);
-            for (std::size_t m = 0; m < first.perMethod.size(); ++m) {
-                EXPECT_EQ(machine.truthEdges().perMethod[m].counts(),
-                          first.perMethod[m].counts())
-                    << "method " << m;
-            }
+            EXPECT_EQ(machine.truthEdges(), first);
         }
     }
     EXPECT_GT(first_switches, 0u);
@@ -181,22 +175,16 @@ TEST(RuntimeCoopSchedulerTest, SingleThreadMatchesDirectInterpreter)
         }
     }
 
-    for (std::size_t m = 0;
-         m < direct_machine.truthEdges().perMethod.size(); ++m) {
-        EXPECT_EQ(coop_machine.truthEdges().perMethod[m].counts(),
-                  direct_machine.truthEdges().perMethod[m].counts())
-            << "method " << m;
-    }
+    EXPECT_EQ(coop_machine.truthEdges(), direct_machine.truthEdges());
 }
 
 TEST(RuntimeCoopSchedulerTest, ThreadedEngineMatchesSwitchUnderCoop)
 {
     // The pre-decoded threaded engine (docs/ENGINE.md) must park and
-    // resume virtual threads exactly like the switch interpreter:
-    // identical ground truth, simulated clock, and scheduler activity.
+    // resume virtual threads exactly like the switch interpreter: the
+    // serialized runs, scheduler counters included, are identical.
     runtime::RequestStream stream(smallSpec(19, 52));
-    profile::EdgeProfileSet first;
-    std::uint64_t first_now = 0;
+    std::string first;
     std::uint64_t first_switches = 0;
     const vm::EngineKind kinds[2] = {vm::EngineKind::Switch,
                                      vm::EngineKind::Threaded};
@@ -208,19 +196,13 @@ TEST(RuntimeCoopSchedulerTest, ThreadedEngineMatchesSwitchUnderCoop)
         scheduler.assignRoundRobin(stream);
         scheduler.run();
         EXPECT_EQ(scheduler.stats().requestsCompleted, 52u);
+        const std::string blob =
+            testing::serializeRun(machine, {.coop = &scheduler.stats()});
         if (run == 0) {
-            first = machine.truthEdges();
-            first_now = machine.now();
+            first = blob;
             first_switches = scheduler.stats().contextSwitches;
         } else {
-            EXPECT_EQ(machine.now(), first_now);
-            EXPECT_EQ(scheduler.stats().contextSwitches,
-                      first_switches);
-            for (std::size_t m = 0; m < first.perMethod.size(); ++m) {
-                EXPECT_EQ(machine.truthEdges().perMethod[m].counts(),
-                          first.perMethod[m].counts())
-                    << "method " << m;
-            }
+            EXPECT_EQ(blob, first);
         }
     }
     EXPECT_GT(first_switches, 0u);
@@ -295,11 +277,7 @@ TEST_F(RuntimeShardedProfileTest, StrategiesAgreeOnIdenticalInput)
     for (std::uint32_t s = 0; s < 3; ++s)
         sharded.flush(s);
 
-    for (std::size_t m = 0; m < cfgs_.size(); ++m) {
-        EXPECT_EQ(sharded.globalEdges().perMethod[m].counts(),
-                  mutex_global.globalEdges().perMethod[m].counts())
-            << "method " << m;
-    }
+    EXPECT_EQ(sharded.globalEdges(), mutex_global.globalEdges());
     EXPECT_EQ(sharded.globalPaths(), mutex_global.globalPaths());
 }
 
@@ -325,11 +303,7 @@ TEST(RuntimeThroughputTest, ShardedAndMutexProduceIdenticalProfiles)
     EXPECT_GT(sharded.pathRecords, 0u);
     EXPECT_EQ(sharded.pathRecords, mutex_global.pathRecords);
     EXPECT_EQ(sharded.edgeRecords, mutex_global.edgeRecords);
-    for (std::size_t m = 0; m < sharded.edges.perMethod.size(); ++m) {
-        EXPECT_EQ(sharded.edges.perMethod[m].counts(),
-                  mutex_global.edges.perMethod[m].counts())
-            << "method " << m;
-    }
+    EXPECT_EQ(sharded.edges, mutex_global.edges);
     EXPECT_EQ(sharded.paths, mutex_global.paths);
 }
 
@@ -356,11 +330,7 @@ TEST(RuntimeThroughputTest, ThreadedEngineMatchesSwitchTotals)
     EXPECT_EQ(sw.pathRecords, th.pathRecords);
     EXPECT_EQ(sw.edgeRecords, th.edgeRecords);
     EXPECT_EQ(sw.paths, th.paths);
-    for (std::size_t m = 0; m < sw.edges.perMethod.size(); ++m) {
-        EXPECT_EQ(sw.edges.perMethod[m].counts(),
-                  th.edges.perMethod[m].counts())
-            << "method " << m;
-    }
+    EXPECT_EQ(sw.edges, th.edges);
 }
 
 TEST(RuntimeThroughputTest, RepeatRunsProduceIdenticalTotals)
@@ -382,11 +352,7 @@ TEST(RuntimeThroughputTest, RepeatRunsProduceIdenticalTotals)
         runtime::runThroughput(stream, options);
 
     EXPECT_EQ(first.paths, second.paths);
-    for (std::size_t m = 0; m < first.edges.perMethod.size(); ++m) {
-        EXPECT_EQ(first.edges.perMethod[m].counts(),
-                  second.edges.perMethod[m].counts())
-            << "method " << m;
-    }
+    EXPECT_EQ(first.edges, second.edges);
 }
 
 } // namespace

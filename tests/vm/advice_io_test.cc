@@ -48,11 +48,8 @@ TEST_F(AdviceFixture, RoundTripsExactly)
 
     ASSERT_EQ(parsed.advice.finalLevel.size(),
               advice.finalLevel.size());
-    for (std::size_t m = 0; m < advice.finalLevel.size(); ++m) {
-        EXPECT_EQ(parsed.advice.finalLevel[m], advice.finalLevel[m]);
-        EXPECT_EQ(parsed.advice.oneTimeEdges.perMethod[m].counts(),
-                  advice.oneTimeEdges.perMethod[m].counts());
-    }
+    EXPECT_EQ(parsed.advice.finalLevel, advice.finalLevel);
+    EXPECT_EQ(parsed.advice.oneTimeEdges, advice.oneTimeEdges);
 }
 
 TEST_F(AdviceFixture, ParsedAdviceDrivesReplayIdentically)

@@ -20,18 +20,6 @@
 namespace pep::vm {
 namespace {
 
-class AlwaysSample final : public core::SamplingController
-{
-  public:
-    core::SampleAction
-    onOpportunity(bool) override
-    {
-        return core::SampleAction::Sample;
-    }
-    void reset() override {}
-    std::string name() const override { return "always"; }
-};
-
 /** Counts yieldpoints by kind. */
 class KindCounter final : public ExecutionHooks
 {
@@ -105,7 +93,7 @@ TEST(BackEdgeYieldpoints, PepBlppModeMatchesGroundTruthExactly)
 
     Machine machine(program, params);
     machine.enableReplay(&advice);
-    AlwaysSample always;
+    test::AlwaysSample always;
     core::PepOptions options;
     options.mode = profile::DagMode::BackEdgeTruncate;
     core::PepProfiler pep(machine, always, options);

@@ -10,16 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bytecode/assembler.hh"
 #include "common/fixtures.hh"
-#include "vm/cost_model.hh"
+#include "testing/observables.hh"
 #include "vm/decoded_method.hh"
 #include "vm/engine.hh"
-#include "vm/interpreter.hh"
 #include "vm/machine.hh"
 
 namespace pep::vm {
@@ -34,27 +32,7 @@ engineParams(EngineKind kind)
     return params;
 }
 
-/** Translate one method exactly as Machine::decodedFor would for a
- *  full-opt version with no layout information. */
-struct Translated
-{
-    MethodInfo info;
-    CompiledMethod cm;
-    DecodedMethod decoded;
-
-    explicit Translated(const bytecode::Method &method)
-        : info(buildMethodInfo(method))
-    {
-        const CostModel cost;
-        cm.level = OptLevel::Opt2;
-        cm.scaledCost.resize(bytecode::kNumOpcodes);
-        for (std::size_t op = 0; op < bytecode::kNumOpcodes; ++op)
-            cm.scaledCost[op] =
-                cost.instrCost(static_cast<bytecode::Opcode>(op));
-        cm.branchLayout.assign(info.cfg.graph.numBlocks(), -1);
-        decoded = translateMethod(method, info, cm);
-    }
-};
+using test::Translated;
 
 /** Structural invariants every translation must satisfy. */
 void
@@ -213,42 +191,13 @@ TEST(TranslatorTest, RandomStructuredMethodsStayWellFormed)
 
 // ---- engine equivalence ----------------------------------------------
 
-/** Everything a run may observe, minus the engine-private translation
- *  counter (methodsDecoded). */
-std::string
-observableState(const Machine &machine)
-{
-    std::ostringstream out;
-    const auto dump_set = [&](const profile::EdgeProfileSet &set,
-                              const char *tag) {
-        for (std::size_t m = 0; m < set.perMethod.size(); ++m) {
-            const auto &counts = set.perMethod[m].counts();
-            for (std::size_t b = 0; b < counts.size(); ++b)
-                for (std::size_t i = 0; i < counts[b].size(); ++i)
-                    if (counts[b][i] != 0)
-                        out << tag << ' ' << m << ' ' << b << ' ' << i
-                            << ' ' << counts[b][i] << '\n';
-        }
-    };
-    dump_set(machine.truthEdges(), "truth");
-    dump_set(machine.oneTimeEdges(), "one-time");
-    const MachineStats &s = machine.stats();
-    out << "clock " << machine.now() << '\n'
-        << "stats " << s.instructionsExecuted << ' '
-        << s.methodInvocations << ' ' << s.yieldpointsExecuted << ' '
-        << s.timerTicks << ' ' << s.compileCycles << ' ' << s.compiles
-        << ' ' << s.osrs << ' ' << s.layoutMisses << ' '
-        << s.branchesExecuted << '\n';
-    return out.str();
-}
-
 std::string
 runAdaptive(const bytecode::Program &p, EngineKind kind, int iterations)
 {
     Machine machine(p, engineParams(kind));
     for (int i = 0; i < iterations; ++i)
         machine.runIteration();
-    return observableState(machine);
+    return testing::serializeRun(machine);
 }
 
 TEST(EngineIdentityTest, AdaptiveRunsAreObservablyIdentical)
@@ -285,48 +234,10 @@ TEST(EngineIdentityTest, InliningAndBackEdgeYieldpointsStayIdentical)
         sw.runIteration();
         th.runIteration();
     }
-    EXPECT_EQ(observableState(sw), observableState(th));
+    EXPECT_EQ(testing::serializeRun(sw), testing::serializeRun(th));
 }
 
 // ---- park / resume ---------------------------------------------------
-
-/** Requests a context switch at every yieldpoint, so frames park at
- *  every opportunity the contract allows — including with the caller
- *  sitting mid-block at an Invoke while its callee's entry yieldpoint
- *  fires. */
-struct SwitchEveryYieldpoint : ThreadScheduler
-{
-    std::uint64_t yieldpoints = 0;
-
-    bool
-    onYieldpoint(std::uint32_t, YieldpointKind, bool) override
-    {
-        ++yieldpoints;
-        return true;
-    }
-};
-
-struct ParkedRun
-{
-    std::string state;
-    std::uint64_t parks = 0;
-};
-
-ParkedRun
-runWithConstantParking(const bytecode::Program &p, EngineKind kind)
-{
-    Machine machine(p, engineParams(kind));
-    SwitchEveryYieldpoint scheduler;
-    machine.setScheduler(&scheduler);
-    Interpreter interp(machine, 0);
-    interp.start(p.mainMethod);
-    ParkedRun run;
-    while (!interp.resume())
-        ++run.parks;
-    machine.setScheduler(nullptr);
-    run.state = observableState(machine);
-    return run;
-}
 
 TEST(EngineParkResumeTest, MidBlockParksRoundTripIdentically)
 {
@@ -337,9 +248,10 @@ TEST(EngineParkResumeTest, MidBlockParksRoundTripIdentically)
         test::randomStructuredProgram(602, 6),
     };
     for (const bytecode::Program &p : fixtures) {
-        const ParkedRun sw = runWithConstantParking(p, EngineKind::Switch);
-        const ParkedRun th =
-            runWithConstantParking(p, EngineKind::Threaded);
+        const test::ParkedRun sw =
+            test::runWithConstantParking(p, EngineKind::Switch);
+        const test::ParkedRun th =
+            test::runWithConstantParking(p, EngineKind::Threaded);
         EXPECT_GT(sw.parks, 0u);
         EXPECT_EQ(sw.parks, th.parks);
         EXPECT_EQ(sw.state, th.state);

@@ -8,26 +8,23 @@
  * mispredict-heavy runs), park/resume through fused streams, the
  * fusion-keyed translation cache, and seeded rejections of the fused
  * half of the template-stream proof (what plan-checker check 12
- * proved before it joined analysis/verify/stream_proof.hh). Suite
- * names start with
- * "FusionRuntime" so `ctest -R Runtime` (the TSan CI job) selects
- * them.
+ * proved before it joined analysis/verify/stream_proof.hh). The
+ * binary carries the `runtime` label, so the TSan sweep (`ctest -L
+ * runtime`) runs it.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 
 #include "analysis/diagnostics.hh"
 #include "analysis/verify/stream_proof.hh"
 #include "bytecode/assembler.hh"
 #include "common/fixtures.hh"
-#include "vm/cost_model.hh"
+#include "testing/observables.hh"
 #include "vm/decoded_method.hh"
 #include "vm/engine.hh"
-#include "vm/interpreter.hh"
 #include "vm/machine.hh"
 
 namespace pep::vm {
@@ -43,27 +40,7 @@ fusedParams(EngineKind kind, FuseOptions fuse)
     return params;
 }
 
-/** Translate one method exactly as Machine::decodedFor would for a
- *  full-opt version with no layout information, under `fuse`. */
-struct Translated
-{
-    MethodInfo info;
-    CompiledMethod cm;
-    DecodedMethod decoded;
-
-    Translated(const bytecode::Method &method, FuseOptions fuse)
-        : info(buildMethodInfo(method))
-    {
-        const CostModel cost;
-        cm.level = OptLevel::Opt2;
-        cm.scaledCost.resize(bytecode::kNumOpcodes);
-        for (std::size_t op = 0; op < bytecode::kNumOpcodes; ++op)
-            cm.scaledCost[op] =
-                cost.instrCost(static_cast<bytecode::Opcode>(op));
-        cm.branchLayout.assign(info.cfg.graph.numBlocks(), -1);
-        decoded = translateMethod(method, info, cm, fuse);
-    }
-};
+using test::Translated;
 
 /** Run the stream proof over a (possibly corrupted) stream translated
  *  from `t`; return the number of errors it reports. */
@@ -271,35 +248,6 @@ TEST(FusionRuntimeTraces, SelectionIsDeterministicAndBatched)
 
 // ---- engine identity across the fuse matrix --------------------------
 
-/** Everything a run may observe, minus the engine-private translation
- *  counter (methodsDecoded). */
-std::string
-observableState(const Machine &machine)
-{
-    std::ostringstream out;
-    const auto dump_set = [&](const profile::EdgeProfileSet &set,
-                              const char *tag) {
-        for (std::size_t m = 0; m < set.perMethod.size(); ++m) {
-            const auto &counts = set.perMethod[m].counts();
-            for (std::size_t b = 0; b < counts.size(); ++b)
-                for (std::size_t i = 0; i < counts[b].size(); ++i)
-                    if (counts[b][i] != 0)
-                        out << tag << ' ' << m << ' ' << b << ' ' << i
-                            << ' ' << counts[b][i] << '\n';
-        }
-    };
-    dump_set(machine.truthEdges(), "truth");
-    dump_set(machine.oneTimeEdges(), "one-time");
-    const MachineStats &s = machine.stats();
-    out << "clock " << machine.now() << '\n'
-        << "stats " << s.instructionsExecuted << ' '
-        << s.methodInvocations << ' ' << s.yieldpointsExecuted << ' '
-        << s.timerTicks << ' ' << s.compileCycles << ' ' << s.compiles
-        << ' ' << s.osrs << ' ' << s.layoutMisses << ' '
-        << s.branchesExecuted << '\n';
-    return out.str();
-}
-
 std::string
 runAdaptive(const bytecode::Program &p, EngineKind kind,
             FuseOptions fuse, int iterations)
@@ -307,7 +255,7 @@ runAdaptive(const bytecode::Program &p, EngineKind kind,
     Machine machine(p, fusedParams(kind, fuse));
     for (int i = 0; i < iterations; ++i)
         machine.runIteration();
-    return observableState(machine);
+    return testing::serializeRun(machine);
 }
 
 TEST(FusionRuntimeIdentity, WholeEngineFuseMatrixIsByteIdentical)
@@ -356,47 +304,10 @@ TEST(FusionRuntimeIdentity, MispredictedGuardExitsStayIdentical)
     }
     EXPECT_GT(th.stats().layoutMisses, 0u)
         << "no guard ever took its mispredicted exit";
-    EXPECT_EQ(observableState(th), observableState(sw));
+    EXPECT_EQ(testing::serializeRun(th), testing::serializeRun(sw));
 }
 
 // ---- park / resume ---------------------------------------------------
-
-/** Requests a context switch at every yieldpoint, so frames park at
- *  every opportunity the contract allows. */
-struct SwitchEveryYieldpoint : ThreadScheduler
-{
-    std::uint64_t yieldpoints = 0;
-
-    bool
-    onYieldpoint(std::uint32_t, YieldpointKind, bool) override
-    {
-        ++yieldpoints;
-        return true;
-    }
-};
-
-struct ParkedRun
-{
-    std::string state;
-    std::uint64_t parks = 0;
-};
-
-ParkedRun
-runWithConstantParking(const bytecode::Program &p, EngineKind kind,
-                       FuseOptions fuse)
-{
-    Machine machine(p, fusedParams(kind, fuse));
-    SwitchEveryYieldpoint scheduler;
-    machine.setScheduler(&scheduler);
-    Interpreter interp(machine, 0);
-    interp.start(p.mainMethod);
-    ParkedRun run;
-    while (!interp.resume())
-        ++run.parks;
-    machine.setScheduler(nullptr);
-    run.state = observableState(machine);
-    return run;
-}
 
 TEST(FusionRuntimeParkResume, ParksRoundTripThroughFusedStreams)
 {
@@ -410,12 +321,12 @@ TEST(FusionRuntimeParkResume, ParksRoundTripThroughFusedStreams)
         test::randomStructuredProgram(601, 6),
     };
     for (const bytecode::Program &p : fixtures) {
-        const ParkedRun sw =
-            runWithConstantParking(p, EngineKind::Switch, {});
+        const test::ParkedRun sw =
+            test::runWithConstantParking(p, EngineKind::Switch);
         for (const FuseOptions &fuse : kFuseMatrix) {
             SCOPED_TRACE(fuseOptionsName(fuse));
-            const ParkedRun th =
-                runWithConstantParking(p, EngineKind::Threaded, fuse);
+            const test::ParkedRun th =
+                test::runWithConstantParking(p, EngineKind::Threaded, fuse);
             EXPECT_GT(sw.parks, 0u);
             EXPECT_EQ(sw.parks, th.parks);
             EXPECT_EQ(sw.state, th.state);

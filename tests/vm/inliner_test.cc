@@ -260,21 +260,9 @@ done:
 
 TEST(Inliner, PepProfilesInlinedCodeAndMapsEdges)
 {
-    class Always final : public core::SamplingController
-    {
-      public:
-        core::SampleAction
-        onOpportunity(bool) override
-        {
-            return core::SampleAction::Sample;
-        }
-        void reset() override {}
-        std::string name() const override { return "always"; }
-    };
-
     const bytecode::Program program = callHeavyProgram();
     OptMachine om(program, true);
-    Always always;
+    test::AlwaysSample always;
     core::PepProfiler pep(om.machine, always);
     om.machine.addHooks(&pep);
     om.machine.addCompileObserver(&pep);

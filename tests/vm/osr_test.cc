@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "bytecode/assembler.hh"
+#include "common/fixtures.hh"
 #include "core/baseline_profilers.hh"
 #include "core/pep_profiler.hh"
 #include "core/sampling.hh"
@@ -89,21 +90,9 @@ TEST(Osr, PathProfilersRebindExactly)
     // PEP(always) and a free ground-truth recorder across an OSR: the
     // two must stay in perfect agreement, and profiling must cover the
     // post-OSR portion of the loop.
-    class AlwaysSample final : public core::SamplingController
-    {
-      public:
-        core::SampleAction
-        onOpportunity(bool) override
-        {
-            return core::SampleAction::Sample;
-        }
-        void reset() override {}
-        std::string name() const override { return "always"; }
-    };
-
     const bytecode::Program program = longLoopProgram();
     Machine machine(program, osrParams(true));
-    AlwaysSample always;
+    test::AlwaysSample always;
     core::PepProfiler pep(machine, always);
     core::FullPathProfiler truth(machine,
                                  profile::DagMode::HeaderSplit,
