@@ -33,12 +33,18 @@ benchSuite()
 {
     std::vector<workload::WorkloadSpec> suite =
         workload::scaledSuite(benchScale());
-    if (const char *only = std::getenv("PEP_BENCH_ONLY")) {
-        std::erase_if(suite, [&](const workload::WorkloadSpec &spec) {
-            return spec.name != only;
-        });
+    const char *only = std::getenv("PEP_BENCH_ONLY");
+    if (!only || !*only)
+        return suite;
+    std::string names;
+    for (const workload::WorkloadSpec &spec : suite) {
+        if (spec.name == only)
+            return {spec};
+        names += (names.empty() ? "" : ", ") + spec.name;
     }
-    return suite;
+    std::fprintf(stderr, "PEP_BENCH_ONLY=%s: expected one of %s\n", only,
+                 names.c_str());
+    std::exit(2);
 }
 
 vm::SimParams

@@ -16,7 +16,8 @@
  * Scale the suite with PEP_BENCH_SCALE (0 < s <= 1, default 1) to trade
  * fidelity for wall-clock time, e.g. PEP_BENCH_SCALE=0.2 for smoke
  * runs; any other value is rejected (benchScale). Set
- * PEP_BENCH_ONLY=<name> to run a single benchmark.
+ * PEP_BENCH_ONLY=<name> to run a single benchmark; an unknown name is
+ * rejected (benchSuite).
  */
 
 #include <cstddef>
@@ -45,7 +46,12 @@ namespace pep::bench {
  */
 double benchScale();
 
-/** Suite scaled per benchScale(). */
+/**
+ * Suite scaled per benchScale(), restricted to the benchmark
+ * PEP_BENCH_ONLY names when it is set and not empty. A name no
+ * benchmark has prints a message naming the variable and the value
+ * and exits 2, so a typo never runs an empty suite.
+ */
 std::vector<workload::WorkloadSpec> benchSuite();
 
 /** The default simulation parameters used by every harness. */

@@ -12,11 +12,10 @@
 
 #include "bytecode/cfg_builder.hh"
 #include "core/sampling.hh"
-#include "profile/instr_plan.hh"
 #include "profile/numbering.hh"
 #include "profile/path_profile.hh"
 #include "profile/pdag.hh"
-#include "profile/reconstruct.hh"
+#include "profile/plan_state.hh"
 #include "support/rng.hh"
 #include "vm/machine.hh"
 #include "workload/suite.hh"
@@ -39,28 +38,19 @@ sampleMethod()
     return program.methods[id];
 }
 
+/** The sample method's CFG and plan, built once. */
 struct PreparedMethod
 {
-    bytecode::MethodCfg cfg;
-    profile::PDag pdag;
-    profile::Numbering numbering;
-    std::unique_ptr<profile::PathReconstructor> reconstructor;
+    const bytecode::MethodCfg cfg = bytecode::buildCfg(sampleMethod());
+    const profile::PlanState state{cfg, profile::DagMode::HeaderSplit,
+                                   profile::NumberingScheme::BallLarus,
+                                   nullptr, profile::PlacementKind::Direct};
 };
 
 const PreparedMethod &
 preparedMethod()
 {
-    static const PreparedMethod prepared = [] {
-        PreparedMethod p;
-        p.cfg = bytecode::buildCfg(sampleMethod());
-        p.pdag =
-            profile::buildPDag(p.cfg, profile::DagMode::HeaderSplit);
-        p.numbering = profile::numberPaths(
-            p.pdag, profile::NumberingScheme::BallLarus);
-        p.reconstructor = std::make_unique<profile::PathReconstructor>(
-            p.cfg, p.pdag, p.numbering);
-        return p;
-    }();
+    static const PreparedMethod prepared;
     return prepared;
 }
 
@@ -117,10 +107,10 @@ BM_ReconstructPath(benchmark::State &state)
 {
     const PreparedMethod &p = preparedMethod();
     support::Rng rng(7);
-    const std::uint64_t total = p.numbering.totalPaths;
+    const std::uint64_t total = p.state.numbering.totalPaths;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            p.reconstructor->reconstruct(rng.nextBounded(total)));
+            p.state.reconstructor->reconstruct(rng.nextBounded(total)));
     }
 }
 BENCHMARK(BM_ReconstructPath);
@@ -133,7 +123,7 @@ BM_SampleRecording(benchmark::State &state)
     const PreparedMethod &p = preparedMethod();
     const bool cached = state.range(0) == 1;
     support::Rng rng(7);
-    const std::uint64_t total = p.numbering.totalPaths;
+    const std::uint64_t total = p.state.numbering.totalPaths;
     // Pre-draw a sample stream with realistic repetition (few hot
     // paths dominate).
     std::vector<std::uint64_t> stream;
@@ -152,7 +142,7 @@ BM_SampleRecording(benchmark::State &state)
         const std::uint64_t number = stream[i++ & 4095];
         profile::PathRecord &record = paths.addSample(number);
         if (!record.expanded || !cached) {
-            profile::expandRecord(record, *p.reconstructor, number);
+            profile::expandRecord(record, *p.state.reconstructor, number);
         }
         benchmark::DoNotOptimize(record.count);
     }

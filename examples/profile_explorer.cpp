@@ -227,7 +227,7 @@ main(int argc, char **argv)
             for (std::uint32_t i = 0;
                  i < cfg.graph.succs(b).size(); ++i) {
                 const profile::EdgeAction &action =
-                    plan.flatAction({b, i});
+                    plan.flatAction(cfg, {b, i});
                 if (action.increment != 0) {
                     std::printf("    edge B%u->B%u: r += %llu\n", b,
                                 cfg.graph.succs(b)[i],

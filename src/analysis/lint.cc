@@ -1,5 +1,7 @@
 #include "analysis/lint.hh"
 
+#include <utility>
+
 #include "analysis/liveness.hh"
 #include "analysis/plan_check.hh"
 #include "analysis/stack_const.hh"
@@ -7,10 +9,7 @@
 #include "analysis/verify/stream_proof.hh"
 #include "bytecode/cfg_builder.hh"
 #include "bytecode/verifier.hh"
-#include "profile/instr_plan.hh"
-#include "profile/numbering.hh"
-#include "profile/pdag.hh"
-#include "profile/spanning_placement.hh"
+#include "profile/plan_state.hh"
 #include "vm/machine.hh"
 
 namespace pep::analysis {
@@ -21,51 +20,13 @@ using profile::DagMode;
 using profile::NumberingScheme;
 using profile::PlacementKind;
 
-/** Uniform DAG edge frequencies (lint has no runtime profile). */
-profile::DagEdgeFreqs
-uniformFreqs(const cfg::Graph &dag)
-{
-    profile::DagEdgeFreqs freqs(dag.numBlocks());
-    for (cfg::BlockId v = 0; v < dag.numBlocks(); ++v)
-        freqs[v].assign(dag.succs(v).size(), 1.0);
-    return freqs;
-}
-
-/** Build and check one (mode, scheme, placement) configuration. */
-void
-checkOnePlan(const bytecode::Method &method,
-             const bytecode::MethodCfg &cfg, DagMode mode,
-             NumberingScheme scheme, PlacementKind placement,
-             DiagnosticList &diagnostics)
-{
-    const profile::PDag pdag = profile::buildPDag(cfg, mode);
-    const profile::DagEdgeFreqs freqs = uniformFreqs(pdag.dag);
-    const profile::Numbering numbering = profile::numberPaths(
-        pdag, scheme,
-        scheme == NumberingScheme::BallLarus ? nullptr : &freqs);
-    profile::InstrumentationPlan plan =
-        profile::buildInstrumentationPlan(cfg, pdag, numbering);
-
-    profile::SpanningPlacement spanning;
-    if (placement == PlacementKind::SpanningTree && plan.enabled) {
-        spanning =
-            profile::computeSpanningPlacement(pdag, numbering, &freqs);
-        profile::applySpanningPlacement(cfg, pdag, spanning, plan);
-    }
-
-    PlanCheckInput input;
-    input.cfg = &cfg;
-    input.pdag = &pdag;
-    input.numbering = &numbering;
-    input.plan = &plan;
-    input.placement = placement;
-    input.spanning =
-        placement == PlacementKind::SpanningTree ? &spanning : nullptr;
-    input.scheme = scheme;
-    input.freqs = &freqs;
-    input.methodName = method.name;
-    checkInstrumentationPlan(input, diagnostics);
-}
+/** The (numbering, placement) pairs lint checks under both DAG modes.
+ *  Lint has no profile, so every edge weighs the same. */
+constexpr std::pair<NumberingScheme, PlacementKind> kPlanConfigs[] = {
+    {NumberingScheme::BallLarus, PlacementKind::Direct},
+    {NumberingScheme::BallLarus, PlacementKind::SpanningTree},
+    {NumberingScheme::Smart, PlacementKind::Direct},
+};
 
 } // namespace
 
@@ -98,12 +59,12 @@ lintProgram(bytecode::Program &program)
 
         for (const DagMode mode :
              {DagMode::HeaderSplit, DagMode::BackEdgeTruncate}) {
-            checkOnePlan(method, cfg, mode, NumberingScheme::BallLarus,
-                         PlacementKind::Direct, diagnostics);
-            checkOnePlan(method, cfg, mode, NumberingScheme::BallLarus,
-                         PlacementKind::SpanningTree, diagnostics);
-            checkOnePlan(method, cfg, mode, NumberingScheme::Smart,
-                         PlacementKind::Direct, diagnostics);
+            for (const auto &[scheme, placement] : kPlanConfigs) {
+                const profile::PlanState state(cfg, mode, scheme, nullptr,
+                                               placement);
+                checkInstrumentationPlan(cfg, state, method.name,
+                                         diagnostics);
+            }
         }
         checkTemplateStreams(method, vm::buildMethodInfo(method),
                              nullptr, kEveryFuseOption, method.name,

@@ -26,8 +26,14 @@ constexpr std::size_t kMaxPerCategory = 8;
 class Checker
 {
   public:
-    Checker(const PlanCheckInput &input, DiagnosticList &diagnostics)
-        : in_(input), diags_(diagnostics), dag_(input.pdag->dag)
+    Checker(const bytecode::MethodCfg &cfg,
+            const profile::PlanState &state,
+            const std::string &method_name,
+            const profile::MethodEdgeProfile *freq_profile,
+            DiagnosticList &diagnostics)
+        : cfg_(cfg), state_(state), name_(method_name),
+          freqProfile_(freq_profile), diags_(diagnostics),
+          dag_(state.pdag.dag)
     {
     }
 
@@ -38,10 +44,10 @@ class Checker
         if (!checkStructure())
             return diags_.errorCount() == before;
 
-        if (in_.numbering->overflow) {
+        if (state_.numbering.overflow) {
             note("numbering overflowed (more than 2^50 paths); "
                  "instrumentation disabled");
-            if (in_.plan->enabled) {
+            if (state_.plan.enabled) {
                 error("plan is enabled despite numbering overflow");
             }
             checkFlattenedTables();
@@ -50,16 +56,14 @@ class Checker
 
         checkNumberingIntervals();
         checkRegisterBounds();
-        // Checks 4 and 7 read the edge table through edgeBase.
+        // Checks 4 and 7 index the edge table by flat edge id.
         const bool table_ok = checkFlattenedTables();
         if (table_ok)
             checkPlanConsistency();
-        if (in_.placement == PlacementKind::SpanningTree)
+        if (state_.placement == PlacementKind::SpanningTree)
             checkChordOnly();
-        if (in_.scheme == profile::NumberingScheme::Smart &&
-            in_.freqs != nullptr) {
+        if (state_.scheme == profile::NumberingScheme::Smart)
             checkHotEdgesFree();
-        }
         if (table_ok)
             checkSemantics();
         return diags_.errorCount() == before;
@@ -71,7 +75,7 @@ class Checker
     void
     error(const std::string &message)
     {
-        diags_.report(Severity::Error, "plan-check", in_.methodName,
+        diags_.report(Severity::Error, "plan-check", name_,
                       message);
     }
 
@@ -79,13 +83,13 @@ class Checker
     errorAtEdge(cfg::EdgeRef edge, const std::string &message)
     {
         diags_.reportAtEdge(Severity::Error, "plan-check",
-                            in_.methodName, edge, message);
+                            name_, edge, message);
     }
 
     void
     note(const std::string &message)
     {
-        diags_.report(Severity::Note, "plan-check", in_.methodName,
+        diags_.report(Severity::Note, "plan-check", name_,
                       message);
     }
 
@@ -140,7 +144,7 @@ class Checker
     void
     checkNumberingIntervals()
     {
-        const Numbering &numbering = *in_.numbering;
+        const Numbering &numbering = state_.numbering;
         if (numbering.numPaths.size() != dag_.numBlocks()) {
             error("numbering numPaths has wrong arity");
             return;
@@ -219,7 +223,7 @@ class Checker
     void
     checkRegisterBounds()
     {
-        const Numbering &numbering = *in_.numbering;
+        const Numbering &numbering = state_.numbering;
         if (numbering.totalPaths > profile::kMaxPaths) {
             error("totalPaths exceeds kMaxPaths without overflow flag");
             return;
@@ -270,25 +274,24 @@ class Checker
     std::uint64_t
     expectedValue(cfg::EdgeRef dag_edge) const
     {
-        if (in_.placement == PlacementKind::SpanningTree)
-            return in_.spanning
-                       ->increment[dag_edge.src][dag_edge.index];
-        return in_.numbering->edgeValue(dag_edge);
+        if (state_.placement == PlacementKind::SpanningTree)
+            return state_.spanning.increment[dag_edge.src][dag_edge.index];
+        return state_.numbering.edgeValue(dag_edge);
     }
 
     void
     checkPlanConsistency()
     {
-        const InstrumentationPlan &plan = *in_.plan;
-        const PDag &pdag = *in_.pdag;
-        const bytecode::MethodCfg &cfg = *in_.cfg;
+        const InstrumentationPlan &plan = state_.plan;
+        const PDag &pdag = state_.pdag;
+        const bytecode::MethodCfg &cfg = cfg_;
         const cfg::Graph &graph = cfg.graph;
 
         if (!plan.enabled) {
             error("plan disabled despite valid numbering");
             return;
         }
-        if (plan.totalPaths != in_.numbering->totalPaths)
+        if (plan.totalPaths != state_.numbering.totalPaths)
             error("plan totalPaths disagrees with numbering");
         if (plan.mode != pdag.mode)
             error("plan mode disagrees with P-DAG mode");
@@ -311,7 +314,7 @@ class Checker
             for (std::uint32_t i = 0; i < graph.succs(b).size(); ++i) {
                 const cfg::EdgeRef cfg_edge{b, i};
                 const profile::EdgeAction &action =
-                    plan.flatAction(cfg_edge);
+                    plan.flatAction(cfg, cfg_edge);
                 const cfg::EdgeRef dag_edge =
                     pdag.dagEdgeForCfgEdge[b][i];
 
@@ -356,14 +359,14 @@ class Checker
                            const profile::EdgeAction &action,
                            std::size_t k, std::size_t &mismatches)
     {
-        const PDag &pdag = *in_.pdag;
+        const PDag &pdag = state_.pdag;
         if (pdag.mode != DagMode::BackEdgeTruncate) {
             errorAtEdge(cfg_edge,
                         "CFG edge missing from the P-DAG outside "
                         "BackEdgeTruncate mode");
             return;
         }
-        if (k == in_.cfg->backEdges.size()) {
+        if (k == cfg_.backEdges.size()) {
             errorAtEdge(cfg_edge,
                         "truncated edge is not a known back edge");
             return;
@@ -373,8 +376,7 @@ class Checker
                         "truncated back edge does not end the path");
             return;
         }
-        const cfg::BlockId header =
-            in_.cfg->graph.edgeDst(cfg_edge);
+        const cfg::BlockId header = cfg_.graph.edgeDst(cfg_edge);
         const std::uint64_t want_end =
             expectedValue(pdag.backEdgeDummyExit[k]);
         const std::uint64_t want_restart =
@@ -393,9 +395,9 @@ class Checker
     void
     checkHeaderActions(std::size_t &mismatches)
     {
-        const InstrumentationPlan &plan = *in_.plan;
-        const PDag &pdag = *in_.pdag;
-        const bytecode::MethodCfg &cfg = *in_.cfg;
+        const InstrumentationPlan &plan = state_.plan;
+        const PDag &pdag = state_.pdag;
+        const bytecode::MethodCfg &cfg = cfg_;
 
         for (cfg::BlockId b = 0; b < cfg.graph.numBlocks(); ++b) {
             const profile::HeaderAction &action =
@@ -433,44 +435,22 @@ class Checker
         }
     }
 
-    // ---- check 8: the flat edge table's shape ----------------------
+    // ---- check 8: the flat edge table's size -----------------------
 
     /**
-     * Engines index flatEdgeActions by edgeBase[src] + index, and so
-     * do checks 4 and 7: prove edgeBase holds exact prefix sums of the
-     * CFG's successor counts and the table covers every edge. Returns
-     * false when it does not.
+     * Engines index flatEdgeActions by the CFG's flat edge id, and so
+     * do checks 4 and 7: prove the table has one action per edge.
+     * Returns false when it does not.
      */
     bool
     checkFlattenedTables()
     {
-        const InstrumentationPlan &plan = *in_.plan;
-        const cfg::Graph &graph = in_.cfg->graph;
-
-        if (plan.edgeBase.size() != graph.numBlocks() + 1) {
-            error("flattened edgeBase has wrong arity");
-            return false;
-        }
-        std::uint32_t expected_base = 0;
-        for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b) {
-            if (plan.edgeBase[b] != expected_base) {
-                std::ostringstream os;
-                os << "edgeBase[" << b << "] is " << plan.edgeBase[b]
-                   << " but the prefix sum of successor counts is "
-                   << expected_base;
-                error(os.str());
-                return false;
-            }
-            expected_base +=
-                static_cast<std::uint32_t>(graph.succs(b).size());
-        }
-        if (plan.edgeBase.back() != expected_base ||
-            plan.flatEdgeActions.size() != expected_base) {
+        const std::size_t edges = cfg_.edgeBase.back();
+        if (state_.plan.flatEdgeActions.size() != edges) {
             std::ostringstream os;
             os << "flattened table covers "
-               << plan.flatEdgeActions.size() << " edges (base "
-               << plan.edgeBase.back() << ") but the CFG has "
-               << expected_base;
+               << state_.plan.flatEdgeActions.size()
+               << " edges but the CFG has " << edges;
             error(os.str());
             return false;
         }
@@ -482,14 +462,10 @@ class Checker
     void
     checkChordOnly()
     {
-        const profile::SpanningPlacement *spanning = in_.spanning;
-        if (spanning == nullptr) {
-            error("SpanningTree placement without placement data");
-            return;
-        }
+        const profile::SpanningPlacement &spanning = state_.spanning;
         const std::size_t n = dag_.numBlocks();
-        if (spanning->inTree.size() != n ||
-            spanning->increment.size() != n) {
+        if (spanning.inTree.size() != n ||
+            spanning.increment.size() != n) {
             error("spanning placement has wrong arity");
             return;
         }
@@ -498,8 +474,8 @@ class Checker
         std::size_t on_tree = 0;
         for (cfg::BlockId v = 0; v < n; ++v) {
             for (std::uint32_t i = 0; i < dag_.succs(v).size(); ++i) {
-                if (spanning->inTree[v][i] &&
-                    spanning->increment[v][i] != 0 &&
+                if (spanning.inTree[v][i] &&
+                    spanning.increment[v][i] != 0 &&
                     !capped(on_tree)) {
                     errorAtEdge(
                         cfg::EdgeRef{v, i},
@@ -530,7 +506,7 @@ class Checker
         unite(dag_.exit(), dag_.entry());
         for (cfg::BlockId v = 0; v < n; ++v) {
             for (std::uint32_t i = 0; i < dag_.succs(v).size(); ++i) {
-                if (!spanning->inTree[v][i])
+                if (!spanning.inTree[v][i])
                     continue;
                 if (!unite(v, dag_.succs(v)[i])) {
                     errorAtEdge(cfg::EdgeRef{v, i},
@@ -554,11 +530,12 @@ class Checker
     void
     checkHotEdgesFree()
     {
-        const profile::DagEdgeFreqs &freqs = *in_.freqs;
+        const profile::DagEdgeFreqs freqs =
+            profile::dagEdgeFrequencies(cfg_, state_.pdag, freqProfile_);
         std::size_t hot = 0;
         for (cfg::BlockId v = 0; v < dag_.numBlocks(); ++v) {
             if (dag_.succs(v).empty() ||
-                in_.numbering->numPaths[v] == 0) {
+                state_.numbering.numPaths[v] == 0) {
                 continue;
             }
             std::uint32_t hottest = 0;
@@ -566,11 +543,11 @@ class Checker
                 if (freqs[v][i] > freqs[v][hottest])
                     hottest = i;
             }
-            if (in_.numbering->val[v][hottest] != 0 &&
+            if (state_.numbering.val[v][hottest] != 0 &&
                 !capped(hot)) {
                 std::ostringstream os;
                 os << "smart numbering left value "
-                   << in_.numbering->val[v][hottest]
+                   << state_.numbering.val[v][hottest]
                    << " on the hottest outgoing edge of node " << v;
                 errorAtEdge(cfg::EdgeRef{v, hottest}, os.str());
             }
@@ -603,8 +580,8 @@ class Checker
     replayPlan(const std::vector<cfg::EdgeRef> &path,
                std::uint64_t &result)
     {
-        const PDag &pdag = *in_.pdag;
-        const InstrumentationPlan &plan = *in_.plan;
+        const PDag &pdag = state_.pdag;
+        const InstrumentationPlan &plan = state_.plan;
         std::uint64_t reg = 0;
 
         for (std::size_t i = 0; i < path.size(); ++i) {
@@ -625,9 +602,9 @@ class Checker
                     // header; all of them share the value.
                     bool found = false;
                     for (const cfg::EdgeRef &back :
-                         in_.cfg->backEdges) {
-                        if (in_.cfg->graph.edgeDst(back) == header) {
-                            reg = plan.flatAction(back).restart;
+                         cfg_.backEdges) {
+                        if (cfg_.graph.edgeDst(back) == header) {
+                            reg = plan.flatAction(cfg_, back).restart;
                             found = true;
                             break;
                         }
@@ -651,7 +628,7 @@ class Checker
                     result =
                         reg + plan.headerActions[header].endAdd;
                 } else {
-                    std::size_t k = in_.cfg->backEdges.size();
+                    std::size_t k = cfg_.backEdges.size();
                     for (std::size_t j = 0;
                          j < pdag.backEdgeDummyExit.size(); ++j) {
                         if (pdag.backEdgeDummyExit[j] == e) {
@@ -659,20 +636,20 @@ class Checker
                             break;
                         }
                     }
-                    if (k == in_.cfg->backEdges.size()) {
+                    if (k == cfg_.backEdges.size()) {
                         errorAtEdge(e,
                                     "DummyExit edge matches no "
                                     "back edge");
                         return false;
                     }
-                    const cfg::EdgeRef back = in_.cfg->backEdges[k];
-                    result = reg + plan.flatAction(back).endAdd;
+                    const cfg::EdgeRef back = cfg_.backEdges[k];
+                    result = reg + plan.flatAction(cfg_, back).endAdd;
                 }
                 return true;
               }
               case DagEdgeKind::Real: {
                 const cfg::EdgeRef ce = meta.cfgEdge;
-                reg += plan.flatAction(ce).increment;
+                reg += plan.flatAction(cfg_, ce).increment;
                 break;
               }
             }
@@ -684,7 +661,7 @@ class Checker
     void
     checkSemantics()
     {
-        const Numbering &numbering = *in_.numbering;
+        const Numbering &numbering = state_.numbering;
         const std::uint64_t true_paths = truePathCount();
         if (true_paths > kSimulateLimit) {
             std::ostringstream os;
@@ -761,7 +738,10 @@ class Checker
         }
     }
 
-    const PlanCheckInput &in_;
+    const bytecode::MethodCfg &cfg_;
+    const profile::PlanState &state_;
+    const std::string &name_;
+    const profile::MethodEdgeProfile *freqProfile_;
     DiagnosticList &diags_;
     const cfg::Graph &dag_;
     std::vector<cfg::BlockId> topo_;
@@ -770,12 +750,13 @@ class Checker
 } // namespace
 
 bool
-checkInstrumentationPlan(const PlanCheckInput &input,
-                         DiagnosticList &diagnostics)
+checkInstrumentationPlan(const bytecode::MethodCfg &cfg,
+                         const profile::PlanState &state,
+                         const std::string &method_name,
+                         DiagnosticList &diagnostics,
+                         const profile::MethodEdgeProfile *freq_profile)
 {
-    PEP_ASSERT(input.cfg && input.pdag && input.numbering &&
-               input.plan);
-    Checker checker(input, diagnostics);
+    Checker checker(cfg, state, method_name, freq_profile, diagnostics);
     return checker.run();
 }
 

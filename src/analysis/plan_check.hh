@@ -4,7 +4,8 @@
 /**
  * @file
  * Static instrumentation-plan checker: machine-checks the invariants
- * PEP's correctness rests on, per (method, P-DAG, numbering, plan):
+ * PEP's correctness rests on, per built plan (profile::PlanState: the
+ * P-DAG, numbering, plan and placement of one method):
  *
  *  1. DAG well-formedness: structurally valid and acyclic.
  *  2. Numbering soundness: at every DAG node the outgoing edge values
@@ -30,10 +31,9 @@
  *     path must reproduce the path's Ball-Larus number, and the numbers
  *     must cover [0, totalPaths) exactly. A method over the budget
  *     gets a "semantic enumeration skipped" note instead.
- *  8. Edge-table shape: edgeBase holds exact prefix sums of the CFG's
- *     successor counts and flatEdgeActions covers every edge, so the
- *     (src, index) lookups of checks 4 and 7 — and of both engines —
- *     address the right action.
+ *  8. Edge-table size: flatEdgeActions has one action per edge of the
+ *     CFG's flat edge numbering (MethodCfg::flatEdgeId), so the lookups
+ *     of checks 4 and 7 — and of both engines — stay in the table.
  *
  * 10. k-path id-space audit (checkKPathScheme, docs/KBLPP.md): a
  *     version's KPathScheme must be the arithmetically exact id space
@@ -70,9 +70,7 @@
 #include "bytecode/cfg_builder.hh"
 #include "profile/instr_plan.hh"
 #include "profile/kpath.hh"
-#include "profile/numbering.hh"
-#include "profile/pdag.hh"
-#include "profile/spanning_placement.hh"
+#include "profile/plan_state.hh"
 
 namespace pep::vm {
 struct InlinedBody;
@@ -83,35 +81,17 @@ namespace pep::analysis {
 /** Path-enumeration budget of the semantic proof (check 7). */
 inline constexpr std::uint64_t kSimulateLimit = 4096;
 
-/** Everything the checker inspects for one method. */
-struct PlanCheckInput
-{
-    const bytecode::MethodCfg *cfg = nullptr;
-    const profile::PDag *pdag = nullptr;
-    const profile::Numbering *numbering = nullptr;
-    const profile::InstrumentationPlan *plan = nullptr;
-
-    profile::PlacementKind placement = profile::PlacementKind::Direct;
-
-    /** Required when placement == SpanningTree. */
-    const profile::SpanningPlacement *spanning = nullptr;
-
-    profile::NumberingScheme scheme =
-        profile::NumberingScheme::BallLarus;
-
-    /** Required for the hot-edge check when scheme == Smart. */
-    const profile::DagEdgeFreqs *freqs = nullptr;
-
-    /** Method name used in diagnostics. */
-    std::string methodName;
-};
-
 /**
- * Run every applicable check; append findings to `diagnostics`.
- * Returns true if no *errors* were added (warnings/notes allowed).
+ * Run every applicable check on `state`, a plan built for `cfg`;
+ * append findings to `diagnostics` under `method_name`. Check 6
+ * re-derives the DAG frequencies from `freq_profile`, the profile the
+ * plan was numbered with (nullptr: none). Returns true if no *errors*
+ * were added (warnings/notes allowed).
  */
-bool checkInstrumentationPlan(const PlanCheckInput &input,
-                              DiagnosticList &diagnostics);
+bool checkInstrumentationPlan(
+    const bytecode::MethodCfg &cfg, const profile::PlanState &state,
+    const std::string &method_name, DiagnosticList &diagnostics,
+    const profile::MethodEdgeProfile *freq_profile = nullptr);
 
 /** Everything the k-path id-space audit inspects (check 10). */
 struct KPathCheckInput

@@ -159,47 +159,20 @@ class StreamProof
         return true;
     }
 
-    /** Structural flat-edge bases: the stream's burned-in edgeBase and
-     *  every template's flatBase must be the CFG's successor-count
-     *  prefix sums — the indices every enabled plan's flatEdgeActions
-     *  are laid out by. */
+    /** Every template carries its block's base in the CFG's flat
+     *  edge numbering — the ids every enabled plan's flatEdgeActions
+     *  are indexed by. */
     void
     checkEdgeBase()
     {
-        const cfg::Graph &graph = cfg_.graph;
-        refBase_.resize(graph.numBlocks() + 1);
-        std::uint32_t next = 0;
-        for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b) {
-            refBase_[b] = next;
-            next += static_cast<std::uint32_t>(graph.succs(b).size());
-        }
-        refBase_.back() = next;
-
         std::size_t mismatches = 0;
-        if (dm_.edgeBase.size() != refBase_.size()) {
-            std::ostringstream os;
-            os << "template edgeBase has " << dm_.edgeBase.size()
-               << " entries, the CFG implies " << refBase_.size();
-            error("edge-base", os.str());
-        } else {
-            for (std::size_t b = 0; b < refBase_.size(); ++b) {
-                if (dm_.edgeBase[b] != refBase_[b] &&
-                    !capped(mismatches)) {
-                    std::ostringstream os;
-                    os << "template edgeBase[" << b << "] is "
-                       << dm_.edgeBase[b]
-                       << " but the CFG's successor prefix sum is "
-                       << refBase_[b];
-                    error("edge-base", os.str());
-                }
-            }
-        }
         for (const vm::Template &t : dm_.stream) {
-            if (t.flatBase != refBase_[t.block] && !capped(mismatches)) {
+            const std::uint32_t base = cfg_.edgeBase[t.block];
+            if (t.flatBase != base && !capped(mismatches)) {
                 std::ostringstream os;
                 os << "template at pc " << t.pc << " carries flat base "
                    << t.flatBase << " for block " << t.block
-                   << ", whose base is " << refBase_[t.block];
+                   << ", whose base is " << base;
                 errorAtPc("edge-base", t.pc, os.str());
             }
         }
@@ -639,7 +612,7 @@ class StreamProof
             break;
           case TerminatorKind::Return: {
             ExitEffect e;
-            e.flatId = refBase_[b];
+            e.flatId = cfg_.edgeBase[b];
             e.toExit = true;
             ref.push_back(e);
             break;
@@ -678,7 +651,7 @@ class StreamProof
     refExit(cfg::BlockId b, std::uint32_t index, bytecode::Pc target)
     {
         ExitEffect e;
-        e.flatId = refBase_[b] + index;
+        e.flatId = cfg_.flatEdgeId({b, index});
         e.targetPc = target;
         e.headerEvent = target < in_.info->headerLeaderPc.size() &&
                         in_.info->headerLeaderPc[target];
@@ -948,7 +921,6 @@ class StreamProof
     const vm::CompiledMethod &cm_;
     const vm::DecodedMethod &dm_;
 
-    std::vector<std::uint32_t> refBase_;
     std::vector<std::uint64_t> tplCost_;
     std::vector<std::uint64_t> tplNinstr_;
     std::vector<std::int64_t> fallEdgeTpl_;

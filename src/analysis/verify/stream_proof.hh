@@ -16,10 +16,9 @@
  *
  *  - shape: pcToTemplate covers the code and stays in the stream, and
  *    every template names a code block;
- *  - edge bases: the stream's burned-in edgeBase is the CFG's
- *    successor-count prefix sums — the indices every plan's
- *    flatEdgeActions are laid out by (plan-checker check 8 proves the
- *    plan side) — and every template carries its block's base;
+ *  - edge bases: every template carries its block's base in the
+ *    CFG's flat edge numbering (MethodCfg::edgeBase), the ids every
+ *    plan's flatEdgeActions are indexed by;
  *  - per pc: the template a pc maps to re-encodes that instruction
  *    (opcode, or a fused/guard top covering it), its block and the
  *    version's branch layout;
@@ -37,7 +36,7 @@
  *    TraceFall templates;
  *  - profile-counter effects: every block exit fires the same CFG
  *    edge (src block, successor index) at the same dense flat id
- *    (`edgeBase[src] + index`) and lands on the target pc's template
+ *    (MethodCfg::flatEdgeId) and lands on the target pc's template
  *    and block, so every profiler's flatEdgeActions dispatch is
  *    identical under both engines;
  *  - yieldpoint/header placement: an exit transfers into a

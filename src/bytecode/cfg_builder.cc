@@ -130,6 +130,14 @@ buildCfg(const Method &method)
     result.backEdges = loops.backEdges;
     result.reducible = cfg::isReducible(graph);
 
+    // Pass 6: the flat edge numbering.
+    result.edgeBase.resize(graph.numBlocks() + 1);
+    for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b) {
+        result.edgeBase[b + 1] =
+            result.edgeBase[b] +
+            static_cast<std::uint32_t>(graph.succs(b).size());
+    }
+
     return result;
 }
 

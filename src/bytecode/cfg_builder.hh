@@ -16,6 +16,7 @@
  *    is the synthetic exit block).
  */
 
+#include <cstdint>
 #include <vector>
 
 #include "bytecode/method.hh"
@@ -59,6 +60,22 @@ struct MethodCfg
 
     /** True if the CFG is reducible. */
     bool reducible = true;
+
+    /**
+     * The flat edge numbering: edgeBase[b] is the dense id of block
+     * b's first successor edge, i.e. the prefix sums of the per-block
+     * successor counts (numBlocks + 1 entries, so edgeBase.back() is
+     * the edge count). Every plan's flatEdgeActions and every
+     * template's burned-in flat base index through this one table.
+     */
+    std::vector<std::uint32_t> edgeBase;
+
+    /** Dense id of a CFG edge: edgeBase[src] + index. */
+    std::uint32_t
+    flatEdgeId(cfg::EdgeRef edge) const
+    {
+        return edgeBase[edge.src] + edge.index;
+    }
 
     /** True for blocks that hold bytecode (not entry/exit). */
     bool

@@ -1,6 +1,5 @@
 #include "core/path_engine.hh"
 
-#include "profile/spanning_placement.hh"
 #include "vm/inliner.hh"
 #include "support/panic.hh"
 
@@ -15,49 +14,11 @@ buildProfilingState(const bytecode::MethodCfg &method_cfg,
                     profile::PlacementKind placement,
                     std::uint32_t k_iterations)
 {
-    auto state = std::make_unique<MethodProfilingState>();
+    auto state = std::make_unique<MethodProfilingState>(
+        method_cfg, mode, scheme, freq_profile, placement);
     state->method = method;
     state->version = version;
-    state->pdag = profile::buildPDag(method_cfg, mode);
-
-    // Edge frequency estimates (used by Smart numbering and by the
-    // spanning-tree placement); all-zero when no profile exists, which
-    // reduces both to deterministic structural choices.
-    profile::DagEdgeFreqs freqs;
-    if (freq_profile) {
-        freqs = profile::estimateDagEdgeFrequencies(
-            method_cfg, state->pdag, freq_profile->counts());
-    } else {
-        freqs.resize(state->pdag.dag.numBlocks());
-        for (cfg::BlockId v = 0; v < state->pdag.dag.numBlocks(); ++v)
-            freqs[v].assign(state->pdag.dag.succs(v).size(), 0.0);
-    }
-
-    if (scheme == profile::NumberingScheme::BallLarus) {
-        state->numbering =
-            profile::numberPaths(state->pdag, scheme, nullptr);
-    } else {
-        state->numbering = profile::numberPaths(state->pdag, scheme,
-                                                &freqs);
-    }
-
-    state->plan = profile::buildInstrumentationPlan(
-        method_cfg, state->pdag, state->numbering);
-    if (state->plan.enabled &&
-        placement == profile::PlacementKind::SpanningTree) {
-        const profile::SpanningPlacement spanning =
-            profile::computeSpanningPlacement(state->pdag,
-                                              state->numbering, &freqs);
-        profile::applySpanningPlacement(method_cfg, state->pdag,
-                                        spanning, state->plan);
-    }
-    if (state->plan.enabled) {
-        state->reconstructor =
-            std::make_unique<profile::PathReconstructor>(
-                method_cfg, state->pdag, state->numbering);
-    }
-    // The k-path id space is layered over the finished plan; the plan
-    // itself is identical for every k (k=1 degeneracy guarantee).
+    // The k-path id space is layered over the finished plan.
     state->kpath = profile::KPathScheme(
         state->plan.enabled ? state->plan.totalPaths : 0, k_iterations);
     return state;
@@ -124,7 +85,7 @@ PathEngine::onCompile(bytecode::MethodId method,
     vp->state = std::move(state);
     const profile::InstrumentationPlan &plan = vp->state->plan;
     vp->edges = plan.flatEdgeActions.data();
-    vp->edgeBase = plan.edgeBase.data();
+    vp->edgeBase = version_cfg.edgeBase.data();
     vp->headers = plan.headerActions.data();
     slots[version.version] = std::move(vp);
 }
@@ -167,16 +128,6 @@ PathEngine::versionProfiles() const
          const_cast<PathEngine *>(this)->versionProfiles())
         result.emplace_back(key, vp);
     return result;
-}
-
-const MethodProfilingState *
-PathEngine::stateFor(bytecode::MethodId method,
-                     std::uint32_t version) const
-{
-    const VersionProfile *vp = findVersion(method, version);
-    if (!vp || !vp->state->plan.enabled)
-        return nullptr;
-    return vp->state.get();
 }
 
 void

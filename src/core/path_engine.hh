@@ -4,11 +4,11 @@
 /**
  * @file
  * Shared machinery for every path-profiling client: builds per-version
- * instrumentation state when the optimizing compiler runs (P-DAG,
- * numbering, plan, reconstructor), and executes the path-register
- * semantics. Subclasses decide what happens when a path completes
- * (store always = BLPP/perfect; store at samples = PEP; store for free
- * = ground truth).
+ * instrumentation state when the optimizing compiler runs (through
+ * profile::PlanState), and executes the path-register semantics.
+ * Subclasses decide what happens when a path completes (store always =
+ * BLPP/perfect; store at samples = PEP; store for free = ground
+ * truth).
  *
  * The register runs in one of two places (docs/ENGINE.md, "Inline path
  * registers"). Under the threaded engine the first path engine
@@ -31,20 +31,22 @@
 #include <utility>
 #include <vector>
 
-#include "profile/instr_plan.hh"
 #include "profile/kpath.hh"
-#include "profile/numbering.hh"
 #include "profile/path_profile.hh"
-#include "profile/pdag.hh"
-#include "profile/reconstruct.hh"
+#include "profile/plan_state.hh"
 #include "vm/hooks.hh"
 #include "vm/machine.hh"
 
 namespace pep::core {
 
-/** Immutable per-(method, compiled-version) profiling state. */
-struct MethodProfilingState
+/**
+ * Immutable per-(method, compiled-version) profiling state: the plan
+ * profile::PlanState builds, plus what the engine adds on top.
+ */
+struct MethodProfilingState : profile::PlanState
 {
+    using PlanState::PlanState;
+
     bytecode::MethodId method = 0;
     std::uint32_t version = 0;
 
@@ -53,18 +55,10 @@ struct MethodProfilingState
      *  the inlined body and its block-origin map when inlining is on. */
     const vm::CompiledMethod *compiled = nullptr;
 
-    profile::PDag pdag;
-    profile::Numbering numbering;
-    profile::InstrumentationPlan plan;
-
     /** k-iteration id space over the plan's path numbers (docs/
      *  KBLPP.md). Degenerate (kEffective()==1) unless the engine was
-     *  built with k_iterations > 1 and the plan is enabled. The plan
-     *  itself never depends on k — the degeneracy guarantee. */
+     *  built with k_iterations > 1 and the plan is enabled. */
     profile::KPathScheme kpath;
-
-    /** Built last; holds references into this struct and the CFG. */
-    std::unique_ptr<profile::PathReconstructor> reconstructor;
 };
 
 /** Build the state for one method (cfg must outlive the state). */
@@ -138,11 +132,6 @@ class PathEngine : public vm::PathRegisterHooks, public vm::CompileObserver
     void frameExited(vm::PathRegister &reg, std::uint32_t thread) final;
     void frameReplaced(vm::PathRegister &reg, vm::PathPlan *plan,
                        cfg::BlockId header, std::uint32_t thread) final;
-
-    /** Look up the state of a compiled version (nullptr if none,
-     *  e.g. baseline code or overflowed numbering). */
-    const MethodProfilingState *
-    stateFor(bytecode::MethodId method, std::uint32_t version) const;
 
     /** All versions this engine instrumented, with their profiles,
      *  ordered by (method, version). The pointers stay valid until the

@@ -3,29 +3,36 @@
 #include <cstdlib>
 #include <string>
 
+#include "support/panic.hh"
+
 namespace pep::opt {
 
 std::optional<PipelineOptions>
 pipelineOptionsFromEnv()
 {
     const char *env = std::getenv("PEP_OPT");
-    if (!env)
+    if (!env || !*env)
         return std::nullopt;
     PipelineOptions options;
     options.layout = false;
     options.clone = false;
-    std::string value(env);
+    const std::string value(env);
     std::size_t pos = 0;
     while (pos <= value.size()) {
         const std::size_t comma = value.find(',', pos);
         const std::string token = value.substr(
             pos, comma == std::string::npos ? std::string::npos
                                             : comma - pos);
-        if (token == "layout")
+        if (token == "layout") {
             options.layout = true;
-        else if (token == "clone")
+        } else if (token == "clone") {
             options.clone = true;
-        // "none" and unknown tokens enable nothing.
+        } else if (!token.empty() && token != "none") {
+            // A CI matrix typo must fail loudly, not run unoptimized.
+            support::fatal("PEP_OPT=" + value + ": unknown pass \"" +
+                           token +
+                           "\" (expected none|layout|clone|layout,clone)");
+        }
         if (comma == std::string::npos)
             break;
         pos = comma + 1;

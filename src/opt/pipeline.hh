@@ -24,9 +24,10 @@
  * produced.
  *
  * The PEP_OPT environment variable selects passes for a whole test
- * run: a comma list of "layout" and "clone", or "none". Unset means
- * "not configured" (pipelineOptionsFromEnv returns nullopt) so code
- * paths that install the pipeline explicitly keep their own defaults.
+ * run: a comma list of "layout" and "clone", or "none". Unset or empty
+ * means "not configured" (pipelineOptionsFromEnv returns nullopt) so
+ * code paths that install the pipeline explicitly keep their own
+ * defaults. Any other token is fatal.
  */
 
 #include <cstdint>
@@ -47,7 +48,8 @@ struct PipelineOptions
 };
 
 /** Parse PEP_OPT ("layout,clone" / "layout" / "clone" / "none");
- *  nullopt when the variable is unset. Unknown tokens are ignored. */
+ *  nullopt when the variable is unset or empty. An unknown token is
+ *  fatal (support::fatal), naming the variable and its value. */
 std::optional<PipelineOptions> pipelineOptionsFromEnv();
 
 /** The pass. Register on a Machine with addCompilePass(); the

@@ -13,14 +13,7 @@ buildInstrumentationPlan(const bytecode::MethodCfg &method_cfg,
     InstrumentationPlan plan;
     plan.mode = pdag.mode;
     plan.headerActions.assign(graph.numBlocks(), HeaderAction{});
-    plan.edgeBase.resize(graph.numBlocks() + 1);
-    std::uint32_t next = 0;
-    for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b) {
-        plan.edgeBase[b] = next;
-        next += static_cast<std::uint32_t>(graph.succs(b).size());
-    }
-    plan.edgeBase.back() = next;
-    plan.flatEdgeActions.assign(next, EdgeAction{});
+    plan.flatEdgeActions.assign(graph.numEdges(), EdgeAction{});
 
     if (numbering.overflow) {
         plan.enabled = false;
@@ -35,7 +28,7 @@ buildInstrumentationPlan(const bytecode::MethodCfg &method_cfg,
             if (dag_edge.src == cfg::kInvalidBlock)
                 continue; // truncated back edge; handled below
             const std::uint64_t value = numbering.edgeValue(dag_edge);
-            plan.flatEdgeActions[plan.flatEdgeId({b, i})].increment =
+            plan.flatEdgeActions[method_cfg.flatEdgeId({b, i})].increment =
                 value;
             if (value != 0)
                 ++plan.numInstrumentedEdges;
@@ -57,7 +50,7 @@ buildInstrumentationPlan(const bytecode::MethodCfg &method_cfg,
         for (std::size_t k = 0; k < method_cfg.backEdges.size(); ++k) {
             const cfg::EdgeRef back = method_cfg.backEdges[k];
             EdgeAction &action =
-                plan.flatEdgeActions[plan.flatEdgeId(back)];
+                plan.flatEdgeActions[method_cfg.flatEdgeId(back)];
             action.endsPath = true;
             action.endAdd =
                 numbering.edgeValue(pdag.backEdgeDummyExit[k]);

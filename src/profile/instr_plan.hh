@@ -82,28 +82,17 @@ struct InstrumentationPlan
     std::size_t numInstrumentedEdges = 0;
 
     /**
-     * Per CFG edge: one contiguous array indexed by the dense edge id
-     * edgeBase[src] + index, where edgeBase holds prefix sums of
-     * per-block successor counts (numBlocks + 1 entries, so
-     * edgeBase.back() == total edge count). This is the only edge
-     * table: builders write it, the checker proves it and the engines
-     * execute it.
+     * Per CFG edge, indexed by the CFG's flat edge id
+     * (MethodCfg::flatEdgeId). This is the only edge table: builders
+     * write it, the checker proves it and the engines execute it.
      */
     std::vector<EdgeAction> flatEdgeActions;
-    std::vector<std::uint32_t> edgeBase;
 
-    /** Dense id of a CFG edge in flatEdgeActions. */
-    std::uint32_t
-    flatEdgeId(cfg::EdgeRef edge) const
-    {
-        return edgeBase[edge.src] + edge.index;
-    }
-
-    /** Action for a CFG edge. */
+    /** Action for a CFG edge of the CFG this plan was built for. */
     const EdgeAction &
-    flatAction(cfg::EdgeRef edge) const
+    flatAction(const bytecode::MethodCfg &cfg, cfg::EdgeRef edge) const
     {
-        return flatEdgeActions[flatEdgeId(edge)];
+        return flatEdgeActions[cfg.flatEdgeId(edge)];
     }
 };
 

@@ -31,13 +31,6 @@ MethodPathProfile::ensureExpanded(const PathReconstructor &reconstructor,
 }
 
 void
-PathProfileSet::clear()
-{
-    for (auto &profile : perMethod)
-        profile.clear();
-}
-
-void
 expandRecord(PathRecord &record, const PathReconstructor &reconstructor,
              std::uint64_t path_number, const KPathScheme *kpath)
 {

@@ -82,19 +82,6 @@ class MethodPathProfile
     std::unordered_map<std::uint64_t, PathRecord> paths_;
 };
 
-/** Path profiles for every method of a program. */
-struct PathProfileSet
-{
-    std::vector<MethodPathProfile> perMethod;
-
-    explicit PathProfileSet(std::size_t num_methods = 0)
-        : perMethod(num_methods)
-    {
-    }
-
-    void clear();
-};
-
 /**
  * Fill `record` from a reconstruction (first-sample slow path of the
  * paper's handler). With a KPathScheme, composite ids (>= base) expand

@@ -178,7 +178,7 @@ applySpanningPlacement(const bytecode::MethodCfg &method_cfg,
             if (dag_edge.src == cfg::kInvalidBlock)
                 continue; // truncated back edge: handled below
             EdgeAction &action =
-                plan.flatEdgeActions[plan.flatEdgeId({b, i})];
+                plan.flatEdgeActions[method_cfg.flatEdgeId({b, i})];
             action.increment = inc_of(dag_edge);
             if (action.increment != 0)
                 ++plan.numInstrumentedEdges;
@@ -197,7 +197,7 @@ applySpanningPlacement(const bytecode::MethodCfg &method_cfg,
         for (std::size_t k = 0; k < method_cfg.backEdges.size(); ++k) {
             const cfg::EdgeRef back = method_cfg.backEdges[k];
             EdgeAction &action =
-                plan.flatEdgeActions[plan.flatEdgeId(back)];
+                plan.flatEdgeActions[method_cfg.flatEdgeId(back)];
             action.endAdd = inc_of(pdag.backEdgeDummyExit[k]);
             const cfg::BlockId header = graph.edgeDst(back);
             action.restart = inc_of(pdag.headerDummyEntry[header]);

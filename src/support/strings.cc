@@ -58,13 +58,6 @@ trim(std::string_view text)
 }
 
 bool
-startsWith(std::string_view text, std::string_view prefix)
-{
-    return text.size() >= prefix.size() &&
-           text.substr(0, prefix.size()) == prefix;
-}
-
-bool
 parseInt(std::string_view text, std::int64_t &out)
 {
     std::string buf(text);

@@ -21,9 +21,6 @@ std::vector<std::string> splitChar(std::string_view text, char delim);
 /** Strip leading/trailing whitespace. */
 std::string trim(std::string_view text);
 
-/** True if `text` begins with `prefix`. */
-bool startsWith(std::string_view text, std::string_view prefix);
-
 /** Parse a signed 64-bit integer; returns false on malformed input. */
 bool parseInt(std::string_view text, std::int64_t &out);
 

@@ -121,8 +121,7 @@ foldBranchCounts(const SegmentCounts &segments,
  * recorded continuous edge profile. The extra crossing appears out of
  * nowhere — inflow and outflow no longer balance at the edge's source
  * block — so no execution could have recorded the resulting profile.
- * Both the dynamic conservation check (check 5) and the static
- * realizability pass must reject it.
+ * The static realizability pass (auditRun) must reject it.
  */
 void
 corruptPepEdgeProfile(const vm::Machine &machine,
@@ -180,47 +179,6 @@ checkEdgeTablesBounded(const profile::EdgeProfileSet &got,
                        << " exceeds ground truth " << b[block][i];
                     addViolation(report, os.str());
                 }
-            }
-        }
-    }
-}
-
-/**
- * Flow conservation: profiled walks are contiguous edge sequences whose
- * boundaries lie at loop headers, method entry and method exit, so at
- * every other code block inflow must equal outflow. When no frame was
- * dropped mid-path, every walk ending at a header is paired with one
- * starting there, and headers conserve too.
- */
-void
-checkConservation(const profile::EdgeProfileSet &edges,
-                  const vm::Machine &machine, bool include_headers,
-                  const std::string &what, DiffReport &report)
-{
-    for (std::size_t m = 0; m < edges.perMethod.size(); ++m) {
-        const bytecode::MethodCfg &cfg =
-            machine.info(static_cast<bytecode::MethodId>(m)).cfg;
-        const auto &counts = edges.perMethod[m].counts();
-        std::vector<std::uint64_t> in(cfg.graph.numBlocks(), 0);
-        std::vector<std::uint64_t> out(cfg.graph.numBlocks(), 0);
-        for (cfg::BlockId src = 0; src < cfg.graph.numBlocks(); ++src) {
-            const auto &succs = cfg.graph.succs(src);
-            for (std::size_t i = 0; i < succs.size(); ++i) {
-                out[src] += counts[src][i];
-                in[succs[i]] += counts[src][i];
-            }
-        }
-        for (cfg::BlockId b = 0; b < cfg.graph.numBlocks(); ++b) {
-            if (!cfg.isCodeBlock(b))
-                continue;
-            if (cfg.isLoopHeader[b] && !include_headers)
-                continue;
-            if (in[b] != out[b]) {
-                std::ostringstream os;
-                os << what << ": method " << m << " block " << b
-                   << " violates flow conservation (in " << in[b]
-                   << ", out " << out[b] << ')';
-                addViolation(report, os.str());
             }
         }
     }
@@ -454,71 +412,6 @@ crossCheck(const DiffOptions &opts)
 {
     return opts.inject == InjectKind::None ||
            opts.inject == InjectKind::EngineDivergence;
-}
-
-/** Memberwise dump of everything an instrumentation plan carries, for
- *  byte-comparing independently built plans. */
-std::string
-serializePlan(const profile::InstrumentationPlan &plan)
-{
-    std::ostringstream os;
-    const auto dump_action = [&os](const profile::EdgeAction &a) {
-        os << a.increment << ',' << a.endsPath << ',' << a.endAdd << ','
-           << a.restart << ' ';
-    };
-    os << static_cast<int>(plan.mode) << ' ' << plan.enabled << ' '
-       << plan.totalPaths << ' ' << plan.numInstrumentedEdges << '\n';
-    for (const profile::HeaderAction &h : plan.headerActions)
-        os << h.endsPath << ',' << h.endAdd << ',' << h.restart << ' ';
-    os << '\n';
-    for (const profile::EdgeAction &a : plan.flatEdgeActions)
-        dump_action(a);
-    os << '\n';
-    for (const std::uint32_t base : plan.edgeBase)
-        os << base << ' ';
-    os << '\n';
-    return os.str();
-}
-
-/**
- * Check 8 (k-BLPP degeneracy, docs/KBLPP.md): instrumentation plans
- * are a pure function of the CFG, mode, scheme and placement — never
- * of k. Rebuild every method's profiling state from pristine inputs at
- * k = 1 and k = kIterations and byte-compare the serialized plans,
- * then prove the k = 1 id space *is* the raw
- * Ball-Larus range [0, totalPaths).
- */
-void
-checkKDegeneracy(const vm::Machine &machine, const DiffOptions &opts,
-                 DiffReport &report)
-{
-    for (std::size_t m = 0; m < machine.numMethods(); ++m) {
-        const bytecode::MethodId method =
-            static_cast<bytecode::MethodId>(m);
-        const bytecode::MethodCfg &cfg = machine.info(method).cfg;
-        const auto legacy = core::buildProfilingState(
-            cfg, method, 0, opts.mode, opts.scheme, nullptr,
-            opts.placement, 1);
-        const auto kstate = core::buildProfilingState(
-            cfg, method, 0, opts.mode, opts.scheme, nullptr,
-            opts.placement, opts.kIterations);
-        if (serializePlan(legacy->plan) !=
-            serializePlan(kstate->plan)) {
-            addViolation(report,
-                         "k-degeneracy: method " + std::to_string(m) +
-                             " plan built at k=" +
-                             std::to_string(opts.kIterations) +
-                             " differs from the k=1 plan");
-        }
-        if (legacy->plan.enabled &&
-            legacy->kpath.maxId() != legacy->plan.totalPaths) {
-            std::ostringstream os;
-            os << "k-degeneracy: method " << m << " k=1 id space "
-               << legacy->kpath.maxId() << " != totalPaths "
-               << legacy->plan.totalPaths;
-            addViolation(report, os.str());
-        }
-    }
 }
 
 /** False once a version can run a synthesized (inlined or cloned)
@@ -773,8 +666,8 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
     }
 
     // Post-run injection: corruption after the final iteration, when
-    // nothing further executes. Check 5 inspects the recorded profile
-    // and the static realizability pass below rejects it too.
+    // nothing further executes. The static realizability pass below
+    // rejects it.
     if (opts.inject == InjectKind::ImpossibleProfile && !peps.empty())
         corruptPepEdgeProfile(machine, *peps.front());
 
@@ -789,10 +682,6 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
     // the interpreter meant it.
     checkEdgeTablesEqual(oracle.edges(), machine.truthEdges(),
                          "oracle edge mirror", report);
-
-    // Check 8: k never changes what gets instrumented.
-    if (opts.kIterations > 1)
-        checkKDegeneracy(machine, opts, report);
 
     report.oracleSegments = oracle.totalSegments();
     report.blppPaths = full.pathsStored();
@@ -923,17 +812,16 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
 
         checkEdgeTablesBounded(pep.edgeProfile(), machine.truthEdges(),
                                what + " edge profile", report);
-        if (bytecode_level_truth) {
-            checkConservation(pep.edgeProfile(), machine,
-                              /*include_headers=*/false,
-                              what + " edge profile", report);
-        }
     }
 
     // Check 6: the edge profile derived from full BLPP paths. Paths of
     // versions running a synthesized body (inlined or cloned) fold
     // onto the bytecode tables exactly like ground truth, so the bound
-    // always holds; flow conservation needs pure bytecode-level truth.
+    // always holds. Flow conservation needs pure bytecode-level truth:
+    // auditRun checks it at non-header blocks, and while the oracle
+    // saw every walk ending at a header paired with one starting there
+    // (no frame dropped or adopted mid-path) headers conserve too.
+    analysis::DiagnosticList diags;
     try {
         profile::EdgeProfileSet derived =
             core::edgeProfileFromPaths(machine, full);
@@ -941,14 +829,16 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
                                "full-derived edge profile", report);
         const bool clean_pairing = oracle.droppedFrames() == 0 &&
                                    oracle.adoptedFrames() == 0;
-        if (bytecode_level_truth) {
-            checkConservation(derived, machine, clean_pairing,
-                              "full-derived edge profile", report);
-            if (!clean_pairing) {
-                report.notes.push_back(
-                    "frames dropped or adopted mid-path: header "
-                    "conservation skipped");
-            }
+        if (bytecode_level_truth && clean_pairing) {
+            analysis::RealizabilityOptions headers;
+            headers.what = "full-derived edge profile";
+            headers.requireHeaderConservation = true;
+            analysis::checkEdgeSetRealizability(machine, derived, headers,
+                                                diags);
+        } else if (bytecode_level_truth) {
+            report.notes.push_back(
+                "frames dropped or adopted mid-path: header "
+                "conservation skipped");
         }
     } catch (const support::PanicError &e) {
         addViolation(report,
@@ -1010,7 +900,6 @@ runDiff(const bytecode::Program &program, const DiffOptions &opts)
     std::vector<core::PepProfiler *> pep_views;
     for (const auto &pep : peps)
         pep_views.push_back(pep.get());
-    analysis::DiagnosticList diags;
     auditRun(machine, full, pep_views, opts.pepConfigs, diags);
     std::vector<analysis::Diagnostic> sorted = diags.all();
     analysis::sortDiagnostics(sorted);

@@ -17,10 +17,11 @@
  *  4. every engine agrees on the total number of completed paths;
  *  5. PEP-sampled counts never exceed the oracle's, sum to
  *     samplesRecorded, and the derived edge profile is bounded by
- *     ground truth and flow-conserved at non-header blocks;
+ *     ground truth (auditRun proves it flow-conserved);
  *  6. the edge profile derived from full BLPP is bounded by ground
- *     truth and flow-conserved (at loop headers too while no frame was
- *     dropped mid-path);
+ *     truth and, while no frame was dropped or adopted mid-path,
+ *     flow-conserved at loop headers too (auditRun proves the other
+ *     blocks);
  *  7. the switch-dispatch and threaded (pre-decoded template)
  *     execution engines are byte-identical: the same program run on
  *     two otherwise-identical machines, one per engine, serializes
@@ -32,10 +33,9 @@
  *     over k-path window ids instead of raw Ball-Larus numbers — the
  *     oracle records literal k-iteration segment concatenations and
  *     the engines' composite ids must reconstruct to *exactly* those
- *     sequences with exactly those counts — and the k=1 degeneracy
- *     check proves the instrumentation layer is untouched: plans
- *     built at k = kIterations are byte-identical to plans built at
- *     k = 1 (k-BLPP is pure post-processing of segment numbers);
+ *     sequences with exactly those counts. No plan can depend on k
+ *     (profile::PlanState takes none), and auditRun's plan check 10
+ *     proves each version's k = 1 id space is [0, totalPaths);
  *  9. (optLayout/optClone, docs/OPT.md) for every version the cloning
  *     pass synthesized, the full profiler's cloned-CFG path counts
  *     folded through the version's live BlockOrigin map onto the
@@ -103,9 +103,9 @@ enum class InjectKind : std::uint8_t
 
     /** Corrupt one count of the first PEP profiler's recorded
      *  continuous edge profile after the run: an edge gains a crossing
-     *  no execution could have produced. The dynamic bound/conservation
-     *  checks (check 5) and the static realizability pass
-     *  (analysis/verify/realizability.hh) must both reject it. */
+     *  no execution could have produced. The static realizability
+     *  pass (analysis/verify/realizability.hh), which auditRun runs
+     *  over every PEP edge profile, must reject it. */
     ImpossibleProfile,
 
     /** Threaded differ only (runThreadedDiff): the ring transport

@@ -409,19 +409,6 @@ generateProgram(const FuzzSpec &spec)
     return pb.build();
 }
 
-std::uint64_t
-fuzzItersFromEnv(std::uint64_t fallback)
-{
-    const char *env = std::getenv("PEP_FUZZ_ITERS");
-    if (!env || !*env)
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || value == 0)
-        return fallback;
-    return static_cast<std::uint64_t>(value);
-}
-
 std::uint32_t
 kIterationsFromEnv(std::uint32_t fallback)
 {

@@ -61,17 +61,10 @@ struct FuzzSpec
 bytecode::Program generateProgram(const FuzzSpec &spec);
 
 /**
- * Iteration count for fuzz-style tests: the PEP_FUZZ_ITERS environment
- * variable when set to a positive integer, else `fallback`. Tier-1 CI
- * uses the small default; nightly runs export a large override.
- */
-std::uint64_t fuzzItersFromEnv(std::uint64_t fallback);
-
-/**
  * k-BLPP window length for fuzz-style tests: the PEP_KITER environment
- * variable when set to a positive integer, else `fallback`. Consumed
- * only by tools/tests that opt in (pep_fuzz --kiter default, dedicated
- * k-iteration tests) — never by golden tests or corpus replay.
+ * variable when set to a positive integer, else `fallback`. Only
+ * pep_fuzz reads it, as its --kiter default — never golden tests or
+ * corpus replay.
  */
 std::uint32_t kIterationsFromEnv(std::uint32_t fallback);
 

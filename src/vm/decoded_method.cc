@@ -266,13 +266,6 @@ translateMethod(const bytecode::Method &code, const MethodInfo &info,
     dm.fuse = fuse;
 
     const cfg::Graph &graph = info.cfg.graph;
-    dm.edgeBase.resize(graph.numBlocks() + 1);
-    std::uint32_t next_edge = 0;
-    for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b) {
-        dm.edgeBase[b] = next_edge;
-        next_edge += static_cast<std::uint32_t>(graph.succs(b).size());
-    }
-    dm.edgeBase.back() = next_edge;
 
     const std::size_t n = code.code.size();
     const std::vector<bool> seg_leader = segmentLeaders(code, info);
@@ -332,7 +325,7 @@ translateMethod(const bytecode::Method &code, const MethodInfo &info,
         t.fuseLen = span;
         t.pc = pc;
         t.block = block;
-        t.flatBase = dm.edgeBase[block];
+        t.flatBase = info.cfg.edgeBase[block];
         t.layout = cm.layoutFor(block);
         if (cm.baselineEdgeInstr)
             t.flags |= kTplBaselineEdge;
@@ -447,7 +440,7 @@ translateMethod(const bytecode::Method &code, const MethodInfo &info,
             fe.op = kTopFallEdge;
             fe.pc = last;
             fe.block = block;
-            fe.flatBase = dm.edgeBase[block];
+            fe.flatBase = info.cfg.edgeBase[block];
             fe.fallPc = last + 1;
             fe.fallBlock = info.cfg.blockOfPc[last + 1];
             if (is_header(last + 1))

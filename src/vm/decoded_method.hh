@@ -7,10 +7,10 @@
  * (docs/ENGINE.md). At install time each compiled version is translated
  * into a contiguous array of Templates: operands resolved, branch
  * targets turned into template indices, the version's branch layout and
- * the structural flat-edge base (`InstrumentationPlan::edgeBase`) burned
- * into block-boundary templates, and per-op scaled costs folded into
- * per-segment sums so straight-line block bodies execute with zero
- * profiling branches.
+ * the block's flat edge base (`MethodCfg::edgeBase`, the numbering
+ * every plan's edge table uses) burned into block-boundary templates,
+ * and per-op scaled costs folded into per-segment sums so straight-line
+ * block bodies execute with zero profiling branches.
  *
  * A *segment* is a run of instructions charged as one unit: it starts
  * at a block-leader pc or immediately after an Invoke, and ends with
@@ -172,7 +172,7 @@ struct Template
     std::int32_t b = 0; ///< operand
 
     cfg::BlockId block = 0;    ///< block this instruction belongs to
-    std::uint32_t flatBase = 0; ///< structural edgeBase[block]
+    std::uint32_t flatBase = 0; ///< the CFG's edgeBase[block]
 
     /** Taken target (branches/Goto) — template, pc, block. */
     std::uint32_t taken = 0;
@@ -224,14 +224,6 @@ struct DecodedMethod
      *  trace). Empty / all -1 unless `fuse.traces`. */
     std::vector<std::vector<cfg::BlockId>> traces;
     std::vector<std::int32_t> blockTrace;
-
-    /**
-     * Structural prefix sums of per-block CFG successor counts
-     * (numBlocks + 1 entries). Identical to every enabled
-     * InstrumentationPlan's `edgeBase` for this CFG — the stream proof
-     * and plan-checker check 8 each prove their side against the CFG.
-     */
-    std::vector<std::uint32_t> edgeBase;
 };
 
 // ---- Fusion introspection (shared by the translator, the threaded

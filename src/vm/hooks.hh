@@ -99,9 +99,9 @@ class ExecutionHooks
     }
 
     /**
-     * Same event with the edge's dense flat id (edgeBase[src] + index,
-     * the structural numbering every InstrumentationPlan's flat tables
-     * use) precomputed by the threaded engine's templates. The default
+     * Same event with the edge's dense flat id (MethodCfg::flatEdgeId,
+     * the numbering every InstrumentationPlan's edge table uses)
+     * precomputed by the threaded engine's templates. The default
      * forwards to onEdge. Overriders MUST behave identically to their
      * onEdge — the engines' byte-identity contract depends on it. No
      * profiler in src/ overrides it any more: the one that dispatched
@@ -159,13 +159,14 @@ class ExecutionHooks
 /**
  * The instrumentation one compiled version's frames execute: pointers
  * into the tables of the InstrumentationPlan a path profiler built for
- * it. The profiler owns it (core::VersionProfile derives from it), and
- * it lives as long as the profiler.
+ * it, and into the flat edge numbering of the CFG the plan indexes by.
+ * The profiler owns it (core::VersionProfile derives from it), and it
+ * lives as long as the profiler.
  */
 struct PathPlan
 {
     const profile::EdgeAction *edges = nullptr;  ///< flatEdgeActions
-    const std::uint32_t *edgeBase = nullptr;     ///< dense-id bases
+    const std::uint32_t *edgeBase = nullptr;     ///< MethodCfg::edgeBase
     const profile::HeaderAction *headers = nullptr;
 };
 

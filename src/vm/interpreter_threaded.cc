@@ -35,40 +35,15 @@
  * (see decoded_method.hh for the invariants that make interiors
  * yieldpoint-free).
  *
- * Dispatch is computed goto on GCC/Clang; defining
- * PEP_THREADED_FORCE_SWITCH selects the portable switch fallback
- * (same templates, same behaviour).
+ * Dispatch is computed goto, a GCC/Clang extension every compiler that
+ * builds this repository has (profile/numbering.cc already needs
+ * __builtin_add_overflow).
  */
-
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(PEP_THREADED_FORCE_SWITCH)
-#define PEP_THREADED_COMPUTED_GOTO 1
-#else
-#define PEP_THREADED_COMPUTED_GOTO 0
-#endif
 
 namespace pep::vm {
 
-#if PEP_THREADED_COMPUTED_GOTO
 #define PEP_OP(name) L_##name:
-#define PEP_TOP_AT(label, VALUE) L_##label:
 #define PEP_DISPATCH() goto *kLabels[ts[tp].op]
-#else
-#define PEP_OP(name) case static_cast<std::uint8_t>(bytecode::Opcode::name):
-#define PEP_TOP_AT(label, VALUE) case (VALUE):
-#define PEP_DISPATCH() goto dispatch_top
-#endif
-
-/** Offsets of an opcode within its fused-top family. */
-#define PEP_ARITH_OFF(name)                                            \
-    (static_cast<std::uint8_t>(bytecode::Opcode::name) -               \
-     static_cast<std::uint8_t>(bytecode::Opcode::Iadd))
-#define PEP_ZBR_OFF(name)                                              \
-    (static_cast<std::uint8_t>(bytecode::Opcode::name) -               \
-     static_cast<std::uint8_t>(bytecode::Opcode::Ifeq))
-#define PEP_CBR_OFF(name)                                              \
-    (static_cast<std::uint8_t>(bytecode::Opcode::name) -               \
-     static_cast<std::uint8_t>(bytecode::Opcode::IfIcmpeq))
 
 /**
  * The single source of truth for binary-arithmetic semantics in this
@@ -229,8 +204,7 @@ namespace pep::vm {
 
 /** Trace guard, zero-compare / two-operand families. */
 #define PEP_GUARD_ZERO(name, CMP)                                      \
-    PEP_TOP_AT(GuardZero_##name,                                       \
-               kTopGuardZeroBase + PEP_ZBR_OFF(name))                  \
+    PEP_OP(GuardZero_##name)                                           \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -239,7 +213,7 @@ namespace pep::vm {
         PEP_GUARD_TAIL(v CMP 0)                                        \
     }
 #define PEP_GUARD_CMP(name, CMP)                                       \
-    PEP_TOP_AT(GuardCmp_##name, kTopGuardCmpBase + PEP_CBR_OFF(name))  \
+    PEP_OP(GuardCmp_##name)                                            \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -252,8 +226,7 @@ namespace pep::vm {
 
 /** [Iconst k, arith]: burned-in rhs, lhs replaced on the stack. */
 #define PEP_CONST_ARITH(name, EXPR)                                    \
-    PEP_TOP_AT(ConstArith_##name,                                      \
-               kTopConstArithBase + PEP_ARITH_OFF(name))               \
+    PEP_OP(ConstArith_##name)                                          \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -270,8 +243,7 @@ namespace pep::vm {
 
 /** [Iload x, arith]: burned-in rhs local, lhs replaced on the stack. */
 #define PEP_LOAD_ARITH(name, EXPR)                                     \
-    PEP_TOP_AT(LoadArith_##name,                                       \
-               kTopLoadArithBase + PEP_ARITH_OFF(name))                \
+    PEP_OP(LoadArith_##name)                                           \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -288,8 +260,7 @@ namespace pep::vm {
 
 /** [Iload x, Iload y, arith]: no stack traffic at all. */
 #define PEP_LOADLOAD_ARITH(name, EXPR)                                 \
-    PEP_TOP_AT(LoadLoadArith_##name,                                   \
-               kTopLoadLoadArithBase + PEP_ARITH_OFF(name))            \
+    PEP_OP(LoadLoadArith_##name)                                       \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -306,8 +277,7 @@ namespace pep::vm {
 
 /** [Iload x, Iconst k, arith]. */
 #define PEP_LOADCONST_ARITH(name, EXPR)                                \
-    PEP_TOP_AT(LoadConstArith_##name,                                  \
-               kTopLoadConstArithBase + PEP_ARITH_OFF(name))           \
+    PEP_OP(LoadConstArith_##name)                                      \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -324,8 +294,7 @@ namespace pep::vm {
 
 /** [Iload x, ifXX]: operand straight from the local. */
 #define PEP_LOAD_ZEROBR(name, CMP)                                     \
-    PEP_TOP_AT(LoadZeroBr_##name,                                      \
-               kTopLoadZeroBrBase + PEP_ZBR_OFF(name))                 \
+    PEP_OP(LoadZeroBr_##name)                                          \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -335,8 +304,7 @@ namespace pep::vm {
 
 /** [Iload x, Iload y, if_icmpXX]. */
 #define PEP_LOADLOAD_CMPBR(name, CMP)                                  \
-    PEP_TOP_AT(LoadLoadCmpBr_##name,                                   \
-               kTopLoadLoadCmpBrBase + PEP_CBR_OFF(name))              \
+    PEP_OP(LoadLoadCmpBr_##name)                                       \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -347,8 +315,7 @@ namespace pep::vm {
 
 /** [Iload x, Iconst k, if_icmpXX]. */
 #define PEP_LOADCONST_CMPBR(name, CMP)                                 \
-    PEP_TOP_AT(LoadConstCmpBr_##name,                                  \
-               kTopLoadConstCmpBrBase + PEP_CBR_OFF(name))             \
+    PEP_OP(LoadConstCmpBr_##name)                                      \
     {                                                                  \
         const Template &t = ts[tp];                                    \
         PEP_CHARGE(t);                                                 \
@@ -385,7 +352,6 @@ Interpreter::loopThreaded()
     std::int32_t *locals = nullptr;
     std::uint32_t tp = 0;
 
-#if PEP_THREADED_COMPUTED_GOTO
     // Indexed by TOp: bytecode::Opcode values, then the synthetic
     // entries in the order decoded_method.hh lays out the top space.
 #define PEP_LBL_GZ(name, CMP) &&L_GuardZero_##name,
@@ -429,7 +395,6 @@ Interpreter::loopThreaded()
 #undef PEP_LBL_LZB
 #undef PEP_LBL_LLC
 #undef PEP_LBL_LCC
-#endif
 
 rebind:
     // Boundary state: derive everything from the top frame's
@@ -453,11 +418,6 @@ rebind:
         tp = dm.pcToTemplate[f->pc];
     }
     PEP_DISPATCH();
-
-#if !PEP_THREADED_COMPUTED_GOTO
-dispatch_top:
-    switch (ts[tp].op) {
-#endif
 
     PEP_OP(Iconst)
     {
@@ -632,7 +592,7 @@ dispatch_top:
     {
         PEP_RETURN_BODY(true);
     }
-    PEP_TOP_AT(FallEdge, kTopFallEdge)
+    PEP_OP(FallEdge)
     {
         // Injected fall-through block end: the block's single CFG edge
         // plus the transfer (cost/ninstr are zero — no instruction).
@@ -641,7 +601,7 @@ dispatch_top:
         PEP_TRANSFER(t.fall, t.fallPc, t.flags & kTplFallHeader,
                      t.fallBlock);
     }
-    PEP_TOP_AT(TraceFall, kTopTraceFall)
+    PEP_OP(TraceFall)
     {
         // Trace-interior fall-through block end: the edge event plus a
         // direct jump — the target is a non-header single-predecessor
@@ -656,7 +616,7 @@ dispatch_top:
     }
     PEP_FOR_EACH_ZEROBR(PEP_GUARD_ZERO)
     PEP_FOR_EACH_CMPBR(PEP_GUARD_CMP)
-    PEP_TOP_AT(ConstStore, kTopConstStore)
+    PEP_OP(ConstStore)
     {
         const Template &t = ts[tp];
         PEP_CHARGE(t);
@@ -664,7 +624,7 @@ dispatch_top:
         ++tp;
         PEP_DISPATCH();
     }
-    PEP_TOP_AT(LoadStore, kTopLoadStore)
+    PEP_OP(LoadStore)
     {
         const Template &t = ts[tp];
         PEP_CHARGE(t);
@@ -672,7 +632,7 @@ dispatch_top:
         ++tp;
         PEP_DISPATCH();
     }
-    PEP_TOP_AT(LoadLoad, kTopLoadLoad)
+    PEP_OP(LoadLoad)
     {
         const Template &t = ts[tp];
         PEP_CHARGE(t);
@@ -688,20 +648,10 @@ dispatch_top:
     PEP_FOR_EACH_ZEROBR(PEP_LOAD_ZEROBR)
     PEP_FOR_EACH_CMPBR(PEP_LOADLOAD_CMPBR)
     PEP_FOR_EACH_CMPBR(PEP_LOADCONST_CMPBR)
-
-#if !PEP_THREADED_COMPUTED_GOTO
-      default:
-        PEP_PANIC("bad template opcode");
-    }
-#endif
 }
 
 #undef PEP_OP
-#undef PEP_TOP_AT
 #undef PEP_DISPATCH
-#undef PEP_ARITH_OFF
-#undef PEP_ZBR_OFF
-#undef PEP_CBR_OFF
 #undef PEP_FOR_EACH_ARITH
 #undef PEP_FOR_EACH_ZEROBR
 #undef PEP_FOR_EACH_CMPBR

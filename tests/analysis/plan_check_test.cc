@@ -6,9 +6,10 @@
  * seeded violations of each invariant — duplicate path ids, an
  * increment on a spanning-tree edge, a nonzero hot-edge value under
  * smart numbering, tampered back-edge bookkeeping, and plans left
- * enabled after numbering overflow, and edge tables whose shape does
- * not match the CFG. The template-stream tests (checks 9 and 12
- * before they joined the stream proof) run the one stream proof,
+ * enabled after numbering overflow, and edge tables whose size does
+ * not match the CFG. Plans come from profile::PlanState, the builder
+ * the engines and lint use. The template-stream tests (checks 9 and
+ * 12 before they joined the stream proof) run the one stream proof,
  * analysis/verify/stream_proof.hh. Ends with a cross-validation
  * against the interpreter: dynamically observed path ids must lie in
  * the statically proven id space.
@@ -35,70 +36,31 @@ namespace {
 using profile::DagMode;
 using profile::NumberingScheme;
 using profile::PlacementKind;
+using profile::PlanState;
 
-/** One fully built configuration, ready to check (and to tamper). */
-struct Built
+/** main()'s plan, built by profile::PlanState with no profile. */
+struct MainPlan
 {
-    bytecode::MethodCfg cfg;
-    profile::PDag pdag;
-    profile::DagEdgeFreqs freqs;
-    profile::Numbering numbering;
-    profile::InstrumentationPlan plan;
-    profile::SpanningPlacement spanning;
-    NumberingScheme scheme = NumberingScheme::BallLarus;
-    PlacementKind placement = PlacementKind::Direct;
-};
-
-profile::DagEdgeFreqs
-uniformFreqs(const cfg::Graph &dag)
-{
-    profile::DagEdgeFreqs freqs(dag.numBlocks());
-    for (cfg::BlockId v = 0; v < dag.numBlocks(); ++v)
-        freqs[v].assign(dag.succs(v).size(), 1.0);
-    return freqs;
-}
-
-Built
-build(const bytecode::Program &program, DagMode mode,
-      NumberingScheme scheme, PlacementKind placement)
-{
-    Built b;
-    b.cfg = bytecode::buildCfg(program.methods[program.mainMethod]);
-    b.pdag = profile::buildPDag(b.cfg, mode);
-    b.freqs = uniformFreqs(b.pdag.dag);
-    b.numbering = profile::numberPaths(
-        b.pdag, scheme,
-        scheme == NumberingScheme::BallLarus ? nullptr : &b.freqs);
-    b.plan = profile::buildInstrumentationPlan(b.cfg, b.pdag,
-                                               b.numbering);
-    b.scheme = scheme;
-    b.placement = placement;
-    if (placement == PlacementKind::SpanningTree) {
-        b.spanning = profile::computeSpanningPlacement(
-            b.pdag, b.numbering, &b.freqs);
-        profile::applySpanningPlacement(b.cfg, b.pdag, b.spanning,
-                                        b.plan);
+    explicit MainPlan(const bytecode::Program &program,
+                      DagMode mode = DagMode::HeaderSplit,
+                      NumberingScheme scheme = NumberingScheme::BallLarus,
+                      PlacementKind placement = PlacementKind::Direct)
+        : cfg(bytecode::buildCfg(program.methods[program.mainMethod])),
+          state(cfg, mode, scheme, nullptr, placement)
+    {
     }
-    return b;
-}
 
-PlanCheckInput
-inputFor(const Built &b)
-{
-    PlanCheckInput input;
-    input.cfg = &b.cfg;
-    input.pdag = &b.pdag;
-    input.numbering = &b.numbering;
-    input.plan = &b.plan;
-    input.placement = b.placement;
-    input.spanning = b.placement == PlacementKind::SpanningTree
-                         ? &b.spanning
-                         : nullptr;
-    input.scheme = b.scheme;
-    input.freqs = &b.freqs;
-    input.methodName = "main";
-    return input;
-}
+    bool
+    check(DiagnosticList &diagnostics,
+          const profile::MethodEdgeProfile *freq_profile = nullptr) const
+    {
+        return checkInstrumentationPlan(cfg, state, "main", diagnostics,
+                                        freq_profile);
+    }
+
+    const bytecode::MethodCfg cfg;
+    PlanState state;
+};
 
 bool
 hasError(const DiagnosticList &diagnostics, const std::string &substr)
@@ -133,11 +95,9 @@ TEST(PlanCheck, AcceptsFixturesInEveryConfiguration)
                 for (const PlacementKind placement :
                      {PlacementKind::Direct,
                       PlacementKind::SpanningTree}) {
-                    const Built b =
-                        build(program, mode, scheme, placement);
+                    const MainPlan p(program, mode, scheme, placement);
                     DiagnosticList diagnostics;
-                    EXPECT_TRUE(checkInstrumentationPlan(
-                        inputFor(b), diagnostics))
+                    EXPECT_TRUE(p.check(diagnostics))
                         << renderAll(diagnostics);
                 }
             }
@@ -153,12 +113,10 @@ TEST(PlanCheck, AcceptsRandomStructuredPrograms)
             test::randomStructuredProgram(seed, 8);
         for (const DagMode mode :
              {DagMode::HeaderSplit, DagMode::BackEdgeTruncate}) {
-            const Built b = build(program, mode,
-                                  NumberingScheme::BallLarus,
-                                  PlacementKind::SpanningTree);
+            const MainPlan p(program, mode, NumberingScheme::BallLarus,
+                             PlacementKind::SpanningTree);
             DiagnosticList diagnostics;
-            EXPECT_TRUE(
-                checkInstrumentationPlan(inputFor(b), diagnostics))
+            EXPECT_TRUE(p.check(diagnostics))
                 << "seed " << seed << "\n"
                 << renderAll(diagnostics);
             ++checked;
@@ -169,10 +127,10 @@ TEST(PlanCheck, AcceptsRandomStructuredPrograms)
 
 /** Find a DAG node with at least two outgoing edges. */
 cfg::BlockId
-branchingDagNode(const Built &b)
+branchingDagNode(const PlanState &state)
 {
-    for (cfg::BlockId v = 0; v < b.pdag.dag.numBlocks(); ++v) {
-        if (b.pdag.dag.succs(v).size() >= 2)
+    for (cfg::BlockId v = 0; v < state.pdag.dag.numBlocks(); ++v) {
+        if (state.pdag.dag.succs(v).size() >= 2)
             return v;
     }
     return cfg::kInvalidBlock;
@@ -183,19 +141,16 @@ TEST(PlanCheck, RejectsDuplicatePathId)
     // Seeded bug 1: two sibling edges share a value, so two distinct
     // paths collapse onto one id. The interval check must prove the
     // overlap statically.
-    Built b = build(test::figure1Program(), DagMode::HeaderSplit,
-                    NumberingScheme::BallLarus, PlacementKind::Direct);
-    const cfg::BlockId v = branchingDagNode(b);
+    MainPlan p(test::figure1Program());
+    PlanState &s = p.state;
+    const cfg::BlockId v = branchingDagNode(s);
     ASSERT_NE(v, cfg::kInvalidBlock);
 
-    profile::Numbering tampered = b.numbering;
-    tampered.val[v][1] = tampered.val[v][0];
-    b.numbering = tampered;
-    b.plan = profile::buildInstrumentationPlan(b.cfg, b.pdag,
-                                               b.numbering);
+    s.numbering.val[v][1] = s.numbering.val[v][0];
+    s.plan = profile::buildInstrumentationPlan(p.cfg, s.pdag, s.numbering);
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
+    EXPECT_FALSE(p.check(diagnostics));
     EXPECT_TRUE(hasError(diagnostics, "duplicate path ids"))
         << renderAll(diagnostics);
 }
@@ -203,20 +158,19 @@ TEST(PlanCheck, RejectsDuplicatePathId)
 TEST(PlanCheck, RejectsGapInPathIds)
 {
     // Shifting a sibling value up opens a hole in [0, numPaths).
-    Built b = build(test::figure1Program(), DagMode::HeaderSplit,
-                    NumberingScheme::BallLarus, PlacementKind::Direct);
-    const cfg::BlockId v = branchingDagNode(b);
+    MainPlan p(test::figure1Program());
+    PlanState &s = p.state;
+    const cfg::BlockId v = branchingDagNode(s);
     ASSERT_NE(v, cfg::kInvalidBlock);
 
     // Make the larger of the two sibling values larger still.
     const std::uint32_t hi =
-        b.numbering.val[v][0] > b.numbering.val[v][1] ? 0 : 1;
-    b.numbering.val[v][hi] += 1;
-    b.plan = profile::buildInstrumentationPlan(b.cfg, b.pdag,
-                                               b.numbering);
+        s.numbering.val[v][0] > s.numbering.val[v][1] ? 0 : 1;
+    s.numbering.val[v][hi] += 1;
+    s.plan = profile::buildInstrumentationPlan(p.cfg, s.pdag, s.numbering);
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
+    EXPECT_FALSE(p.check(diagnostics));
     EXPECT_TRUE(hasError(diagnostics, "path-id gap") ||
                 hasError(diagnostics, "node"))
         << renderAll(diagnostics);
@@ -227,17 +181,17 @@ TEST(PlanCheck, RejectsIncrementOnSpanningTreeEdge)
     // Seeded bug 2: a spanning-tree edge carries an increment. The
     // chord-only check must catch it even though the replayed sums
     // also drift.
-    Built b = build(test::figure1Program(), DagMode::HeaderSplit,
-                    NumberingScheme::BallLarus,
-                    PlacementKind::SpanningTree);
+    MainPlan p(test::figure1Program(), DagMode::HeaderSplit,
+               NumberingScheme::BallLarus, PlacementKind::SpanningTree);
+    PlanState &s = p.state;
 
     cfg::BlockId tv = cfg::kInvalidBlock;
     std::uint32_t ti = 0;
     for (cfg::BlockId v = 0;
-         v < b.pdag.dag.numBlocks() && tv == cfg::kInvalidBlock; ++v) {
-        for (std::uint32_t i = 0; i < b.spanning.inTree[v].size();
+         v < s.pdag.dag.numBlocks() && tv == cfg::kInvalidBlock; ++v) {
+        for (std::uint32_t i = 0; i < s.spanning.inTree[v].size();
              ++i) {
-            if (b.spanning.inTree[v][i]) {
+            if (s.spanning.inTree[v][i]) {
                 tv = v;
                 ti = i;
                 break;
@@ -246,13 +200,12 @@ TEST(PlanCheck, RejectsIncrementOnSpanningTreeEdge)
     }
     ASSERT_NE(tv, cfg::kInvalidBlock) << "no tree edge found";
 
-    b.spanning.increment[tv][ti] += 3;
-    b.plan = profile::buildInstrumentationPlan(b.cfg, b.pdag,
-                                               b.numbering);
-    profile::applySpanningPlacement(b.cfg, b.pdag, b.spanning, b.plan);
+    s.spanning.increment[tv][ti] += 3;
+    s.plan = profile::buildInstrumentationPlan(p.cfg, s.pdag, s.numbering);
+    profile::applySpanningPlacement(p.cfg, s.pdag, s.spanning, s.plan);
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
+    EXPECT_FALSE(p.check(diagnostics));
     EXPECT_TRUE(hasError(diagnostics,
                          "increment placed on a spanning-tree edge"))
         << renderAll(diagnostics);
@@ -260,37 +213,36 @@ TEST(PlanCheck, RejectsIncrementOnSpanningTreeEdge)
 
 TEST(PlanCheck, RejectsNonzeroHotEdgeIncrement)
 {
-    // Seeded bug 3: claim smart numbering but hand the checker a
-    // Ball-Larus numbering and frequencies that favor the *second*
-    // successor — the hottest edge then carries a nonzero value.
-    Built b = build(test::figure1Program(), DagMode::HeaderSplit,
-                    NumberingScheme::BallLarus, PlacementKind::Direct);
-    b.scheme = NumberingScheme::Smart;
-    bool biased = false;
-    for (cfg::BlockId v = 0; v < b.pdag.dag.numBlocks(); ++v) {
-        if (b.freqs[v].size() >= 2) {
-            b.freqs[v][1] = 10.0;
-            biased = true;
-        }
+    // Seeded bug 3: a smart numbering built with no profile (every edge
+    // equally hot) checked against a profile that favors every branch's
+    // *second* successor — the hottest edge then carries a nonzero
+    // value.
+    const MainPlan p(test::figure1Program(), DagMode::HeaderSplit,
+                     NumberingScheme::Smart);
+    profile::MethodEdgeProfile biased(p.cfg);
+    for (cfg::BlockId b = 0; b < p.cfg.graph.numBlocks(); ++b) {
+        if (p.cfg.graph.succs(b).size() >= 2)
+            biased.addEdge({b, 1}, 10);
     }
-    ASSERT_TRUE(biased);
+    ASSERT_FALSE(biased.empty());
 
+    DiagnosticList unbiased;
+    EXPECT_TRUE(p.check(unbiased)) << renderAll(unbiased);
     DiagnosticList diagnostics;
-    EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
+    EXPECT_FALSE(p.check(diagnostics, &biased));
     EXPECT_TRUE(hasError(diagnostics, "smart numbering left value"))
         << renderAll(diagnostics);
 }
 
 TEST(PlanCheck, RejectsBackEdgeThatDoesNotEndPath)
 {
-    Built b = build(test::figure1Program(), DagMode::BackEdgeTruncate,
-                    NumberingScheme::BallLarus, PlacementKind::Direct);
-    ASSERT_FALSE(b.cfg.backEdges.empty());
-    const cfg::EdgeRef back = b.cfg.backEdges[0];
-    b.plan.flatEdgeActions[b.plan.flatEdgeId(back)].endsPath = false;
+    MainPlan p(test::figure1Program(), DagMode::BackEdgeTruncate);
+    ASSERT_FALSE(p.cfg.backEdges.empty());
+    const cfg::EdgeRef back = p.cfg.backEdges[0];
+    p.state.plan.flatEdgeActions[p.cfg.flatEdgeId(back)].endsPath = false;
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
+    EXPECT_FALSE(p.check(diagnostics));
     EXPECT_TRUE(hasError(diagnostics,
                          "truncated back edge does not end the path"))
         << renderAll(diagnostics);
@@ -298,14 +250,13 @@ TEST(PlanCheck, RejectsBackEdgeThatDoesNotEndPath)
 
 TEST(PlanCheck, RejectsTamperedBackEdgeEndAdd)
 {
-    Built b = build(test::figure1Program(), DagMode::BackEdgeTruncate,
-                    NumberingScheme::BallLarus, PlacementKind::Direct);
-    ASSERT_FALSE(b.cfg.backEdges.empty());
-    const cfg::EdgeRef back = b.cfg.backEdges[0];
-    b.plan.flatEdgeActions[b.plan.flatEdgeId(back)].endAdd += 1;
+    MainPlan p(test::figure1Program(), DagMode::BackEdgeTruncate);
+    ASSERT_FALSE(p.cfg.backEdges.empty());
+    const cfg::EdgeRef back = p.cfg.backEdges[0];
+    p.state.plan.flatEdgeActions[p.cfg.flatEdgeId(back)].endAdd += 1;
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
+    EXPECT_FALSE(p.check(diagnostics));
     EXPECT_TRUE(hasError(diagnostics, "back-edge end/restart"))
         << renderAll(diagnostics);
 }
@@ -314,10 +265,9 @@ TEST(PlanCheck, RejectsWrongEdgeIncrement)
 {
     // A single off-by-one increment must fail both the consistency
     // check and the semantic replay.
-    Built b = build(test::figure1Program(), DagMode::HeaderSplit,
-                    NumberingScheme::BallLarus, PlacementKind::Direct);
+    MainPlan p(test::figure1Program());
     bool tampered = false;
-    for (profile::EdgeAction &action : b.plan.flatEdgeActions) {
+    for (profile::EdgeAction &action : p.state.plan.flatEdgeActions) {
         if (!action.endsPath) {
             action.increment += 1;
             tampered = true;
@@ -327,17 +277,16 @@ TEST(PlanCheck, RejectsWrongEdgeIncrement)
     ASSERT_TRUE(tampered);
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
+    EXPECT_FALSE(p.check(diagnostics));
 }
 
 TEST(PlanCheck, RejectsEnabledPlanAfterOverflow)
 {
-    Built b = build(test::figure1Program(), DagMode::HeaderSplit,
-                    NumberingScheme::BallLarus, PlacementKind::Direct);
-    b.numbering.overflow = true; // plan stays enabled: contradiction
+    MainPlan p(test::figure1Program());
+    p.state.numbering.overflow = true; // plan stays enabled: contradiction
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
+    EXPECT_FALSE(p.check(diagnostics));
     EXPECT_TRUE(hasError(diagnostics,
                          "plan is enabled despite numbering overflow"))
         << renderAll(diagnostics);
@@ -348,13 +297,12 @@ TEST(PlanCheck, RejectsTamperedFlatAction)
     // The engines dispatch off the edge table, so a corrupt entry
     // miscounts paths. Checks 4 and 7 read that same table, so the
     // corruption cannot hide behind a second copy.
-    Built b = build(test::figure1Program(), DagMode::HeaderSplit,
-                    NumberingScheme::BallLarus, PlacementKind::Direct);
-    ASSERT_FALSE(b.plan.flatEdgeActions.empty());
-    b.plan.flatEdgeActions[0].increment += 7;
+    MainPlan p(test::figure1Program());
+    ASSERT_FALSE(p.state.plan.flatEdgeActions.empty());
+    p.state.plan.flatEdgeActions[0].increment += 7;
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
+    EXPECT_FALSE(p.check(diagnostics));
     EXPECT_TRUE(hasError(diagnostics, "does not match expected"))
         << renderAll(diagnostics);
 }
@@ -364,36 +312,15 @@ TEST(PlanCheck, RejectsStaleFlattenedTable)
     // A table laid out for another CFG (here: a different method's
     // plan) no longer covers this CFG's edges; check 8 must refuse it
     // before checks 4 and 7 index through it.
-    Built b = build(test::figure1Program(), DagMode::HeaderSplit,
-                    NumberingScheme::BallLarus, PlacementKind::Direct);
-    const Built other = build(test::simpleLoopProgram(),
-                              DagMode::HeaderSplit,
-                              NumberingScheme::BallLarus,
-                              PlacementKind::Direct);
-    ASSERT_NE(other.plan.flatEdgeActions.size(),
-              b.plan.flatEdgeActions.size());
-    b.plan.flatEdgeActions = other.plan.flatEdgeActions;
+    MainPlan p(test::figure1Program());
+    const MainPlan other(test::simpleLoopProgram());
+    ASSERT_NE(other.state.plan.flatEdgeActions.size(),
+              p.state.plan.flatEdgeActions.size());
+    p.state.plan.flatEdgeActions = other.state.plan.flatEdgeActions;
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
+    EXPECT_FALSE(p.check(diagnostics));
     EXPECT_TRUE(hasError(diagnostics, "flattened table covers"))
-        << renderAll(diagnostics);
-}
-
-TEST(PlanCheck, RejectsCorruptEdgeBase)
-{
-    // A wrong offset makes every lookup for that block hit another
-    // block's actions; the prefix-sum property must be proven, not
-    // assumed.
-    Built b = build(test::figure1Program(), DagMode::HeaderSplit,
-                    NumberingScheme::BallLarus, PlacementKind::Direct);
-    ASSERT_GE(b.plan.edgeBase.size(), 2u);
-    b.plan.edgeBase[1] += 1;
-
-    DiagnosticList diagnostics;
-    EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
-    EXPECT_TRUE(hasError(diagnostics, "prefix sum") ||
-                hasError(diagnostics, "flattened table covers"))
         << renderAll(diagnostics);
 }
 
@@ -446,14 +373,12 @@ TEST(PlanCheck, NotesSkippedEnumerationOverBudget)
                 n + "\nt" + n + ":\n    iinc 0 2\nj" + n + ":\n";
     }
     text += "    return\n.end\n.main main\n";
-    const Built b = build(bytecode::assembleOrDie(text),
-                          DagMode::HeaderSplit, NumberingScheme::BallLarus,
-                          PlacementKind::Direct);
-    ASSERT_EQ(b.plan.totalPaths, 8192u);
-    ASSERT_GT(b.plan.totalPaths, kSimulateLimit);
+    const MainPlan p(bytecode::assembleOrDie(text));
+    ASSERT_EQ(p.state.plan.totalPaths, 8192u);
+    ASSERT_GT(p.state.plan.totalPaths, kSimulateLimit);
 
     DiagnosticList diagnostics;
-    EXPECT_TRUE(checkInstrumentationPlan(inputFor(b), diagnostics))
+    EXPECT_TRUE(p.check(diagnostics))
         << renderAll(diagnostics);
     ASSERT_EQ(diagnostics.all().size(), 1u) << renderAll(diagnostics);
     EXPECT_EQ(diagnostics.all()[0].severity, Severity::Note);
@@ -494,17 +419,6 @@ TEST(PlanCheck, TemplateStreamRejectsCorruptFlatBase)
         ok);
     EXPECT_FALSE(ok);
     EXPECT_TRUE(hasError(diagnostics, "carries flat base"))
-        << renderAll(diagnostics);
-}
-
-TEST(PlanCheck, TemplateStreamRejectsMismatchedEdgeBase)
-{
-    bool ok = true;
-    const DiagnosticList diagnostics = checkTemplatesOf(
-        test::figure1Program(),
-        [](vm::DecodedMethod &dm) { dm.edgeBase[1] += 1; }, ok);
-    EXPECT_FALSE(ok);
-    EXPECT_TRUE(hasError(diagnostics, "template edgeBase"))
         << renderAll(diagnostics);
 }
 
@@ -560,16 +474,15 @@ TEST(PlanCheck, ReportsMultipleViolationsAtOnce)
 {
     // Diagnostics, not fail-fast: seed two independent bugs and expect
     // both families of findings in one run.
-    Built b = build(test::figure1Program(), DagMode::HeaderSplit,
-                    NumberingScheme::BallLarus, PlacementKind::Direct);
-    const cfg::BlockId v = branchingDagNode(b);
+    MainPlan p(test::figure1Program());
+    PlanState &s = p.state;
+    const cfg::BlockId v = branchingDagNode(s);
     ASSERT_NE(v, cfg::kInvalidBlock);
-    b.numbering.val[v][1] = b.numbering.val[v][0];
-    b.plan = profile::buildInstrumentationPlan(b.cfg, b.pdag,
-                                               b.numbering);
+    s.numbering.val[v][1] = s.numbering.val[v][0];
+    s.plan = profile::buildInstrumentationPlan(p.cfg, s.pdag, s.numbering);
 
     DiagnosticList diagnostics;
-    EXPECT_FALSE(checkInstrumentationPlan(inputFor(b), diagnostics));
+    EXPECT_FALSE(p.check(diagnostics));
     EXPECT_TRUE(hasError(diagnostics, "duplicate path ids"));
     // The semantic replay independently notices the id collision.
     EXPECT_GE(diagnostics.errorCount(), 2u) << renderAll(diagnostics);
@@ -579,13 +492,11 @@ TEST(PlanCheck, KPathSchemeAuditAcceptsRealSchemes)
 {
     // Check 10 accepts the scheme the engine actually layers over a
     // pipeline-built plan, for the degenerate and windowed ks alike.
-    const Built b = build(test::figure1Program(), DagMode::HeaderSplit,
-                          NumberingScheme::BallLarus,
-                          PlacementKind::Direct);
+    const MainPlan p(test::figure1Program());
     for (const std::uint32_t k : {1u, 2u, 4u}) {
-        const profile::KPathScheme kpath(b.plan.totalPaths, k);
+        const profile::KPathScheme kpath(p.state.plan.totalPaths, k);
         KPathCheckInput input;
-        input.plan = &b.plan;
+        input.plan = &p.state.plan;
         input.kpath = &kpath;
         input.kRequested = k;
         input.methodName = "main";
@@ -600,12 +511,10 @@ TEST(PlanCheck, KPathSchemeAuditRejectsMismatchedBase)
 {
     // A scheme built over another plan's path count would decode every
     // composite id into the wrong digits.
-    const Built b = build(test::figure1Program(), DagMode::HeaderSplit,
-                          NumberingScheme::BallLarus,
-                          PlacementKind::Direct);
-    const profile::KPathScheme kpath(b.plan.totalPaths + 1, 2);
+    const MainPlan p(test::figure1Program());
+    const profile::KPathScheme kpath(p.state.plan.totalPaths + 1, 2);
     KPathCheckInput input;
-    input.plan = &b.plan;
+    input.plan = &p.state.plan;
     input.kpath = &kpath;
     input.kRequested = 2;
     input.methodName = "main";
@@ -620,12 +529,10 @@ TEST(PlanCheck, KPathSchemeAuditRejectsWrongRequestedK)
 {
     // A scheme quietly built for a smaller k would profile shorter
     // windows than configured while passing every arithmetic check.
-    const Built b = build(test::figure1Program(), DagMode::HeaderSplit,
-                          NumberingScheme::BallLarus,
-                          PlacementKind::Direct);
-    const profile::KPathScheme kpath(b.plan.totalPaths, 2);
+    const MainPlan p(test::figure1Program());
+    const profile::KPathScheme kpath(p.state.plan.totalPaths, 2);
     KPathCheckInput input;
-    input.plan = &b.plan;
+    input.plan = &p.state.plan;
     input.kpath = &kpath;
     input.kRequested = 4;
     input.methodName = "main";
@@ -637,20 +544,19 @@ TEST(PlanCheck, KPathSchemeAuditRejectsWrongRequestedK)
 
 TEST(PlanCheck, KPathSchemeAuditRequiresBaseZeroForDisabledPlans)
 {
-    Built b = build(test::figure1Program(), DagMode::HeaderSplit,
-                    NumberingScheme::BallLarus, PlacementKind::Direct);
-    b.plan.enabled = false;
+    MainPlan p(test::figure1Program());
+    p.state.plan.enabled = false;
 
     const profile::KPathScheme degenerate(0, 3);
     KPathCheckInput input;
-    input.plan = &b.plan;
+    input.plan = &p.state.plan;
     input.kpath = &degenerate;
     input.kRequested = 3;
     input.methodName = "main";
     DiagnosticList clean;
     EXPECT_TRUE(checkKPathScheme(input, clean)) << renderAll(clean);
 
-    const profile::KPathScheme stale(b.plan.totalPaths, 3);
+    const profile::KPathScheme stale(p.state.plan.totalPaths, 3);
     input.kpath = &stale;
     DiagnosticList diagnostics;
     EXPECT_FALSE(checkKPathScheme(input, diagnostics));
@@ -703,25 +609,10 @@ TEST(PlanCheck, CrossValidatesAgainstInterpreterPathIds)
         ASSERT_FALSE(truth.versionProfiles().empty());
         for (const auto &[key, vp] : truth.versionProfiles()) {
             const core::MethodProfilingState &state = *vp->state;
-            const bytecode::MethodCfg &cfg =
-                om.machine.info(key.first).cfg;
-            const profile::DagEdgeFreqs freqs =
-                uniformFreqs(state.pdag.dag);
-
-            PlanCheckInput input;
-            input.cfg = &cfg;
-            input.pdag = &state.pdag;
-            input.numbering = &state.numbering;
-            input.plan = &state.plan;
-            input.placement = PlacementKind::Direct;
-            input.scheme = NumberingScheme::BallLarus;
-            input.freqs = &freqs;
-            input.methodName =
-                program.methods[key.first].name;
-
             DiagnosticList diagnostics;
-            ASSERT_TRUE(
-                checkInstrumentationPlan(input, diagnostics))
+            ASSERT_TRUE(checkInstrumentationPlan(
+                om.machine.info(key.first).cfg, state,
+                program.methods[key.first].name, diagnostics))
                 << renderAll(diagnostics);
 
             // The interpreter only ever produced ids the checker

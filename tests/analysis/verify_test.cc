@@ -28,12 +28,9 @@
 #include "bytecode/cfg_builder.hh"
 #include "bytecode/verifier.hh"
 #include "common/fixtures.hh"
-#include "profile/instr_plan.hh"
 #include "profile/kpath.hh"
-#include "profile/numbering.hh"
 #include "profile/path_profile.hh"
-#include "profile/pdag.hh"
-#include "profile/reconstruct.hh"
+#include "profile/plan_state.hh"
 #include "vm/compiled_method.hh"
 #include "vm/decoded_method.hh"
 #include "vm/layout.hh"
@@ -299,20 +296,6 @@ TEST(EngineEquiv, RejectsCorruptedSegmentCost)
         << describe(diagnostics);
 }
 
-TEST(EngineEquiv, RejectsCorruptedEdgeBase)
-{
-    const bytecode::Method method = methodWithCondBranch();
-    Translated t(method);
-    ASSERT_GT(t.decoded.edgeBase.size(), 2u);
-    ++t.decoded.edgeBase[2];
-
-    DiagnosticList diagnostics;
-    EXPECT_FALSE(analysis::checkTemplateStream(
-        equivInput(method, t), diagnostics));
-    EXPECT_TRUE(hasError(diagnostics, "engine-equiv", "edge-base"))
-        << describe(diagnostics);
-}
-
 TEST(EngineEquiv, RejectsCorruptedBakedLayout)
 {
     const bytecode::Method method = methodWithCondBranch();
@@ -416,16 +399,13 @@ TEST(Realizability, RejectsOutOfRangePathNumberAndOverBudget)
 {
     const bytecode::Method method = methodWithCondBranch();
     const bytecode::MethodCfg cfg = bytecode::buildCfg(method);
-    const profile::PDag pdag =
-        profile::buildPDag(cfg, profile::DagMode::HeaderSplit);
-    const profile::Numbering numbering = profile::numberPaths(
-        pdag, profile::NumberingScheme::BallLarus, nullptr);
-    const profile::InstrumentationPlan plan =
-        profile::buildInstrumentationPlan(cfg, pdag, numbering);
+    const profile::PlanState state(cfg, profile::DagMode::HeaderSplit,
+                                   profile::NumberingScheme::BallLarus,
+                                   nullptr, profile::PlacementKind::Direct);
+    const profile::InstrumentationPlan &plan = state.plan;
     ASSERT_TRUE(plan.enabled);
     ASSERT_GT(plan.totalPaths, 0u);
-    const profile::PathReconstructor reconstructor(cfg, pdag,
-                                                   numbering);
+    const profile::PathReconstructor &reconstructor = *state.reconstructor;
 
     analysis::RealizabilityOptions options;
     options.what = "path profile";
@@ -469,15 +449,12 @@ TEST(Realizability, KPathWindowsMustChainThroughLoopHeaders)
     const bytecode::Method &method =
         program.methods[program.mainMethod];
     const bytecode::MethodCfg cfg = bytecode::buildCfg(method);
-    const profile::PDag pdag =
-        profile::buildPDag(cfg, profile::DagMode::HeaderSplit);
-    const profile::Numbering numbering = profile::numberPaths(
-        pdag, profile::NumberingScheme::BallLarus, nullptr);
-    const profile::InstrumentationPlan plan =
-        profile::buildInstrumentationPlan(cfg, pdag, numbering);
+    const profile::PlanState state(cfg, profile::DagMode::HeaderSplit,
+                                   profile::NumberingScheme::BallLarus,
+                                   nullptr, profile::PlacementKind::Direct);
+    const profile::InstrumentationPlan &plan = state.plan;
     ASSERT_TRUE(plan.enabled);
-    const profile::PathReconstructor reconstructor(cfg, pdag,
-                                                   numbering);
+    const profile::PathReconstructor &reconstructor = *state.reconstructor;
     const profile::KPathScheme kpath(plan.totalPaths, 2);
     ASSERT_EQ(kpath.kEffective(), 2u);
 

@@ -2,15 +2,23 @@
  * @file
  * Bytecode -> CFG builder tests: leader identification, block extents,
  * the documented successor ordering (taken first, switch cases then
- * default, return -> exit), loop-header detection, and edge cases like
- * branches to the fall-through and parallel switch targets.
+ * default, return -> exit), loop-header detection, edge cases like
+ * branches to the fall-through and parallel switch targets, and the
+ * flat edge numbering every plan and template indexes by.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "bytecode/assembler.hh"
 #include "bytecode/cfg_builder.hh"
 #include "common/fixtures.hh"
+#include "opt/path_clone.hh"
+#include "vm/inliner.hh"
+#include "vm/machine.hh"
 
 namespace pep::bytecode {
 namespace {
@@ -237,6 +245,64 @@ TEST(CfgBuilder, RandomStructuredProgramsAreReducible)
         EXPECT_TRUE(cfg.reducible) << "seed " << seed;
         EXPECT_TRUE(cfg.graph.validate().empty()) << "seed " << seed;
     }
+}
+
+/** edgeBase holds the prefix sums of the per-block successor counts,
+ *  so flatEdgeId numbers the edges densely in (src, index) order. */
+void
+expectFlatEdgeNumbering(const MethodCfg &cfg, const std::string &what)
+{
+    const cfg::Graph &graph = cfg.graph;
+    ASSERT_EQ(cfg.edgeBase.size(), graph.numBlocks() + 1) << what;
+    EXPECT_EQ(cfg.edgeBase[0], 0u) << what;
+    for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b) {
+        EXPECT_EQ(cfg.edgeBase[b + 1],
+                  cfg.edgeBase[b] + graph.succs(b).size())
+            << what << ", block " << b;
+    }
+    EXPECT_EQ(cfg.edgeBase.back(), graph.numEdges()) << what;
+}
+
+TEST(CfgBuilder, EdgeBaseIsSuccessorPrefixSum)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(PEP_SOURCE_DIR) / "examples" / "programs";
+    std::size_t methods = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() != ".pepasm")
+            continue;
+        std::ifstream in(entry.path());
+        std::ostringstream text;
+        text << in.rdbuf();
+        const Program program = assembleOrDie(text.str());
+        for (const Method &method : program.methods) {
+            expectFlatEdgeNumbering(buildCfg(method),
+                                    entry.path().filename().string() +
+                                        ": " + method.name);
+            ++methods;
+        }
+    }
+    EXPECT_GT(methods, 0u);
+
+    // The inliner and the cloning pass build their synthesized bodies'
+    // CFGs with the same builder.
+    const Program calls = test::callSwitchProgram();
+    const std::unique_ptr<vm::InlinedBody> inlined =
+        vm::inlineLeafCalls(calls, calls.mainMethod);
+    ASSERT_NE(inlined, nullptr);
+    expectFlatEdgeNumbering(inlined->info.cfg, "inlined body");
+
+    const Program loop = test::simpleLoopProgram();
+    vm::Machine probe(loop, vm::SimParams{});
+    probe.runIteration();
+    const MethodCfg &loop_cfg = probe.info(loop.mainMethod).cfg;
+    const std::optional<opt::ClonePlan> plan = opt::selectClonePath(
+        loop_cfg, probe.truthEdges().perMethod[loop.mainMethod].counts());
+    ASSERT_TRUE(plan.has_value());
+    const opt::ClonedBody cloned =
+        opt::buildClonedBody(loop, loop.mainMethod, loop_cfg, *plan);
+    ASSERT_NE(cloned.body, nullptr);
+    expectFlatEdgeNumbering(cloned.body->info.cfg, "cloned body");
 }
 
 } // namespace

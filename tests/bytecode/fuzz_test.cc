@@ -66,8 +66,7 @@ TEST(VerifierFuzz, NeverCrashesAndAcceptedProgramsRun)
     std::size_t accepted = 0;
     std::size_t rejected = 0;
 
-    const std::size_t rounds = fz::fuzzItersFromEnv(400);
-    for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::size_t round = 0; round < 400; ++round) {
         Program program = roundProgram(1000 + round);
         const std::size_t mutations = 1 + rng.nextBounded(4);
         for (std::size_t i = 0; i < mutations; ++i)
@@ -136,8 +135,7 @@ TEST(CfgBuilderFuzz, VerifiedMutantsAlwaysBuildSaneCfgs)
 {
     support::Rng rng(0xcf9);
     std::size_t built = 0;
-    const std::size_t rounds = fz::fuzzItersFromEnv(300);
-    for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::size_t round = 0; round < 300; ++round) {
         Program program = roundProgram(2000 + round);
         mutate(rng, program);
         if (!verifyProgram(program).ok)

@@ -61,7 +61,7 @@ simulate(const Prepared &p, const ReconstructedPath &path)
             // of them gives the restart value.
             for (const cfg::EdgeRef &back : p.cfg.backEdges) {
                 if (p.cfg.graph.edgeDst(back) == path.startHeader) {
-                    reg = p.plan.flatAction(back).restart;
+                    reg = p.plan.flatAction(p.cfg, back).restart;
                     break;
                 }
             }
@@ -70,7 +70,7 @@ simulate(const Prepared &p, const ReconstructedPath &path)
 
     for (std::size_t i = 0; i < path.cfgEdges.size(); ++i) {
         const cfg::EdgeRef e = path.cfgEdges[i];
-        const EdgeAction &action = p.plan.flatAction(e);
+        const EdgeAction &action = p.plan.flatAction(p.cfg, e);
         if (action.endsPath) {
             // Must be the last edge (a back edge, BackEdgeTruncate).
             EXPECT_EQ(i, path.cfgEdges.size() - 1);
@@ -141,9 +141,9 @@ TEST(InstrPlan, EdgeIncrementsMatchNumbering)
         for (std::uint32_t i = 0; i < graph.succs(b).size(); ++i) {
             const cfg::EdgeRef dag_edge = p.pdag.dagEdgeForCfgEdge[b][i];
             ASSERT_NE(dag_edge.src, cfg::kInvalidBlock);
-            EXPECT_EQ(p.plan.flatAction({b, i}).increment,
+            EXPECT_EQ(p.plan.flatAction(p.cfg, {b, i}).increment,
                       p.numbering.edgeValue(dag_edge));
-            if (p.plan.flatAction({b, i}).increment != 0)
+            if (p.plan.flatAction(p.cfg, {b, i}).increment != 0)
                 ++instrumented;
         }
     }
@@ -182,8 +182,7 @@ TEST(InstrPlan, DisabledOnOverflow)
     EXPECT_EQ(plan.totalPaths, 0u);
     // The edge table exists (empty actions) even when disabled, so
     // the dispatch pointers in FrameState are always valid.
-    EXPECT_EQ(plan.edgeBase.size(), p.cfg.graph.numBlocks() + 1);
-    EXPECT_EQ(plan.flatEdgeActions.size(), plan.edgeBase.back());
+    EXPECT_EQ(plan.flatEdgeActions.size(), p.cfg.graph.numEdges());
 }
 
 } // namespace

@@ -238,13 +238,5 @@ TEST_F(PathProfileFixture, AccumulateEdgeProfileWeightsByCount)
     EXPECT_EQ(edges.totalCount(), 10u * record->cfgEdges.size());
 }
 
-TEST_F(PathProfileFixture, ClearDropsRecords)
-{
-    PathProfileSet set(3);
-    set.perMethod[1].addSample(0);
-    set.clear();
-    EXPECT_EQ(set.perMethod[1].numDistinctPaths(), 0u);
-}
-
 } // namespace
 } // namespace pep::profile

@@ -264,13 +264,13 @@ TEST(Spanning, ApplyRefreshesFlattenedTables)
         computeSpanningPlacement(pdag, numbering, &freqs);
     applySpanningPlacement(cfg, pdag, spanning, plan);
 
-    ASSERT_EQ(plan.edgeBase.size(), cfg.graph.numBlocks() + 1);
+    ASSERT_EQ(plan.flatEdgeActions.size(), cfg.graph.numEdges());
     for (cfg::BlockId b = 0; b < cfg.graph.numBlocks(); ++b) {
         for (std::uint32_t i = 0; i < cfg.graph.succs(b).size();
              ++i) {
             const cfg::EdgeRef dag_edge = pdag.dagEdgeForCfgEdge[b][i];
             ASSERT_NE(dag_edge.src, cfg::kInvalidBlock);
-            EXPECT_EQ(plan.flatAction({b, i}).increment,
+            EXPECT_EQ(plan.flatAction(cfg, {b, i}).increment,
                       spanning.increment[dag_edge.src][dag_edge.index]);
         }
     }
@@ -306,7 +306,7 @@ TEST(Spanning, AppliedPlanReproducesNumbersAtRuntimeSemantics)
                     for (const cfg::EdgeRef &back : cfg.backEdges) {
                         if (cfg.graph.edgeDst(back) ==
                             path.startHeader) {
-                            reg = plan.flatAction(back).restart;
+                            reg = plan.flatAction(cfg, back).restart;
                             break;
                         }
                     }
@@ -316,7 +316,7 @@ TEST(Spanning, AppliedPlanReproducesNumbersAtRuntimeSemantics)
             bool ended = false;
             for (std::size_t i = 0; i < path.cfgEdges.size(); ++i) {
                 const cfg::EdgeRef e = path.cfgEdges[i];
-                const EdgeAction &action = plan.flatAction(e);
+                const EdgeAction &action = plan.flatAction(cfg, e);
                 if (action.endsPath) {
                     result = reg + action.endAdd;
                     ended = true;

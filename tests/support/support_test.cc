@@ -285,13 +285,6 @@ TEST(Strings, Trim)
     EXPECT_EQ(trim("ab"), "ab");
 }
 
-TEST(Strings, StartsWith)
-{
-    EXPECT_TRUE(startsWith("hello", "he"));
-    EXPECT_FALSE(startsWith("he", "hello"));
-    EXPECT_TRUE(startsWith("x", ""));
-}
-
 TEST(Strings, ParseInt)
 {
     std::int64_t v = 0;

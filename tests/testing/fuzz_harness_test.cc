@@ -108,17 +108,6 @@ TEST(FuzzGenerator, DeterministicPerSeed)
     }
 }
 
-TEST(FuzzGenerator, ItersEnvOverride)
-{
-    ::unsetenv("PEP_FUZZ_ITERS");
-    EXPECT_EQ(fz::fuzzItersFromEnv(400), 400u);
-    ::setenv("PEP_FUZZ_ITERS", "25", 1);
-    EXPECT_EQ(fz::fuzzItersFromEnv(400), 25u);
-    ::setenv("PEP_FUZZ_ITERS", "nonsense", 1);
-    EXPECT_EQ(fz::fuzzItersFromEnv(400), 400u);
-    ::unsetenv("PEP_FUZZ_ITERS");
-}
-
 TEST(FuzzGenerator, KIterEnvOverride)
 {
     ::unsetenv("PEP_KITER");

@@ -39,16 +39,6 @@ void
 expectWellFormed(const bytecode::Method &method,
                  const Translated &t)
 {
-    const cfg::Graph &graph = t.info.cfg.graph;
-
-    // edgeBase is the prefix sum of per-block successor counts.
-    ASSERT_EQ(t.decoded.edgeBase.size(), graph.numBlocks() + 1);
-    EXPECT_EQ(t.decoded.edgeBase[0], 0u);
-    for (cfg::BlockId b = 0; b < graph.numBlocks(); ++b)
-        EXPECT_EQ(t.decoded.edgeBase[b + 1],
-                  t.decoded.edgeBase[b] + graph.succs(b).size())
-            << "block " << b;
-
     // Every pc maps to a template that pre-decodes that instruction.
     ASSERT_EQ(t.decoded.pcToTemplate.size(), method.code.size());
     for (bytecode::Pc pc = 0; pc < method.code.size(); ++pc) {
@@ -57,7 +47,7 @@ expectWellFormed(const bytecode::Method &method,
         const Template &tpl = t.decoded.stream[idx];
         EXPECT_EQ(tpl.pc, pc);
         EXPECT_EQ(tpl.op, static_cast<std::uint8_t>(method.code[pc].op));
-        EXPECT_EQ(tpl.flatBase, t.decoded.edgeBase[tpl.block]);
+        EXPECT_EQ(tpl.flatBase, t.info.cfg.edgeBase[tpl.block]);
     }
 
     // Segment charges conserve the per-instruction totals.
@@ -170,7 +160,7 @@ TEST(TranslatorTest, FallthroughBlockEndsGetInjectedEdgeOps)
         EXPECT_EQ(tpl.fall, t.decoded.pcToTemplate[tpl.fallPc]);
         EXPECT_EQ(t.decoded.stream[tpl.fall].pc, tpl.fallPc);
         EXPECT_NE(tpl.fallBlock, tpl.block);
-        EXPECT_EQ(tpl.flatBase, t.decoded.edgeBase[tpl.block]);
+        EXPECT_EQ(tpl.flatBase, t.info.cfg.edgeBase[tpl.block]);
     }
     EXPECT_GT(fall_edges, 0u);
     EXPECT_EQ(t.decoded.stream.size(),

@@ -48,7 +48,8 @@
  *     --corpus-dir DIR     where to write reproducers (none by default)
  *
  * Exit status: 0 clean (or caught, with --expect-caught), 1 violations
- * (or nothing caught under --expect-caught), 2 usage errors.
+ * (or nothing caught under --expect-caught), 2 usage errors (an
+ * unknown PEP_OPT pass included).
  *
  * A generated program that blows the interpreter's per-iteration
  * cycle budget even with injection and fusion stripped (the two knobs
@@ -325,9 +326,16 @@ main(int argc, char **argv)
         return 2;
     }
 
-    options.iters = pep::testing::fuzzItersFromEnv(options.iters);
     if (options.kiter == 0)
         options.kiter = pep::testing::kIterationsFromEnv(0);
+
+    // The standard configs read PEP_OPT, which rejects unknown passes.
+    try {
+        (void)pep::testing::standardConfigs();
+    } catch (const pep::support::FatalError &e) {
+        std::fprintf(stderr, "pep-fuzz: %s\n", e.what());
+        return 2;
+    }
 
     std::vector<const DiffOptions *> configs;
     std::vector<const ThreadedDiffOptions *> threaded;
