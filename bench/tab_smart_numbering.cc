@@ -13,12 +13,15 @@
  *
  * Beside the simulated overhead, the bench prints the wall time per
  * guest instruction on the threaded engine, where the path register
- * runs inline (docs/ENGINE.md) — the best of the measured iteration
- * and two more — so whether the cold-vs-hot ordering also holds in
- * wall time can be read off. The cells run in parallel, one workload
- * per worker; the wall columns are a report, not a gate.
+ * runs inline (docs/ENGINE.md): the median and quartiles of the
+ * measured iteration and four more, so whether the cold-vs-hot
+ * ordering also holds in wall time beyond the spread can be read off.
+ * The cells run in parallel, one workload per worker
+ * (PEP_BENCH_THREADS=1 measures serially); the wall columns are a
+ * report, not a gate.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -31,18 +34,33 @@ using namespace pep;
 
 namespace {
 
-/** The measured replay iteration's simulated cycles, and the best
- *  wall ns per guest instruction over it and two more iterations. */
+/** Wall-timed iterations per cell; the first is also the one whose
+ *  simulated cycles the overhead table reports. */
+constexpr int kWallIterations = 5;
+
+/** Quantile `q` of `values`, interpolating between order statistics. */
+double
+quantile(std::vector<double> values, double q)
+{
+    std::sort(values.begin(), values.end());
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, values.size() - 1);
+    return values[lo] + (pos - static_cast<double>(lo)) *
+                            (values[hi] - values[lo]);
+}
+
+/** The measured replay iteration's simulated cycles, and the wall ns
+ *  per guest instruction of it and the further wall iterations. */
 struct Measured
 {
     double cycles = 0.0;
-    double nsPerInstr = 0.0;
+    std::vector<double> nsPerInstr;
 };
 
 Measured
 measure(bench::ReplayRun &run)
 {
-    constexpr int kWallIterations = 3;
     run.runCompileIteration();
     run.clearCollectedProfiles();
     Measured measured;
@@ -53,15 +71,12 @@ measure(bench::ReplayRun &run)
         const std::uint64_t cycles = run.runMeasuredIteration();
         const std::chrono::duration<double, std::nano> wall =
             std::chrono::steady_clock::now() - start;
-        const double ns =
+        if (it == 0)
+            measured.cycles = static_cast<double>(cycles);
+        measured.nsPerInstr.push_back(
             wall.count() /
             static_cast<double>(run.machine().stats().instructionsExecuted -
-                                instructions);
-        if (it == 0) {
-            measured = {static_cast<double>(cycles), ns};
-        } else if (ns < measured.nsPerInstr) {
-            measured.nsPerInstr = ns;
-        }
+                                instructions));
     }
     return measured;
 }
@@ -111,7 +126,8 @@ main()
     {
         std::vector<std::string> cells;
         std::vector<double> ratios;
-        std::vector<double> nsPerInstr; ///< none, then each config
+        /** Per wall iteration: none, then each config. */
+        std::vector<std::vector<double>> nsPerInstr;
     };
     const std::vector<BenchRow> rows = bench::mapSuite(
         bench::benchSuite(),
@@ -145,14 +161,21 @@ main()
         std::snprintf(buf, sizeof buf, "%.2f", ns);
         return std::string(buf);
     };
+    const auto spread_cell = [](const std::vector<double> &ns) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%.2f [%.2f-%.2f]",
+                      quantile(ns, 0.5), quantile(ns, 0.25),
+                      quantile(ns, 0.75));
+        return std::string(buf);
+    };
     for (const BenchRow &result : rows) {
         for (std::size_t c = 0; c < configs.size(); ++c)
             ratios[c].push_back(result.ratios[c]);
         table.row(std::vector<std::string>(result.cells));
         std::vector<std::string> wall_row = {result.cells.front()};
         for (std::size_t c = 0; c < result.nsPerInstr.size(); ++c) {
-            wall_ns[c].push_back(result.nsPerInstr[c]);
-            wall_row.push_back(ns_cell(result.nsPerInstr[c]));
+            wall_ns[c].push_back(quantile(result.nsPerInstr[c], 0.5));
+            wall_row.push_back(spread_cell(result.nsPerInstr[c]));
         }
         wall_table.row(std::move(wall_row));
     }
@@ -175,8 +198,10 @@ main()
     std::printf("Section 3.4: instrumentation placement ablation "
                 "(PEP instrumentation only, no sampling)\n\n");
     std::printf("%s\n", table.str().c_str());
-    std::printf("wall ns per guest instruction, best of 3 measured "
-                "iterations, threaded engine (report only)\n\n");
+    std::printf("wall ns per guest instruction, median [q1-q3] of %d "
+                "measured iterations, threaded engine (report only; "
+                "geomean of medians)\n\n",
+                kWallIterations);
     std::printf("%s\n", wall_table.str().c_str());
     std::printf("paper:    smart 1.1%% -> hot-edge placement 2.5%%\n");
     std::printf("measured: smart %s -> hot-edge placement %s "

@@ -8,6 +8,7 @@
 #include "vm/compiled_method.hh"
 #include "vm/cost_model.hh"
 #include "vm/decoded_method.hh"
+#include "vm/hooks.hh"
 #include "vm/machine.hh"
 
 namespace pep::analysis {
@@ -34,6 +35,7 @@ struct ExitEffect
     bool toExit = false;       ///< method exit (Return/Ireturn)
     bytecode::Pc targetPc = 0; ///< meaningful when !toExit
     bool headerEvent = false;  ///< target is a loop-header leader
+    bool pathWork = false;     ///< the inline path register runs
 };
 
 class StreamProof
@@ -53,6 +55,7 @@ class StreamProof
         if (!checkShape())
             return diags_.errorCount() == before;
         checkEdgeBase();
+        checkPathPlan();
         checkPcMap();
         checkFallEdges();
         if (!checkFusionMode())
@@ -174,6 +177,41 @@ class StreamProof
                    << t.flatBase << " for block " << t.block
                    << ", whose base is " << base;
                 errorAtPc("edge-base", t.pc, os.str());
+            }
+        }
+    }
+
+    /** The stream binds frames to the plan it was translated against,
+     *  which must be the version's inline plan; without one no
+     *  template or switch case carries a path-work bit. (Each exit's
+     *  bit is compared with the plan in compareExit.) */
+    void
+    checkPathPlan()
+    {
+        if (dm_.plan != in_.plan) {
+            error("control-exit",
+                  in_.plan ? "stream was not translated against the "
+                             "version's inline path plan (stale "
+                             "translation?)"
+                           : "stream carries a path plan but the "
+                             "version has none");
+        }
+        if (in_.plan)
+            return;
+        for (const vm::Template &t : dm_.stream) {
+            if (t.pathWork) {
+                errorAtPc("control-exit", t.pc,
+                          "template carries path-work bits but the "
+                          "version has no path plan");
+                return;
+            }
+        }
+        for (const vm::SwitchCase &sc : dm_.switchCases) {
+            if (sc.pathWork) {
+                error("control-exit", "switch case carries a path-work "
+                                      "bit but the version has no path "
+                                      "plan");
+                return;
             }
         }
     }
@@ -614,6 +652,7 @@ class StreamProof
             ExitEffect e;
             e.flatId = cfg_.edgeBase[b];
             e.toExit = true;
+            e.pathWork = refPathWork(e.flatId);
             ref.push_back(e);
             break;
           }
@@ -655,7 +694,19 @@ class StreamProof
         e.targetPc = target;
         e.headerEvent = target < in_.info->headerLeaderPc.size() &&
                         in_.info->headerLeaderPc[target];
+        e.pathWork = refPathWork(e.flatId);
         return e;
+    }
+
+    /** Whether takeEdge does anything on flat edge `flat_id` under the
+     *  version's plan: an increment to add or a path to end. */
+    bool
+    refPathWork(std::uint32_t flat_id) const
+    {
+        if (!in_.plan)
+            return false;
+        const profile::EdgeAction &action = in_.plan->edges[flat_id];
+        return action.increment != 0 || action.endsPath;
     }
 
     /** Successor lists must mirror the bytecode's target order — the
@@ -741,12 +792,16 @@ class StreamProof
         }
 
         const auto push = [&](std::uint32_t index, bytecode::Pc pc,
-                              bool header) {
+                              bool header, bool path_work) {
             ExitEffect e;
             e.flatId = tt.flatBase + index;
             e.targetPc = pc;
             e.headerEvent = header;
+            e.pathWork = path_work;
             out.push_back(e);
+        };
+        const auto bit = [&](std::uint32_t index) {
+            return ((tt.pathWork >> index) & 1u) != 0;
         };
 
         switch (kind) {
@@ -765,8 +820,8 @@ class StreamProof
                 return false;
             }
             checkBaselineRead(tt, last);
-            push(0, tt.takenPc, tt.flags & vm::kTplTakenHeader);
-            push(1, tt.fallPc, tt.flags & vm::kTplFallHeader);
+            push(0, tt.takenPc, tt.flags & vm::kTplTakenHeader, bit(0));
+            push(1, tt.fallPc, tt.flags & vm::kTplFallHeader, bit(1));
             checkTransfer(b, tt.taken, tt.takenPc, tt.takenBlock,
                           "taken exit");
             checkTransfer(b, tt.fall, tt.fallPc, tt.fallBlock,
@@ -803,13 +858,13 @@ class StreamProof
             for (std::uint32_t i = 0; i <= tt.swCount; ++i) {
                 const vm::SwitchCase &sc =
                     dm_.switchCases[tt.swFirst + i];
-                push(i, sc.pc, sc.isHeader != 0);
+                push(i, sc.pc, sc.isHeader != 0, sc.pathWork != 0);
                 checkTransfer(b, sc.tpl, sc.pc, sc.block, "switch exit");
             }
             return true;
           }
           case TerminatorKind::Goto:
-            push(0, tt.takenPc, tt.flags & vm::kTplTakenHeader);
+            push(0, tt.takenPc, tt.flags & vm::kTplTakenHeader, bit(0));
             checkTransfer(b, tt.taken, tt.takenPc, tt.takenBlock,
                           "goto exit");
             return true;
@@ -817,6 +872,7 @@ class StreamProof
             ExitEffect e;
             e.flatId = tt.flatBase;
             e.toExit = true;
+            e.pathWork = bit(0);
             out.push_back(e);
             return true;
           }
@@ -830,7 +886,7 @@ class StreamProof
                               "would fire no block-end edge");
                     return false;
                 }
-                push(0, tt.fallPc, tt.flags & vm::kTplFallHeader);
+                push(0, tt.fallPc, tt.flags & vm::kTplFallHeader, bit(0));
                 checkTransfer(b, tt.fall, tt.fallPc, tt.fallBlock,
                               "invoke fall");
                 return true;
@@ -849,6 +905,7 @@ class StreamProof
             e.flatId = fe.flatBase;
             e.targetPc = fe.fallPc;
             e.headerEvent = fe.flags & vm::kTplFallHeader;
+            e.pathWork = (fe.pathWork & 1u) != 0;
             out.push_back(e);
             checkTransfer(b, fe.fall, fe.fallPc, fe.fallBlock,
                           "fall edge");
@@ -887,6 +944,14 @@ class StreamProof
             os << "flat edge id " << tpl.flatId
                << " under the threaded engine but " << ref.flatId
                << " under switch dispatch";
+            errorAtEdge("control-exit", {b, index}, os.str());
+        }
+        if (ref.pathWork != tpl.pathWork && !capped(exitMismatches_)) {
+            std::ostringstream os;
+            os << "path-work bit " << (tpl.pathWork ? "set" : "clear")
+               << " but the plan does "
+               << (ref.pathWork ? "" : "no ")
+               << "register work on flat edge " << ref.flatId;
             errorAtEdge("control-exit", {b, index}, os.str());
         }
         if (ref.toExit != tpl.toExit && !capped(exitMismatches_)) {

@@ -38,7 +38,11 @@
  *    edge (src block, successor index) at the same dense flat id
  *    (MethodCfg::flatEdgeId) and lands on the target pc's template
  *    and block, so every profiler's flatEdgeActions dispatch is
- *    identical under both engines;
+ *    identical under both engines; the stream was translated against
+ *    the version's inline path plan, and every exit's path-work bit is
+ *    set iff that plan does register work on the edge — a clear bit
+ *    skips the register, so a wrong one drops or adds an increment —
+ *    while a stream without a plan carries no bit at all;
  *  - yieldpoint/header placement: an exit transfers into a
  *    loop-header leader pc iff the template carries the header flag,
  *    so onLoopHeader hooks and LoopHeader yieldpoints fire
@@ -72,6 +76,7 @@ namespace pep::vm {
 class CompiledMethod;
 struct DecodedMethod;
 struct MethodInfo;
+struct PathPlan;
 }
 
 namespace pep::analysis {
@@ -91,6 +96,11 @@ struct TemplateCheckInput
 
     /** Compiled version number, when proving an installed version. */
     std::optional<std::uint32_t> version;
+
+    /** The plan the stream must be translated against: the machine's
+     *  inline path profiler's plan for the version (Machine::
+     *  inlinePlanFor), or null when it has none. */
+    const vm::PathPlan *plan = nullptr;
 };
 
 /**
@@ -109,13 +119,12 @@ inline constexpr vm::FuseOptions kEveryFuseOption[] = {
     {false, false}, {true, false}, {false, true}, {true, true}};
 
 /**
- * Translate a version under each selection in `fuses` and prove every
- * stream — the entry point lintProgram and verifyMachine share. A
- * null `cm` stands for the canonical version
- * the static tools prove: full-opt costs, no layout information, no
- * baseline instrumentation (under that all-fall-through layout
- * `traces` straightens real chains). Returns true if no errors were
- * added.
+ * Translate a version, without a plan, under each selection in `fuses`
+ * and prove every stream — lintProgram's entry point. A null `cm`
+ * stands for the canonical version the static tools prove: full-opt
+ * costs, no layout information, no baseline instrumentation (under
+ * that all-fall-through layout `traces` straightens real chains).
+ * Returns true if no errors were added.
  */
 bool checkTemplateStreams(const bytecode::Method &code,
                           const vm::MethodInfo &info,

@@ -13,13 +13,14 @@
  * fusion selection. This header holds the live half:
  *
  *  - verifyMachine: inspects a live VM after (or during) a run. For
- *    every installed compiled version it translates the version under
- *    the machine's fusion selection (using the inlined body's code
- *    when the version has one) and proves the stream against the
- *    *installed* state — baked layouts included — then audits every
- *    clone-synthesized body (plan-checker check 11). Installed
- *    versions never change, so a stream cached at install time is the
- *    stream proved here. Realizability of recorded profiles is checked
+ *    every installed compiled version it proves the template stream
+ *    the threaded engine executes — the cached one, or under the
+ *    switch engine the one translation would produce under the
+ *    machine's fusion selection — against the *installed* state,
+ *    baked layouts and the version's inline path plan included (the
+ *    inlined body's code when the version has one), then audits every
+ *    clone-synthesized body (plan-checker check 11). Realizability of
+ *    recorded profiles is checked
  *    by testing::auditRun (testing/differ.hh), which owns the
  *    profilers, since the analysis layer does not depend on the
  *    profiler runtime.

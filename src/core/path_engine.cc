@@ -87,6 +87,7 @@ PathEngine::onCompile(bytecode::MethodId method,
     vp->edges = plan.flatEdgeActions.data();
     vp->edgeBase = version_cfg.edgeBase.data();
     vp->headers = plan.headerActions.data();
+    vp->kpath = &vp->state->kpath;
     slots[version.version] = std::move(vp);
 }
 
@@ -168,7 +169,8 @@ PathEngine::onMethodExit(const vm::FrameView &frame)
 {
     std::vector<vm::PathRegister> &stack = stacks_[frame.thread];
     PEP_ASSERT(stack.size() == frame.depth + 1);
-    frameExited(stack.back(), frame.thread);
+    if (stack.back().plan)
+        exitFrame(stack.back(), frame.thread);
     stack.pop_back();
 }
 
@@ -197,19 +199,6 @@ PathEngine::onOsr(const vm::FrameView &frame, cfg::BlockId header)
     PEP_ASSERT(stacks_[frame.thread].size() == frame.depth + 1);
     frameReplaced(topRegister(frame), planFor(*frame.version), header,
                   frame.thread);
-}
-
-void
-PathEngine::frameExited(vm::PathRegister &reg, std::uint32_t thread)
-{
-    if (!reg.plan)
-        return;
-    // Path ends at method exit; its number is r (the return edge's
-    // increment was applied by the edge). A partial k-BLPP window is
-    // flushed as a short k-path — a frame exits once, so exit-ending
-    // segments are always the last digit of a window.
-    segmentCompleted(reg, reg.value, thread);
-    flushWindow(reg, thread);
 }
 
 void
@@ -248,30 +237,16 @@ PathEngine::frameReplaced(vm::PathRegister &reg, vm::PathPlan *plan,
 }
 
 void
-PathEngine::segmentCompleted(vm::PathRegister &reg, std::uint64_t number,
-                             std::uint32_t thread)
+PathEngine::onPathCompleted(vm::PathPlan &plan, std::uint64_t id,
+                            std::uint32_t thread)
 {
-    VersionProfile &vp = profileOf(reg);
-    const profile::KPathScheme &kpath = vp.state->kpath;
-    if (kpath.kEffective() == 1) {
-        // Degenerate fast path: classic BLPP, bit-for-bit — the
-        // composite id of a length-1 window IS the raw number.
-        pathCompleted(vp, number, thread);
-        return;
-    }
-    if (kpath.append(reg.window, number))
-        pathCompleted(vp, kpath.close(reg.window), thread);
+    pathCompleted(static_cast<VersionProfile &>(plan), id, thread);
 }
 
 void
-PathEngine::flushWindow(vm::PathRegister &reg, std::uint32_t thread)
+PathEngine::pathCompleted(VersionProfile &, std::uint64_t, std::uint32_t)
 {
-    if (reg.window.length == 0)
-        return;
-    VersionProfile &vp = profileOf(reg);
-    const std::uint64_t id = vp.state->kpath.close(reg.window);
-    if (!truncateWindowInjection_)
-        pathCompleted(vp, id, thread);
+    PEP_PANIC("a profiler that stores completions received a call");
 }
 
 } // namespace pep::core

@@ -7,19 +7,21 @@
  * instrumentation state when the optimizing compiler runs (through
  * profile::PlanState), and executes the path-register semantics.
  * Subclasses decide what happens when a path completes (store always =
- * BLPP/perfect; store at samples = PEP; store for free = ground
- * truth).
+ * BLPP/perfect, through pathCompleted; store at samples = PEP, which
+ * takes completions as stores into a per-thread slot and reads it at
+ * sampling yieldpoints; store for free = ground truth).
  *
  * The register runs in one of two places (docs/ENGINE.md, "Inline path
  * registers"). Under the threaded engine the first path engine
  * attached to a machine runs inline: the frames carry the registers,
- * the engine executes the plan tables this class hands it (planFor),
- * and this class is entered only at segment completions, frame exits,
- * OSR and armed yieldpoints. Otherwise — the switch engine, a second
- * path engine, or one wrapped in another hook — it is driven by the
- * ExecutionHooks events and keeps one PathRegister per frame itself.
- * Both run vm::PathRegisterHooks' arithmetic and this class's
- * completion logic, so they cannot disagree.
+ * the engine translates each version's template stream against the
+ * plan this class hands it (planFor) and executes that plan's tables,
+ * and this class is entered only at OSR, at armed yieldpoints and —
+ * unless it stores completions — where a path completes. Otherwise —
+ * the switch engine, a second path engine, or one wrapped in another
+ * hook — it is driven by the ExecutionHooks events and keeps one
+ * PathRegister per frame itself. Both run vm::PathRegisterHooks' code,
+ * k-window folding and completion included, so they cannot disagree.
  *
  * Matching the paper (Section 4.3), instrumentation is added only by
  * the optimizing compiler: frames running baseline code carry no state
@@ -127,9 +129,8 @@ class PathEngine : public vm::PathRegisterHooks, public vm::CompileObserver
 
     // PathRegisterHooks: called by both registers.
     vm::PathPlan *planFor(const vm::CompiledMethod &version) final;
-    void segmentCompleted(vm::PathRegister &reg, std::uint64_t number,
-                          std::uint32_t thread) final;
-    void frameExited(vm::PathRegister &reg, std::uint32_t thread) final;
+    void onPathCompleted(vm::PathPlan &plan, std::uint64_t id,
+                         std::uint32_t thread) final;
     void frameReplaced(vm::PathRegister &reg, vm::PathPlan *plan,
                        cfg::BlockId header, std::uint32_t thread) final;
 
@@ -184,16 +185,18 @@ class PathEngine : public vm::PathRegisterHooks, public vm::CompileObserver
 
   protected:
     /**
-     * A path completed with the given number, against `vp.state`'s
-     * numbering. Fired at loop headers and method exits (HeaderSplit
-     * mode) or back edges and exits (BackEdgeTruncate mode), and at
-     * OSR for a flushed k-window. `thread` is the virtual mutator
-     * thread whose path register completed — profilers with sampling
-     * state keep it per thread.
+     * A path completed with the given number (a k-window id for
+     * k > 1), against `vp.state`'s numbering. Fired at loop headers
+     * and method exits (HeaderSplit mode) or back edges and exits
+     * (BackEdgeTruncate mode), and at OSR for a flushed k-window.
+     * `thread` is the virtual mutator thread whose path register
+     * completed. Every profiler that stores each path overrides it;
+     * one that storeCompletions() never receives it (the default
+     * panics).
      */
     virtual void pathCompleted(VersionProfile &vp,
                                std::uint64_t path_number,
-                               std::uint32_t thread) = 0;
+                               std::uint32_t thread);
 
     /**
      * Edge-frequency profile used by Smart numbering when compiling
@@ -226,18 +229,6 @@ class PathEngine : public vm::PathRegisterHooks, public vm::CompileObserver
         return stacks_[frame.thread].back();
     }
 
-    /** The profile a bound register's plan belongs to. */
-    static VersionProfile &
-    profileOf(const vm::PathRegister &reg)
-    {
-        return static_cast<VersionProfile &>(*reg.plan);
-    }
-
-    /** Emit the frame's partial window (method exit, OSR) as a short
-     *  k-path — or silently drop it under the truncated-window
-     *  injection. */
-    void flushWindow(vm::PathRegister &reg, std::uint32_t thread);
-
     /** Version with an enabled-or-disabled plan, nullptr if the engine
      *  never saw (method, version) compile. */
     VersionProfile *findVersion(bytecode::MethodId method,
@@ -257,7 +248,6 @@ class PathEngine : public vm::PathRegisterHooks, public vm::CompileObserver
     std::vector<std::vector<vm::PathRegister>> stacks_;
     std::size_t overflowCount_ = 0;
     const std::uint32_t kIterations_;
-    bool truncateWindowInjection_ = false;
     bool staleOsrPlanInjection_ = false;
 };
 

@@ -19,6 +19,8 @@ PepProfiler::PepProfiler(vm::Machine &machine,
             &machine.info(static_cast<bytecode::MethodId>(m)).cfg);
     }
     edges_ = profile::EdgeProfileSet(cfgs);
+    storeCompletions(machine.samplingOpportunityCounts(),
+                     stats_.pathsCompleted);
     rearm();
 }
 
@@ -34,20 +36,6 @@ PepProfiler::pendingFor(std::uint32_t thread)
     if (pending_.size() <= thread)
         pending_.resize(thread + 1);
     return pending_[thread];
-}
-
-void
-PepProfiler::pathCompleted(VersionProfile &vp, std::uint64_t path_number,
-                           std::uint32_t thread)
-{
-    // The register already holds the number; completing a path costs
-    // nothing beyond the register ops PathEngine charged. Storage
-    // happens only if the following yieldpoint samples.
-    ++stats_.pathsCompleted;
-    PendingSample &pending = pendingFor(thread);
-    pending.vp = &vp;
-    pending.pathNumber = path_number;
-    pending.opportunity = vm_.samplingOpportunities(thread);
 }
 
 void
@@ -87,21 +75,20 @@ PepProfiler::onYieldpoint(const vm::FrameView &frame,
         charge(cost.sampleHandlerCost);
         // A completed path is sampleable only at the yieldpoint
         // directly following its completion.
-        if (pending.vp && pending.opportunity ==
-                              vm_.samplingOpportunities(frame.thread)) {
+        const vm::PathCompletion &latest = latestCompletion(frame.thread);
+        if (latest.plan && latest.opportunity ==
+                               vm_.samplingOpportunities(frame.thread)) {
             ++stats_.samplesRecorded;
-            profile::PathRecord &record =
-                pending.vp->paths.addSample(pending.pathNumber);
+            VersionProfile &vp = static_cast<VersionProfile &>(*latest.plan);
+            profile::PathRecord &record = vp.paths.addSample(latest.number);
             if (!record.expanded) {
                 // First sample of this path: trace its edges in the
                 // P-DAG (Section 3.3) and cache the expansion.
                 ++stats_.firstTimeExpansions;
-                profile::expandRecord(record,
-                                      *pending.vp->state->reconstructor,
-                                      pending.pathNumber,
-                                      &pending.vp->state->kpath);
+                profile::expandRecord(record, *vp.state->reconstructor,
+                                      latest.number, &vp.state->kpath);
             }
-            recordEdges(*pending.vp->state, record.cfgEdges);
+            recordEdges(*vp.state, record.cfgEdges);
         }
         break;
       }
@@ -155,6 +142,7 @@ PepProfiler::clearProfiles()
     stats_ = PepStats{};
     for (PendingSample &pending : pending_)
         pending = PendingSample{};
+    clearCompletions();
     ticksPending_ = 0;
     rearm();
 }

@@ -4,12 +4,16 @@
 /**
  * @file
  * The PEP profiler: all-the-time path-register instrumentation with
- * sampled path storage (paper Section 3). On every loop-header and
- * method-exit yieldpoint the just-completed path's number is available
- * in the path register; when the sampling controller says "sample", the
- * handler increments that path's frequency and folds the path's edges
- * into the continuous edge profile (reconstructing the edge sequence
- * the first time a path is seen, cached thereafter — Section 4.3).
+ * sampled path storage (paper Section 3). A completed path costs only
+ * its register operations: the register stores its number (a k-window
+ * id for k > 1) into the thread's latest-completion slot and counts it
+ * in PepStats::pathsCompleted, with no call into this class
+ * (vm::PathRegisterHooks::storeCompletions). On every loop-header and
+ * method-exit yieldpoint the just-completed path is in that slot; when
+ * the sampling controller says "sample", the handler increments that
+ * path's frequency and folds the path's edges into the continuous edge
+ * profile (reconstructing the edge sequence the first time a path is
+ * seen, cached thereafter — Section 4.3).
  *
  * PepProfiler is also a LayoutSource: when the VM recompiles a method,
  * it supplies its continuous edge profile (falling back to the one-time
@@ -77,7 +81,7 @@ class PepProfiler final : public PathEngine, public vm::LayoutSource
      * calls this only at ticks and while yieldpointsArmed(): the
      * controller is mid-burst or some thread carries a tick to its next
      * opportunity. Everywhere else the call would consult a dormant
-     * controller, get Idle and change nothing — the pending path
+     * controller, get Idle and change nothing — the stored completion
      * expires by itself (Machine::samplingOpportunities moves on).
      */
     void onYieldpoint(const vm::FrameView &frame,
@@ -104,29 +108,22 @@ class PepProfiler final : public PathEngine, public vm::LayoutSource
     void clearProfiles();
 
   protected:
-    void pathCompleted(VersionProfile &vp, std::uint64_t path_number,
-                       std::uint32_t thread) override;
-
     const profile::MethodEdgeProfile *
     freqProfileFor(bytecode::MethodId method) override;
 
   private:
     /**
-     * Per-virtual-thread sampling state: the most recently completed
-     * path, sampleable only at its thread's next sampling opportunity
-     * (the one at which Machine::samplingOpportunities still reads
-     * `opportunity`), and the tick signal carried from any yieldpoint
-     * to that thread's next opportunity. One mutator thread's
-     * completion must never be sampled against another thread's
-     * yieldpoint, so this is keyed by FrameView::thread. The sampling
-     * *controller* stays shared — one switch/sample flag for the whole
-     * VM, as in the paper.
+     * Per-virtual-thread sampling state beside the register's
+     * latest-completion slot (sampleable only at its thread's next
+     * sampling opportunity): the tick signal carried from any
+     * yieldpoint to that thread's next opportunity. One mutator
+     * thread's completion must never be sampled against another
+     * thread's yieldpoint, so both are keyed by FrameView::thread. The
+     * sampling *controller* stays shared — one switch/sample flag for
+     * the whole VM, as in the paper.
      */
     struct PendingSample
     {
-        VersionProfile *vp = nullptr; ///< null: nothing completed yet
-        std::uint64_t pathNumber = 0;
-        std::uint64_t opportunity = 0;
         bool tickPending = false;
     };
 

@@ -1,6 +1,7 @@
 #include "vm/decoded_method.hh"
 
 #include "vm/compiled_method.hh"
+#include "vm/hooks.hh"
 #include "vm/machine.hh"
 
 #include "support/panic.hh"
@@ -254,7 +255,8 @@ selectTraces(const bytecode::Method &code, const MethodInfo &info,
 
 DecodedMethod
 translateMethod(const bytecode::Method &code, const MethodInfo &info,
-                const CompiledMethod &cm, const FuseOptions &fuse)
+                const CompiledMethod &cm, const FuseOptions &fuse,
+                PathPlan *plan)
 {
     using bytecode::Opcode;
     using bytecode::TerminatorKind;
@@ -264,6 +266,7 @@ translateMethod(const bytecode::Method &code, const MethodInfo &info,
     dm.code = &code;
     dm.info = &info;
     dm.fuse = fuse;
+    dm.plan = plan;
 
     const cfg::Graph &graph = info.cfg.graph;
 
@@ -274,6 +277,18 @@ translateMethod(const bytecode::Method &code, const MethodInfo &info,
 
     const auto is_header = [&](bytecode::Pc pc) {
         return info.headerLeaderPc[pc] ? std::uint8_t{1} : std::uint8_t{0};
+    };
+    // Whether the edge to successor `succ` of `block` does register
+    // work under the plan, and the bits of a one- or two-way exit.
+    const auto path_work = [&](cfg::BlockId block, std::uint32_t succ) {
+        return plan && edgeDoesPathWork(
+                           plan->edges[info.cfg.flatEdgeId({block, succ})]);
+    };
+    const auto exit_bits = [&](cfg::BlockId block, std::uint32_t succs) {
+        std::uint8_t bits = 0;
+        for (std::uint32_t succ = 0; succ < succs; ++succ)
+            bits |= static_cast<std::uint8_t>(path_work(block, succ) << succ);
+        return bits;
     };
 
     // Trace selection, and the pcs whose branch becomes a trace guard
@@ -357,6 +372,7 @@ translateMethod(const bytecode::Method &code, const MethodInfo &info,
                 t.fallBlock = info.cfg.blockOfPc[last + 1];
                 if (is_header(last + 1))
                     t.flags |= kTplFallHeader;
+                t.pathWork = exit_bits(block, 2);
             }
         } else {
             t.a = instr.a;
@@ -367,6 +383,7 @@ translateMethod(const bytecode::Method &code, const MethodInfo &info,
                 t.takenBlock = info.cfg.blockOfPc[t.takenPc];
                 if (is_header(t.takenPc))
                     t.flags |= kTplTakenHeader;
+                t.pathWork = exit_bits(block, 1);
                 break;
               case Opcode::Tableswitch: {
                 t.swFirst =
@@ -380,6 +397,8 @@ translateMethod(const bytecode::Method &code, const MethodInfo &info,
                     sc.pc = target;
                     sc.block = info.cfg.blockOfPc[target];
                     sc.isHeader = is_header(target);
+                    sc.pathWork =
+                        path_work(block, static_cast<std::uint32_t>(i));
                     dm.switchCases.push_back(sc);
                 }
                 break;
@@ -393,10 +412,12 @@ translateMethod(const bytecode::Method &code, const MethodInfo &info,
                     t.fallBlock = info.cfg.blockOfPc[pc + 1];
                     if (is_header(pc + 1))
                         t.flags |= kTplFallHeader;
+                    t.pathWork = exit_bits(block, 1);
                 }
                 break;
               case Opcode::Return:
               case Opcode::Ireturn:
+                t.pathWork = exit_bits(block, 1);
                 break;
               default:
                 if (bytecode::isCondBranch(instr.op)) {
@@ -409,6 +430,7 @@ translateMethod(const bytecode::Method &code, const MethodInfo &info,
                     t.fallBlock = info.cfg.blockOfPc[pc + 1];
                     if (is_header(pc + 1))
                         t.flags |= kTplFallHeader;
+                    t.pathWork = exit_bits(block, 2);
                 }
                 break;
             }
@@ -445,6 +467,7 @@ translateMethod(const bytecode::Method &code, const MethodInfo &info,
             fe.fallBlock = info.cfg.blockOfPc[last + 1];
             if (is_header(last + 1))
                 fe.flags |= kTplFallHeader;
+            fe.pathWork = exit_bits(block, 1);
             dm.stream.push_back(fe);
         } else if (!bytecode::isTerminator(last_instr.op) &&
                    last_instr.op != Opcode::Invoke) {

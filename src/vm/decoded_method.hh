@@ -53,12 +53,25 @@
  * PEP_ENGINE x PEP_FUSE matrix (differ check 7 and the template-stream
  * proof, analysis/verify/stream_proof.hh).
  *
+ * Streams are keyed on the plan of the machine's inline path profiler
+ * (docs/ENGINE.md, "Inline path registers"). Every template that fires
+ * a CFG edge carries one *path-work bit* per successor (`pathWork`;
+ * one per case in SwitchCase), set iff that plan's flatEdgeActions
+ * entry for the edge does register work (vm::edgeDoesPathWork). An
+ * edge with a clear bit skips the path register entirely — smart
+ * numbering leaves most hot edges so — and one with a set bit runs
+ * PathRegisterHooks::takeEdge against the plan's table, the only copy
+ * of the increments. Frames bind the plan their stream was translated
+ * against (`DecodedMethod::plan`) at push and at OSR.
+ *
  * Translation is a pure function of (code, tables, compiled version,
- * fuse options): it charges no simulated cycles and consults no
+ * fuse options, plan): it charges no simulated cycles and consults no
  * mutable VM state — the edge profile enters only through the
  * version's installed `branchLayout`. Installed versions never change
- * (a relayout compiles a new version), so a stream translated once
- * stays fresh for the version's lifetime.
+ * (a relayout compiles a new version), a version's plan never changes,
+ * and adopting an inline path profiler drops every stream translated
+ * before it, so a stream translated once stays fresh for the version's
+ * lifetime.
  */
 
 #include <cstdint>
@@ -72,6 +85,7 @@ namespace pep::vm {
 
 class CompiledMethod;
 struct MethodInfo;
+struct PathPlan;
 
 /**
  * Threaded-engine opcodes. Values 0..kNumOpcodes-1 are exactly
@@ -135,7 +149,10 @@ struct SwitchCase
     bytecode::Pc pc = 0;       ///< target pc
     cfg::BlockId block = 0;    ///< target block
     std::uint8_t isHeader = 0; ///< target is a loop-header leader
+    std::uint8_t pathWork = 0; ///< the case's edge does register work
 };
+
+static_assert(sizeof(SwitchCase) == 16, "SwitchCase grew");
 
 /**
  * One pre-decoded instruction (or injected boundary op, or fused
@@ -165,6 +182,12 @@ struct Template
     std::uint8_t sub = 0;   ///< fused/guard selector opcode (else 0)
     std::uint8_t fuseLen = 1; ///< constituent instructions collapsed
     std::int16_t layout = -1; ///< CompiledMethod::branchLayout[block]
+
+    /** Edge-firing templates: bit s set iff the edge to the block's
+     *  successor s (taken = 0, fall = 1) does register work under the
+     *  stream's plan. Zero elsewhere and without a plan. */
+    std::uint8_t pathWork = 0;
+
     std::uint32_t cost = 0;   ///< segment (or trace) scaled-cost sum
     std::uint32_t ninstr = 0; ///< segment (or trace) instruction count
 
@@ -194,6 +217,9 @@ struct Template
                          ///< FallEdge: pc of the block end)
 };
 
+// Path-work bits live in padding: a template stays 68 bytes.
+static_assert(sizeof(Template) == 68, "Template grew");
+
 /** The translated form of one compiled version. */
 struct DecodedMethod
 {
@@ -208,6 +234,12 @@ struct DecodedMethod
     /** Fusion selection this stream was translated under (the
      *  machine's; the stream proof checks the templates against it). */
     FuseOptions fuse;
+
+    /** The inline path profiler's plan this stream was translated
+     *  against (its path-work bits describe it); frames running the
+     *  stream bind it. Null without an inline profiler or when the
+     *  version is not instrumented — then every bit is clear. */
+    PathPlan *plan = nullptr;
 
     std::vector<Template> stream;
 
@@ -284,14 +316,17 @@ selectTraces(const bytecode::Method &code, const MethodInfo &info,
              const CompiledMethod &cm, const FuseOptions &fuse);
 
 /**
- * Translate one compiled version into a template stream. `code` and
- * `info` must be the code the version executes (its inlined body's
- * when present) and must outlive the result; so must `cm`.
+ * Translate one compiled version into a template stream, with its
+ * path-work bits set from `plan` (the version's plan, indexed by the
+ * flat edge ids of `info`'s CFG; null: none). `code` and `info` must be
+ * the code the version executes (its inlined body's when present) and
+ * must outlive the result; so must `cm` and `plan`.
  */
 DecodedMethod translateMethod(const bytecode::Method &code,
                               const MethodInfo &info,
                               const CompiledMethod &cm,
-                              const FuseOptions &fuse = {});
+                              const FuseOptions &fuse = {},
+                              PathPlan *plan = nullptr);
 
 } // namespace pep::vm
 

@@ -13,12 +13,15 @@
  * Path profilers are the exception to "hooks keep their own state"
  * when the threaded engine runs them (docs/ENGINE.md, "Inline path
  * registers"): the frame carries the path register, the engine
- * executes the register arithmetic defined once in PathRegisterHooks,
- * and the profiler is entered only where a path segment completes and
- * at the yieldpoints it armed.
+ * executes the register code defined once in PathRegisterHooks — only
+ * on the edges whose template carries a path-work bit — and the
+ * profiler is entered at OSR, at the yieldpoints it armed, and where
+ * a path completes unless it takes completions as stores (PEP does:
+ * the register writes the thread's PathCompletion slot instead).
  */
 
 #include <cstdint>
+#include <vector>
 
 #include "bytecode/instr.hh"
 #include "cfg/graph.hh"
@@ -159,16 +162,27 @@ class ExecutionHooks
 /**
  * The instrumentation one compiled version's frames execute: pointers
  * into the tables of the InstrumentationPlan a path profiler built for
- * it, and into the flat edge numbering of the CFG the plan indexes by.
- * The profiler owns it (core::VersionProfile derives from it), and it
- * lives as long as the profiler.
+ * it, into the flat edge numbering of the CFG the plan indexes by, and
+ * to the version's k-iteration id space. The profiler owns it
+ * (core::VersionProfile derives from it), and it lives as long as the
+ * profiler.
  */
 struct PathPlan
 {
     const profile::EdgeAction *edges = nullptr;  ///< flatEdgeActions
     const std::uint32_t *edgeBase = nullptr;     ///< MethodCfg::edgeBase
     const profile::HeaderAction *headers = nullptr;
+    const profile::KPathScheme *kpath = nullptr;
 };
+
+/** True when takeEdge on an edge with this action does anything: the
+ *  threaded engine translates edges without register work (the hot
+ *  edges of smart numbering) into templates that skip the register. */
+inline bool
+edgeDoesPathWork(const profile::EdgeAction &action)
+{
+    return action.increment != 0 || action.endsPath;
+}
 
 /**
  * One frame's path register: r, the plan of the version the frame
@@ -187,18 +201,41 @@ struct PathRegister
 };
 
 /**
+ * The latest path one virtual thread completed, as a profiler that
+ * stores paths only at samples receives it: the register writes it in
+ * place of a call.
+ */
+struct PathCompletion
+{
+    PathPlan *plan = nullptr; ///< null: none since the slot was cleared
+    std::uint64_t number = 0; ///< path number; k-window id for k > 1
+
+    /** The thread's Machine::samplingOpportunities when it was stored:
+     *  the completion is sampleable only while the count still reads
+     *  this. */
+    std::uint64_t opportunity = 0;
+};
+
+/**
  * A path profiler (core::PathEngine) as the engine sees it. Under
  * EngineKind::Threaded, Machine::addHooks adopts the first one attached
  * as the machine's inline path profiler: the interpreter executes the
- * register arithmetic below from each frame's PathRegister (r = 0 at
- * push, flat edge actions at edge templates, header actions at header
- * transfers) and calls in only where a segment completes, at frame
- * exit and OSR, and at the yieldpoints where a tick fired or
- * yieldpointsArmed(). It then receives no other ExecutionHooks event.
+ * register code below from each frame's PathRegister (r = 0 at push,
+ * flat edge actions at the edge templates whose path-work bit is set,
+ * header actions at header transfers, the exit path at return) and
+ * calls in only at OSR, at the yieldpoints where a tick fired or
+ * yieldpointsArmed(), and — unless it stores completions — where a
+ * path completes. It then receives no other ExecutionHooks event.
  * Under the switch engine — the reference — and for every further path
  * profiler it is an ordinary hook that runs the same functions from
  * registers of its own; the engines' byte-identity contract (differ
  * check 7) covers both.
+ *
+ * Where a path ends — at a header, a truncated back edge, frame exit
+ * or a window flush — the register folds it into the frame's k-window
+ * and, when a window closes, completes it: by a store into the
+ * thread's PathCompletion slot for a profiler that storeCompletions()
+ * (PEP reads the slot only at samples), by onPathCompleted otherwise.
  *
  * An implementation whose onYieldpoint does anything at a yieldpoint
  * without a tick must keep yieldpointsArmed() true until it no longer
@@ -207,19 +244,22 @@ struct PathRegister
 class PathRegisterHooks : public ExecutionHooks
 {
   public:
+    // The machine holds the address, and storeCompletions() may point
+    // into the derived object.
+    PathRegisterHooks(const PathRegisterHooks &) = delete;
+    PathRegisterHooks &operator=(const PathRegisterHooks &) = delete;
+
     /** The plan frames of `version` execute, or nullptr when this
      *  profiler did not instrument it. A pure function of the
-     *  version; the machine asks once per version. */
+     *  version; the threaded engine asks once per translation. */
     virtual PathPlan *planFor(const CompiledMethod &version) = 0;
 
-    /** A Ball-Larus segment of the frame's path completed with
-     *  `number` (r + endAdd at a header or truncated back edge). */
-    virtual void segmentCompleted(PathRegister &reg, std::uint64_t number,
-                                  std::uint32_t thread) = 0;
-
-    /** The frame returns, after its return edge: r numbers the path it
-     *  ends, and a partial k-window is flushed. */
-    virtual void frameExited(PathRegister &reg, std::uint32_t thread) = 0;
+    /** A path completed in a frame bound to `plan`: `id` is its number
+     *  (r + endAdd at a header or truncated back edge, r at exit), or
+     *  for k > 1 the id of the k-window it closed. A profiler that
+     *  storeCompletions() never receives it. */
+    virtual void onPathCompleted(PathPlan &plan, std::uint64_t id,
+                                 std::uint32_t thread) = 0;
 
     /** OSR switched the frame to a version whose plan is `plan`, at
      *  loop header `header` of that version's CFG. */
@@ -238,7 +278,8 @@ class PathRegisterHooks : public ExecutionHooks
     }
 
     /** An edge with dense id `flat_id` of an instrumented frame: r += v,
-     *  or the count/restart pair of a truncated back edge. */
+     *  or the count/restart pair of a truncated back edge. Changes
+     *  nothing and costs 0 unless edgeDoesPathWork. */
     std::uint32_t
     takeEdge(PathRegister &reg, std::uint32_t flat_id, std::uint32_t thread)
     {
@@ -261,6 +302,17 @@ class PathRegisterHooks : public ExecutionHooks
         return endSegment(reg, action.endAdd, action.restart, thread);
     }
 
+    /** An instrumented frame returns, after its return edge: r numbers
+     *  the path it ends, and a partial k-window is flushed as a short
+     *  k-path (a frame exits once, so its exit path is always the last
+     *  digit of a window). */
+    void
+    exitFrame(PathRegister &reg, std::uint32_t thread)
+    {
+        completeSegment(reg, reg.value, thread);
+        flushWindow(reg, thread);
+    }
+
     /** False while onYieldpoint does nothing at a yieldpoint without a
      *  tick (PEP: its controller is dormant and no thread holds a tick
      *  for its next sampling opportunity). */
@@ -276,19 +328,100 @@ class PathRegisterHooks : public ExecutionHooks
 
     void setYieldpointsArmed(bool armed) { yieldpointsArmed_ = armed; }
 
+    /**
+     * Receive completions as stores instead of onPathCompleted calls:
+     * each one overwrites its thread's latestCompletion() and counts in
+     * `completed`. `opportunities` is the machine's per-thread
+     * sampling-opportunity counts (Machine::samplingOpportunityCounts).
+     * Both must outlive this object.
+     */
+    void
+    storeCompletions(const std::vector<std::uint64_t> &opportunities,
+                     std::uint64_t &completed)
+    {
+        opportunities_ = &opportunities;
+        completed_ = &completed;
+    }
+
+    /** The latest completion of `thread` (an empty slot if none). */
+    const PathCompletion &
+    latestCompletion(std::uint32_t thread) const
+    {
+        static const PathCompletion kNone;
+        return thread < completions_.size() ? completions_[thread] : kNone;
+    }
+
+    void clearCompletions() { completions_.clear(); }
+
+    /** Complete the frame's partial k-window (frame exit, OSR) as a
+     *  short k-path — or drop it under truncateWindowInjection_. */
+    void
+    flushWindow(PathRegister &reg, std::uint32_t thread)
+    {
+        if (reg.window.length == 0)
+            return;
+        const std::uint64_t id = reg.plan->kpath->close(reg.window);
+        if (!truncateWindowInjection_)
+            complete(*reg.plan, id, thread);
+    }
+
+    /** Fault injection (core::PathEngine::setTruncateWindowInjection). */
+    bool truncateWindowInjection_ = false;
+
   private:
     std::uint32_t
     endSegment(PathRegister &reg, std::uint64_t end_add,
                std::uint64_t restart, std::uint32_t thread)
     {
-        segmentCompleted(reg, reg.value + end_add, thread);
+        completeSegment(reg, reg.value + end_add, thread);
         reg.value = restart;
         return (end_add != 0 ? addCost_ : 0) + resetCost_;
+    }
+
+    /** A Ball-Larus segment ended with `number`: fold it into the
+     *  frame's k-window, and complete the window once it is full. With
+     *  k == 1 the window id is the number itself. */
+    void
+    completeSegment(PathRegister &reg, std::uint64_t number,
+                    std::uint32_t thread)
+    {
+        const profile::KPathScheme &kpath = *reg.plan->kpath;
+        if (kpath.kEffective() != 1) {
+            if (!kpath.append(reg.window, number))
+                return;
+            number = kpath.close(reg.window);
+        }
+        complete(*reg.plan, number, thread);
+    }
+
+    void
+    complete(PathPlan &plan, std::uint64_t id, std::uint32_t thread)
+    {
+        if (!completed_) {
+            onPathCompleted(plan, id, thread);
+            return;
+        }
+        ++*completed_;
+        if (completions_.size() <= thread)
+            completions_.resize(thread + 1);
+        PathCompletion &slot = completions_[thread];
+        slot.plan = &plan;
+        slot.number = id;
+        slot.opportunity = thread < opportunities_->size()
+                               ? (*opportunities_)[thread]
+                               : 0;
     }
 
     const std::uint32_t addCost_;
     const std::uint32_t resetCost_;
     bool yieldpointsArmed_ = false;
+
+    /** Set by storeCompletions (null: completions are calls). */
+    const std::vector<std::uint64_t> *opportunities_ = nullptr;
+    std::uint64_t *completed_ = nullptr;
+
+    /** Indexed by virtual thread; grown on first completion. */
+    std::vector<PathCompletion> completions_;
 };
 
 /** Notified when the machine (re)compiles a method. */

@@ -1,5 +1,6 @@
 #include "vm/interpreter.hh"
 
+#include "vm/decoded_method.hh"
 #include "vm/inliner.hh"
 
 #include "support/panic.hh"
@@ -165,8 +166,11 @@ Interpreter::pushFrame(bytecode::MethodId m, Frame *caller,
     ++vm_.stats_.methodInvocations;
 
     Frame &f = frames_.back();
-    if (PathRegisterHooks *paths = vm_.pathHooks_)
-        vm_.cycles_ += paths->enterFrame(f.path, vm_.pathPlanFor(*version));
+    // The frame binds the plan its stream was translated against.
+    if (PathRegisterHooks *paths = vm_.pathHooks_) {
+        vm_.cycles_ +=
+            paths->enterFrame(f.path, vm_.decodedFor(*version).plan);
+    }
     const FrameView fv = view(f);
     for (ExecutionHooks *hooks : vm_.hooks_)
         hooks->onMethodEntry(fv);
@@ -264,7 +268,7 @@ Interpreter::yieldpoint(YieldpointKind kind, cfg::BlockId block)
             for (ExecutionHooks *hooks : vm_.hooks_)
                 hooks->onOsr(swapped, new_block);
             if (PathRegisterHooks *paths = vm_.pathHooks_) {
-                paths->frameReplaced(f.path, vm_.pathPlanFor(*fresh),
+                paths->frameReplaced(f.path, vm_.decodedFor(*fresh).plan,
                                      new_block, thread_);
             }
         }
@@ -304,11 +308,13 @@ Interpreter::edgeTaken(Frame &frame, cfg::EdgeRef edge)
 
 void
 Interpreter::edgeTakenFast(Frame &frame, cfg::EdgeRef edge,
-                           std::uint32_t flat_id)
+                           std::uint32_t flat_id, bool path_work)
 {
     foldEdge(vm_.truth_, frame.method, frame.version->inlinedBody.get(),
              edge);
-    if (frame.path.plan)
+    // A clear path-work bit: takeEdge would change nothing. A set one
+    // may meet a frame OSR stopped profiling.
+    if (path_work && frame.path.plan)
         vm_.cycles_ += vm_.pathHooks_->takeEdge(frame.path, flat_id, thread_);
     const FrameView fv = view(frame);
     for (ExecutionHooks *hooks : vm_.hooks_)
@@ -338,7 +344,7 @@ void
 Interpreter::exitFrame(Frame &frame)
 {
     if (frame.path.plan)
-        vm_.pathHooks_->frameExited(frame.path, thread_);
+        vm_.pathHooks_->exitFrame(frame.path, thread_);
     const FrameView fv = view(frame);
     for (ExecutionHooks *hooks : vm_.hooks_)
         hooks->onMethodExit(fv);

@@ -113,10 +113,11 @@ class Interpreter
      *  the edge's action on the frame's inline path register. */
     void edgeTaken(Frame &frame, cfg::EdgeRef edge);
 
-    /** edgeTaken with the edge's dense flat id precomputed by the
-     *  threaded engine's templates (fires onEdgeFast). */
+    /** edgeTaken with the edge's dense flat id and path-work bit
+     *  precomputed by the threaded engine's templates (fires
+     *  onEdgeFast; a clear bit skips the inline path register). */
     void edgeTakenFast(Frame &frame, cfg::EdgeRef edge,
-                       std::uint32_t flat_id);
+                       std::uint32_t flat_id, bool path_work);
 
     /** Control entered loop header `block`: the inline path register's
      *  header action, the header hooks, and the header yieldpoint

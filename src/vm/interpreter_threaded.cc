@@ -18,12 +18,13 @@
  * and simulated cycles.
  *
  * The machine's inline path profiler (docs/ENGINE.md, "Inline path
- * registers") is not a hook here: edge templates apply
- * flatEdgeActions[t.flatBase + succ] to the frame's PathRegister,
- * header transfers its headerActions[block], and frame push and return
- * bind r = 0 and complete the exit path — through the same
- * PathRegisterHooks functions the profiler runs when the switch engine
- * drives it by hooks.
+ * registers") is not a hook here: an edge template whose path-work bit
+ * for the taken successor is set applies flatEdgeActions[t.flatBase +
+ * succ] to the frame's PathRegister (a clear bit skips the register),
+ * header transfers apply headerActions[block], and frame push and
+ * return bind the stream's plan with r = 0 and complete the exit path
+ * — through the same PathRegisterHooks functions the profiler runs
+ * when the switch engine drives it by hooks.
  *
  * Fused superinstruction handlers (PEP_FUSE=pairs) execute two or
  * three constituent instructions per dispatch with their operands
@@ -116,7 +117,8 @@ namespace pep::vm {
         vm_.oneTime_.perMethod[f->method].addEdge(                     \
             cfg::EdgeRef{t.block, succ});                              \
     }                                                                  \
-    edgeTakenFast(*f, cfg::EdgeRef{t.block, succ}, t.flatBase + succ); \
+    edgeTakenFast(*f, cfg::EdgeRef{t.block, succ}, t.flatBase + succ,  \
+                  (t.pathWork >> succ) & 1u);                          \
     if (taken) {                                                       \
         PEP_TRANSFER(t.taken, t.takenPc, t.flags & kTplTakenHeader,    \
                      t.takenBlock);                                    \
@@ -150,7 +152,8 @@ namespace pep::vm {
         vm_.oneTime_.perMethod[f->method].addEdge(                     \
             cfg::EdgeRef{t.block, succ});                              \
     }                                                                  \
-    edgeTakenFast(*f, cfg::EdgeRef{t.block, succ}, t.flatBase + succ); \
+    edgeTakenFast(*f, cfg::EdgeRef{t.block, succ}, t.flatBase + succ,  \
+                  (t.pathWork >> succ) & 1u);                          \
     if (taken) {                                                       \
         PEP_TRANSFER(t.taken, t.takenPc, t.flags & kTplTakenHeader,    \
                      t.takenBlock);                                    \
@@ -333,7 +336,8 @@ namespace pep::vm {
         result = f->stack.back();                                      \
         f->stack.pop_back();                                           \
     }                                                                  \
-    edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);           \
+    edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase,            \
+                  t.pathWork & 1u);                                    \
     exitFrame(*f);                                                     \
     yieldpoint(YieldpointKind::MethodExit);                            \
     frames_.pop_back();                                                \
@@ -530,7 +534,8 @@ rebind:
     {
         const Template &t = ts[tp];
         PEP_CHARGE(t);
-        edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);
+        edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase,
+                      t.pathWork & 1u);
         PEP_TRANSFER(t.taken, t.takenPc, t.flags & kTplTakenHeader,
                      t.takenBlock);
     }
@@ -562,7 +567,7 @@ rebind:
         }
         const SwitchCase &c = sw[t.swFirst + succ];
         edgeTakenFast(*f, cfg::EdgeRef{t.block, succ},
-                      t.flatBase + succ);
+                      t.flatBase + succ, c.pathWork);
         PEP_TRANSFER(c.tpl, c.pc, c.isHeader, c.block);
     }
     PEP_OP(Invoke)
@@ -577,7 +582,8 @@ rebind:
         // the template from it).
         f->pc = t.fallPc;
         if (t.flags & kTplEndsBlock) {
-            edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);
+            edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase,
+                          t.pathWork & 1u);
             if (t.flags & kTplFallHeader)
                 enterHeader(*f, t.fallBlock);
         }
@@ -597,7 +603,8 @@ rebind:
         // Injected fall-through block end: the block's single CFG edge
         // plus the transfer (cost/ninstr are zero — no instruction).
         const Template &t = ts[tp];
-        edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);
+        edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase,
+                      t.pathWork & 1u);
         PEP_TRANSFER(t.fall, t.fallPc, t.flags & kTplFallHeader,
                      t.fallBlock);
     }
@@ -609,7 +616,8 @@ rebind:
         // fire here (the edge is never a back edge: back edges target
         // headers).
         const Template &t = ts[tp];
-        edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase);
+        edgeTakenFast(*f, cfg::EdgeRef{t.block, 0}, t.flatBase,
+                      t.pathWork & 1u);
         f->pc = t.fallPc;
         tp = t.fall;
         PEP_DISPATCH();

@@ -97,20 +97,10 @@ Machine::addHooks(ExecutionHooks *hooks)
         return;
     }
     pathHooks_ = paths;
-    for (const auto &method_versions : versions_)
-        for (const auto &cm : method_versions)
-            cachePathPlan(*cm);
-}
-
-void
-Machine::cachePathPlan(const CompiledMethod &cm)
-{
-    if (pathPlans_.size() <= cm.method)
-        pathPlans_.resize(cm.method + 1);
-    std::vector<PathPlan *> &slots = pathPlans_[cm.method];
-    if (slots.size() <= cm.version)
-        slots.resize(cm.version + 1, nullptr);
-    slots[cm.version] = pathHooks_->planFor(cm);
+    // Streams translated so far carry no path-work bits and bind no
+    // plan; drop them so each re-translates against its plan.
+    for (std::vector<std::unique_ptr<DecodedMethod>> &slots : decoded_)
+        slots.clear();
 }
 
 void
@@ -205,6 +195,15 @@ Machine::versionAt(bytecode::MethodId m, std::uint32_t version) const
     return versions_[m][version].get();
 }
 
+const DecodedMethod *
+Machine::decodedAt(bytecode::MethodId m, std::uint32_t version) const
+{
+    PEP_ASSERT(m < decoded_.size());
+    if (version >= decoded_[m].size())
+        return nullptr;
+    return decoded_[m][version].get();
+}
+
 ReplayAdvice
 Machine::recordAdvice() const
 {
@@ -295,11 +294,10 @@ Machine::compile(bytecode::MethodId m, OptLevel level)
         for (CompileObserver *observer : observers_)
             observer->onCompile(m, result);
     }
-    if (pathHooks_)
-        cachePathPlan(result);
 
-    // Threaded engine: translate at install time so invocation and OSR
-    // never hit the lazy path mid-run.
+    // Threaded engine: translate at install time — after the observers
+    // built the version's plan — so invocation and OSR never hit the
+    // lazy path mid-run.
     if (params_.engine == EngineKind::Threaded)
         decodedFor(result);
     return result;
@@ -320,8 +318,8 @@ Machine::decodedFor(const CompiledMethod &cm)
                            : program_.methods[cm.method];
         const MethodInfo &info =
             cm.inlinedBody ? cm.inlinedBody->info : infos_[cm.method];
-        slot = std::make_unique<DecodedMethod>(
-            translateMethod(code, info, cm, params_.fuse));
+        slot = std::make_unique<DecodedMethod>(translateMethod(
+            code, info, cm, params_.fuse, inlinePlanFor(cm)));
         ++stats_.methodsDecoded;
     }
     return *slot;

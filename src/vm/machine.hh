@@ -211,7 +211,9 @@ class Machine
      * EngineKind::Threaded the first PathRegisterHooks attached becomes
      * the machine's inline path profiler (docs/ENGINE.md, "Inline path
      * registers"): its register runs in the frames, and it receives
-     * only the calls PathRegisterHooks describes.
+     * only the calls PathRegisterHooks describes. Adopting it drops
+     * every template stream translated so far, so each re-translates
+     * against its version's plan on next use.
      */
     void addHooks(ExecutionHooks *hooks);
 
@@ -297,6 +299,15 @@ class Machine
         return thread < opportunities_.size() ? opportunities_[thread] : 0;
     }
 
+    /** samplingOpportunities() of every virtual thread that has run,
+     *  indexed by thread (a path register that stores completions
+     *  reads it; vm::PathRegisterHooks::storeCompletions). */
+    const std::vector<std::uint64_t> &
+    samplingOpportunityCounts() const
+    {
+        return opportunities_;
+    }
+
     /** Current simulated time in cycles. */
     std::uint64_t now() const { return cycles_; }
 
@@ -325,13 +336,24 @@ class Machine
     /**
      * The template stream of a compiled version, translating on first
      * use (compile() translates eagerly under EngineKind::Threaded, so
-     * this is a cache hit on the hot path). Translation charges no
-     * simulated cycles — the stream is a harness artifact, and both
-     * engines must report identical cycle counts. Installed versions
-     * never change and the fusion selection is fixed per machine, so
-     * a cached stream never goes stale.
+     * this is a cache hit on the hot path) against the version's
+     * inlinePlanFor(). Translation charges no simulated cycles — the
+     * stream is a harness artifact, and both engines must report
+     * identical cycle counts. Installed versions never change, the
+     * fusion selection is fixed per machine, and adopting an inline
+     * path profiler drops every cached stream, so a cached stream never
+     * goes stale.
      */
     const DecodedMethod &decodedFor(const CompiledMethod &cm);
+
+    /** The inline path profiler's plan for a version: what its stream
+     *  is translated against and its frames bind (nullptr: no inline
+     *  profiler, or the version is not instrumented). */
+    PathPlan *
+    inlinePlanFor(const CompiledMethod &cm) const
+    {
+        return pathHooks_ ? pathHooks_->planFor(cm) : nullptr;
+    }
 
     // ---- Verification support (analysis/verify, docs/ANALYSIS.md) -----
 
@@ -342,27 +364,17 @@ class Machine
     const CompiledMethod *versionAt(bytecode::MethodId m,
                                     std::uint32_t version) const;
 
+    /** The cached template stream of a version (nullptr until
+     *  decodedFor translates it: always under the switch engine). */
+    const DecodedMethod *decodedAt(bytecode::MethodId m,
+                                   std::uint32_t version) const;
+
   private:
     friend class Interpreter;
 
     /** Compile (or recompile) a method and install the result as its
      *  newest version; charges compile cycles. */
     const CompiledMethod &compile(bytecode::MethodId m, OptLevel level);
-
-    /** The inline path profiler's plan for a version (nullptr: none,
-     *  or the version is not instrumented). */
-    PathPlan *
-    pathPlanFor(const CompiledMethod &cm) const
-    {
-        if (cm.method >= pathPlans_.size() ||
-            cm.version >= pathPlans_[cm.method].size())
-            return nullptr;
-        return pathPlans_[cm.method][cm.version];
-    }
-
-    /** Ask the inline path profiler for a freshly installed version's
-     *  plan. */
-    void cachePathPlan(const CompiledMethod &cm);
 
     /** Compute the branch layout for an opt compile. */
     void applyLayout(CompiledMethod &cm);
@@ -400,9 +412,6 @@ class Machine
     /** Attached components (not owned). */
     std::vector<ExecutionHooks *> hooks_;
     PathRegisterHooks *pathHooks_ = nullptr;
-
-    /** pathHooks_'s plans, parallel to versions_. */
-    std::vector<std::vector<PathPlan *>> pathPlans_;
 
     /** Per virtual thread, see samplingOpportunities(). */
     std::vector<std::uint64_t> opportunities_;

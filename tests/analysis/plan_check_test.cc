@@ -17,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "analysis/plan_check.hh"
@@ -28,6 +30,7 @@
 #include "profile/spanning_placement.hh"
 #include "vm/cost_model.hh"
 #include "vm/decoded_method.hh"
+#include "vm/hooks.hh"
 #include "vm/machine.hh"
 
 namespace pep::analysis {
@@ -325,14 +328,16 @@ TEST(PlanCheck, RejectsStaleFlattenedTable)
 }
 
 /**
- * Build main()'s template stream exactly as the lint pipeline does,
- * optionally tamper with it, and run the stream proof. Everything
- * lives in one scope so the DecodedMethod's back-pointers stay valid.
+ * Build main()'s template stream exactly as the lint pipeline does —
+ * or, `instrumented`, against PEP's plan as a threaded machine with
+ * PEP inline does — optionally tamper with it, and run the stream
+ * proof. Everything lives in one scope so the DecodedMethod's
+ * back-pointers stay valid.
  */
 DiagnosticList
 checkTemplatesOf(const bytecode::Program &program,
                  const std::function<void(vm::DecodedMethod &)> &tamper,
-                 bool &ok)
+                 bool &ok, bool instrumented = false)
 {
     const bytecode::Method &method =
         program.methods[program.mainMethod];
@@ -344,8 +349,24 @@ checkTemplatesOf(const bytecode::Program &program,
         cm.scaledCost[op] =
             cost.instrCost(static_cast<bytecode::Opcode>(op));
     cm.branchLayout.assign(info.cfg.graph.numBlocks(), -1);
+
+    // PEP's plan for the version, as the inline profiler hands it to
+    // translation (HeaderSplit, smart numbering).
+    std::unique_ptr<core::MethodProfilingState> state;
+    vm::PathPlan plan;
+    if (instrumented) {
+        state = core::buildProfilingState(
+            info.cfg, program.mainMethod, 0, DagMode::HeaderSplit,
+            NumberingScheme::Smart, nullptr);
+        plan.edges = state->plan.flatEdgeActions.data();
+        plan.edgeBase = info.cfg.edgeBase.data();
+        plan.headers = state->plan.headerActions.data();
+        plan.kpath = &state->kpath;
+    }
+    vm::PathPlan *version_plan = instrumented ? &plan : nullptr;
+
     vm::DecodedMethod decoded =
-        vm::translateMethod(method, info, cm);
+        vm::translateMethod(method, info, cm, {}, version_plan);
     if (tamper)
         tamper(decoded);
 
@@ -355,6 +376,7 @@ checkTemplatesOf(const bytecode::Program &program,
     input.cm = &cm;
     input.decoded = &decoded;
     input.methodName = method.name;
+    input.plan = version_plan;
 
     DiagnosticList diagnostics;
     ok = checkTemplateStream(input, diagnostics);
@@ -390,20 +412,24 @@ TEST(PlanCheck, NotesSkippedEnumerationOverBudget)
 
 TEST(PlanCheck, TemplateStreamAcceptsTranslatedMethods)
 {
-    for (const bytecode::Program &program :
-         {test::simpleLoopProgram(), test::figure1Program(),
-          test::callSwitchProgram()}) {
-        bool ok = false;
-        const DiagnosticList diagnostics =
-            checkTemplatesOf(program, nullptr, ok);
-        EXPECT_TRUE(ok) << renderAll(diagnostics);
-    }
-    for (std::uint64_t seed = 900; seed < 912; ++seed) {
-        bool ok = false;
-        const DiagnosticList diagnostics = checkTemplatesOf(
-            test::randomStructuredProgram(seed, 8), nullptr, ok);
-        EXPECT_TRUE(ok) << "seed " << seed << "\n"
-                        << renderAll(diagnostics);
+    // Each stream alone and translated against PEP's plan.
+    for (const bool instrumented : {false, true}) {
+        for (const bytecode::Program &program :
+             {test::simpleLoopProgram(), test::figure1Program(),
+              test::callSwitchProgram(), test::wideSwitchProgram()}) {
+            bool ok = false;
+            const DiagnosticList diagnostics =
+                checkTemplatesOf(program, nullptr, ok, instrumented);
+            EXPECT_TRUE(ok) << renderAll(diagnostics);
+        }
+        for (std::uint64_t seed = 900; seed < 912; ++seed) {
+            bool ok = false;
+            const DiagnosticList diagnostics = checkTemplatesOf(
+                test::randomStructuredProgram(seed, 8), nullptr, ok,
+                instrumented);
+            EXPECT_TRUE(ok) << "seed " << seed << "\n"
+                            << renderAll(diagnostics);
+        }
     }
 }
 
@@ -420,6 +446,77 @@ TEST(PlanCheck, TemplateStreamRejectsCorruptFlatBase)
     EXPECT_FALSE(ok);
     EXPECT_TRUE(hasError(diagnostics, "carries flat base"))
         << renderAll(diagnostics);
+}
+
+/** An engine-equiv error whose message contains `substr`. */
+bool
+hasStreamError(const DiagnosticList &diagnostics, const std::string &substr)
+{
+    for (const Diagnostic &d : diagnostics.all()) {
+        if (d.severity == Severity::Error && d.pass == "engine-equiv" &&
+            d.message.find(substr) != std::string::npos)
+            return true;
+    }
+    return false;
+}
+
+TEST(PlanCheck, TemplateStreamRejectsFlippedPathWorkBit)
+{
+    // A clear bit skips the inline path register, so a flipped one
+    // drops an increment from (or adds a no-op to) every path through
+    // its edge: PEP would sample wrong path numbers.
+    bool ok = false;
+    std::uint32_t set_bits = 0;
+    checkTemplatesOf(
+        test::figure1Program(),
+        [&](vm::DecodedMethod &dm) {
+            for (const vm::Template &t : dm.stream)
+                set_bits += std::popcount(t.pathWork);
+        },
+        ok, /*instrumented=*/true);
+    EXPECT_TRUE(ok);
+    EXPECT_GT(set_bits, 0u);
+
+    const DiagnosticList diagnostics = checkTemplatesOf(
+        test::figure1Program(),
+        [](vm::DecodedMethod &dm) {
+            for (vm::Template &t : dm.stream) {
+                if (bytecode::isCondBranch(
+                        static_cast<bytecode::Opcode>(t.op))) {
+                    t.pathWork ^= 2; // the fall successor's bit
+                    return;
+                }
+            }
+        },
+        ok, /*instrumented=*/true);
+    EXPECT_FALSE(ok);
+    EXPECT_TRUE(hasStreamError(diagnostics, "path-work bit"))
+        << renderAll(diagnostics);
+}
+
+TEST(PlanCheck, TemplateStreamRejectsPathWorkBitWithoutPlan)
+{
+    // Without an inline path profiler no frame binds a plan, so every
+    // bit must be clear — even where no edge reads it.
+    for (const bool edge_template : {true, false}) {
+        bool ok = true;
+        const DiagnosticList diagnostics = checkTemplatesOf(
+            test::figure1Program(),
+            [&](vm::DecodedMethod &dm) {
+                for (vm::Template &t : dm.stream) {
+                    const auto op = static_cast<bytecode::Opcode>(t.op);
+                    if (bytecode::isCondBranch(op) == edge_template) {
+                        t.pathWork |= 1;
+                        return;
+                    }
+                }
+            },
+            ok);
+        EXPECT_FALSE(ok) << (edge_template ? "edge" : "body")
+                         << " template";
+        EXPECT_TRUE(hasStreamError(diagnostics, "path-work bit"))
+            << renderAll(diagnostics);
+    }
 }
 
 TEST(PlanCheck, TemplateStreamRejectsStaleLayout)

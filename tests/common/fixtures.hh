@@ -122,6 +122,56 @@ done:
 )");
 }
 
+/** A loop around an eleven-way switch: successor indices past the
+ *  eight a byte of path-work bits could hold. Long enough for main to
+ *  tier up under a short tick. */
+inline bytecode::Program
+wideSwitchProgram()
+{
+    return bytecode::assembleOrDie(R"(
+.globals 1
+.method main 0 2
+    iconst 3000
+    istore 0
+loop:
+    iload 0
+    ifle done
+    irnd
+    iconst 15
+    iand
+    tableswitch 0 dflt c0 c1 c2 c3 c4 c5 c6 c7 c8 c9
+c0: iinc 1 1
+    goto next
+c1: iinc 1 2
+    goto next
+c2: iinc 1 3
+    goto next
+c3: iinc 1 4
+    goto next
+c4: iinc 1 5
+    goto next
+c5: iinc 1 6
+    goto next
+c6: iinc 1 7
+    goto next
+c7: iinc 1 8
+    goto next
+c8: iinc 1 9
+    goto next
+c9: iinc 1 10
+    goto next
+dflt:
+    iinc 1 11
+next:
+    iinc 0 -1
+    goto loop
+done:
+    return
+.end
+.main main
+)");
+}
+
 /**
  * Generate a random, structured (hence reducible) method for property
  * tests: nested sequences of diamonds, switches, and loops. All branch

@@ -612,13 +612,18 @@ TEST(PathEngine, InlineRegisterMatchesHookDrivenRegister)
     // at.
     std::uint64_t samples = 0;
     std::uint64_t osrs = 0;
+    std::vector<bytecode::Program> programs = {test::wideSwitchProgram()};
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
         testing::FuzzSpec spec;
         spec.seed = seed;
         spec.loopBias = 0.5;
-        const bytecode::Program program = testing::generateProgram(spec);
+        programs.push_back(testing::generateProgram(spec));
+    }
+    // programs[i] is generator seed i's; programs[0] the wide switch.
+    for (std::size_t seed = 0; seed < programs.size(); ++seed) {
+        const bytecode::Program &program = programs[seed];
         for (const bool osr : {false, true}) {
-            for (const std::uint32_t k : {1u, 2u}) {
+            for (const std::uint32_t k : {1u, 2u, 4u}) {
                 for (const auto &[s, t] :
                      {std::pair{1u, 1u}, std::pair{64u, 17u}}) {
                     std::string reference;
@@ -651,6 +656,36 @@ TEST(PathEngine, InlineRegisterMatchesHookDrivenRegister)
     // The sweep must actually sample and replace frames.
     EXPECT_GT(samples, 0u);
     EXPECT_GT(osrs, 0u);
+}
+
+TEST(PathEngine, LateAdoptionRetranslatesAgainstThePlan)
+{
+    // main is compiled, and under the threaded engine translated,
+    // before the machine adopts PEP as its inline path profiler. That
+    // stream has no plan: adoption must drop it, or main's frames
+    // would bind none and PEP would see none of main's paths.
+    const bytecode::Program program = test::figure1Program();
+    std::string reference;
+    for (const vm::EngineKind engine :
+         {vm::EngineKind::Switch, vm::EngineKind::Threaded}) {
+        vm::SimParams params;
+        params.engine = engine;
+        params.tickCycles = 200;
+        vm::Machine machine(program, params);
+        SimplifiedArnoldGrove controller(1, 1);
+        PepProfiler pep(machine, controller);
+        machine.addCompileObserver(&pep);
+        machine.compileNow(program.mainMethod, vm::OptLevel::Opt2);
+        machine.addHooks(&pep);
+        machine.runIteration();
+        EXPECT_GT(pep.pepStats().samplesRecorded, 0u)
+            << vm::engineKindName(engine);
+        const std::string observables =
+            testing::serializeRun(machine, {.peps = {&pep}});
+        if (reference.empty())
+            reference = observables;
+        EXPECT_EQ(observables, reference) << vm::engineKindName(engine);
+    }
 }
 
 TEST(PathEngine, InlineRegisterMatchesHooksUnderCooperativeThreads)
