@@ -175,7 +175,6 @@ BM_InterpreterThroughput(benchmark::State &state)
     for (auto _ : state) {
         vm::Machine machine(program, vm::SimParams{});
         machine.runIteration();
-        state.SetIterationTime(0); // measured by wall time below
         benchmark::DoNotOptimize(machine.stats().instructionsExecuted);
     }
 }

@@ -317,8 +317,8 @@ checkPathProfileRealizability(
         return diagnostics.errorCount() == before;
     }
 
-    // Hash-map iteration order is unspecified; sort the numbers first
-    // so diagnostics come out deterministically.
+    // Path tables iterate in first-sample order; sort the numbers first
+    // so diagnostics come out in number order.
     std::vector<std::uint64_t> numbers;
     numbers.reserve(paths.paths().size());
     for (const auto &entry : paths.paths())

@@ -61,6 +61,19 @@ InstrEdgeProfiler::onEdge(const vm::FrameView &frame, cfg::EdgeRef edge)
     edges_.perMethod[frame.method].addEdge(edge);
 }
 
+void
+foldPathEdges(profile::EdgeProfileSet &edges,
+              const MethodProfilingState &state,
+              const profile::PathRecord &record, std::uint64_t count)
+{
+    // A synthesized (inlined or cloned) version's paths run over its
+    // own CFG; they fold onto the bytecode tables like truth.
+    const vm::InlinedBody *inlined =
+        state.compiled ? state.compiled->inlinedBody.get() : nullptr;
+    for (const cfg::EdgeRef &edge : record.cfgEdges)
+        vm::foldEdge(edges, state.method, inlined, edge, count);
+}
+
 profile::EdgeProfileSet
 edgeProfileFromPaths(vm::Machine &machine, PathEngine &engine)
 {
@@ -76,16 +89,9 @@ edgeProfileFromPaths(vm::Machine &machine, PathEngine &engine)
         const MethodProfilingState &state = *vp->state;
         if (!state.reconstructor)
             continue;
-        // A synthesized (inlined or cloned) version's paths run over
-        // its own CFG; they fold onto the bytecode tables like truth.
-        const vm::InlinedBody *inlined =
-            state.compiled ? state.compiled->inlinedBody.get() : nullptr;
         vp->paths.ensureExpanded(*state.reconstructor, &state.kpath);
-        for (const auto &[number, record] : vp->paths.paths()) {
-            for (const cfg::EdgeRef &edge : record.cfgEdges)
-                vm::foldEdge(result, key.first, inlined, edge,
-                             record.count);
-        }
+        for (const auto &[number, record] : vp->paths.paths())
+            foldPathEdges(result, state, record, record.count);
     }
     return result;
 }

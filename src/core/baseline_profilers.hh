@@ -76,6 +76,18 @@ class InstrEdgeProfiler final : public vm::ExecutionHooks
 };
 
 /**
+ * Add `count` executions of one path of `state`'s version to `edges`:
+ * each CFG edge of the expanded `record` folds onto its bytecode-level
+ * counter through vm::foldEdge, so the branches of an inlined or cloned
+ * version count at the bytecode branches they came from (Section 4.3).
+ * The one path-to-edge fold: PEP's edge profile and
+ * edgeProfileFromPaths both add through it.
+ */
+void foldPathEdges(profile::EdgeProfileSet &edges,
+                   const MethodProfilingState &state,
+                   const profile::PathRecord &record, std::uint64_t count);
+
+/**
  * Derive the edge profile implied by an engine's collected path
  * profiles (expansion-weighted accumulation across all instrumented
  * versions). Used both for PEP-vs-perfect comparisons and to build the

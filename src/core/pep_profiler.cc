@@ -1,6 +1,6 @@
 #include "core/pep_profiler.hh"
 
-#include "vm/inliner.hh"
+#include "core/baseline_profilers.hh"
 
 namespace pep::core {
 
@@ -79,16 +79,8 @@ PepProfiler::onYieldpoint(const vm::FrameView &frame,
         if (latest.plan && latest.opportunity ==
                                vm_.samplingOpportunities(frame.thread)) {
             ++stats_.samplesRecorded;
-            VersionProfile &vp = static_cast<VersionProfile &>(*latest.plan);
-            profile::PathRecord &record = vp.paths.addSample(latest.number);
-            if (!record.expanded) {
-                // First sample of this path: trace its edges in the
-                // P-DAG (Section 3.3) and cache the expansion.
-                ++stats_.firstTimeExpansions;
-                profile::expandRecord(record, *vp.state->reconstructor,
-                                      latest.number, &vp.state->kpath);
-            }
-            recordEdges(*vp.state, record.cfgEdges);
+            recordSample(static_cast<VersionProfile &>(*latest.plan),
+                         latest.number);
         }
         break;
       }
@@ -97,20 +89,41 @@ PepProfiler::onYieldpoint(const vm::FrameView &frame,
 }
 
 void
-PepProfiler::recordEdges(const MethodProfilingState &state,
-                         const std::vector<cfg::EdgeRef> &cfg_edges)
+PepProfiler::recordSample(VersionProfile &vp, std::uint64_t number)
 {
-    // Inlined or cloned code: several compiled branches map to one
-    // bytecode branch and share its counters (Section 4.3).
-    const vm::InlinedBody *inlined =
-        state.compiled ? state.compiled->inlinedBody.get() : nullptr;
-    for (const cfg::EdgeRef &edge : cfg_edges)
-        vm::foldEdge(edges_, state.method, inlined, edge);
+    const std::uint32_t position = vp.paths.insert(number);
+    profile::PathRecord &record = vp.paths.recordAt(position);
+    if (!record.expanded) {
+        // First sample of this path: trace its edges in the P-DAG
+        // (Section 3.3) and cache the expansion.
+        ++stats_.firstTimeExpansions;
+        profile::expandRecord(record, *vp.state->reconstructor, number,
+                              &vp.state->kpath);
+    }
+    // Edges are folded when the profile is read: a record joins the
+    // unfolded list at its first sample since the last fold.
+    if (record.count == record.folded)
+        unfolded_.push_back({&vp, position});
+    ++record.count;
+}
+
+void
+PepProfiler::foldSampledPaths() const
+{
+    for (const Unfolded &entry : unfolded_) {
+        profile::PathRecord &record =
+            entry.version->paths.recordAt(entry.position);
+        foldPathEdges(edges_, *entry.version->state, record,
+                      record.count - record.folded);
+        record.folded = record.count;
+    }
+    unfolded_.clear();
 }
 
 const profile::MethodEdgeProfile *
 PepProfiler::layoutProfile(bytecode::MethodId method)
 {
+    foldSampledPaths();
     // A handful of sampled paths gives a wildly skewed edge profile
     // (each path marks its edges 100%-biased); demand a minimum amount
     // of evidence before PEP's continuous profile overrides the
@@ -138,6 +151,7 @@ void
 PepProfiler::clearProfiles()
 {
     clearPathProfiles();
+    unfolded_.clear();
     edges_.clear();
     stats_ = PepStats{};
     for (PendingSample &pending : pending_)

@@ -10,10 +10,13 @@
  * in PepStats::pathsCompleted, with no call into this class
  * (vm::PathRegisterHooks::storeCompletions). On every loop-header and
  * method-exit yieldpoint the just-completed path is in that slot; when
- * the sampling controller says "sample", the handler increments that
- * path's frequency and folds the path's edges into the continuous edge
- * profile (reconstructing the edge sequence the first time a path is
- * seen, cached thereafter — Section 4.3).
+ * the sampling controller says "sample", the handler only counts: one
+ * probe of the version's path table and one increment (reconstructing
+ * the edge sequence the first time a path is seen, cached thereafter —
+ * Section 4.3). The continuous edge profile is folded where it is
+ * read: every accessor first adds each path sampled since the last
+ * read, once, with the count it gained, so every read equals
+ * edgeProfileFromPaths over this profiler's own path table.
  *
  * PepProfiler is also a LayoutSource: when the VM recompiles a method,
  * it supplies its continuous edge profile (falling back to the one-time
@@ -91,16 +94,27 @@ class PepProfiler final : public PathEngine, public vm::LayoutSource
     const profile::MethodEdgeProfile *
     layoutProfile(bytecode::MethodId method) override;
 
-    /** The continuous edge profile derived from sampled paths. */
-    const profile::EdgeProfileSet &edgeProfile() const { return edges_; }
+    /** The continuous edge profile: every sampled path folded, up to
+     *  this read. */
+    const profile::EdgeProfileSet &
+    edgeProfile() const
+    {
+        foldSampledPaths();
+        return edges_;
+    }
 
     /**
      * Mutable access to the continuous edge profile, for fault
      * injection only (the differ's `impossible-profile` self-test
-     * corrupts one count to prove the realizability checker rejects
-     * it).
+     * corrupts one count of the folded profile to prove the
+     * realizability checker rejects it).
      */
-    profile::EdgeProfileSet &edgeProfileForInjection() { return edges_; }
+    profile::EdgeProfileSet &
+    edgeProfileForInjection()
+    {
+        foldSampledPaths();
+        return edges_;
+    }
 
     const PepStats &pepStats() const { return stats_; }
 
@@ -112,6 +126,10 @@ class PepProfiler final : public PathEngine, public vm::LayoutSource
     freqProfileFor(bytecode::MethodId method) override;
 
   private:
+    /** Dropping the path records alone would leave unfolded_ naming
+     *  records that are gone; clearProfiles() drops both. */
+    using PathEngine::clearPathProfiles;
+
     /**
      * Per-virtual-thread sampling state beside the register's
      * latest-completion slot (sampleable only at its thread's next
@@ -133,14 +151,26 @@ class PepProfiler final : public PathEngine, public vm::LayoutSource
      *  flag moved. */
     void rearm();
 
-    /** Fold one sampled path's edges into the continuous edge profile,
-     *  mapping inlined branches to their bytecode-level counters. */
-    void recordEdges(const MethodProfilingState &state,
-                     const std::vector<cfg::EdgeRef> &cfg_edges);
+    /** Count one sample of `number` in `vp`'s path table. */
+    void recordSample(VersionProfile &vp, std::uint64_t number);
+
+    /** Fold every record in unfolded_ into edges_ with the count it
+     *  gained since its last fold. */
+    void foldSampledPaths() const;
+
+    /** A path record sampled since the last fold, held by position:
+     *  an insertion into its table may move the records. */
+    struct Unfolded
+    {
+        VersionProfile *version = nullptr;
+        std::uint32_t position = 0;
+    };
 
     SamplingController &controller_;
 
-    profile::EdgeProfileSet edges_;
+    /** Folded up to the last read (see foldSampledPaths). */
+    mutable profile::EdgeProfileSet edges_;
+    mutable std::vector<Unfolded> unfolded_;
     PepStats stats_;
 
     /** Indexed by virtual thread id; single-threaded runs use slot 0. */

@@ -3,15 +3,17 @@
 
 /**
  * @file
- * Path profiles: frequency per Ball-Larus path number, kept in a hash
- * table as the paper's yieldpoint handler does (Section 4.3). Each
+ * Path profiles: frequency per Ball-Larus path number, kept in a flat
+ * open-addressing table — the paper's yieldpoint handler keeps a hash
+ * table (Section 4.3); here a sample is one probe of a power-of-two
+ * index and one increment, with no allocation and no division. Each
  * record caches the path's CFG-edge expansion after the first time it
  * is needed, so repeated samples of the same path (the common case)
  * skip reconstruction.
  */
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "profile/kpath.hh"
@@ -24,6 +26,13 @@ struct PathRecord
 {
     std::uint64_t count = 0;
 
+    /**
+     * The part of count a consumer has already folded into an edge
+     * profile it derives incrementally (core::PepProfiler folds a
+     * record's new samples when its edge profile is read).
+     */
+    std::uint64_t folded = 0;
+
     /** True once cfgEdges / numBranches are valid. */
     bool expanded = false;
 
@@ -34,34 +43,70 @@ struct PathRecord
     std::vector<cfg::EdgeRef> cfgEdges;
 };
 
-/** Path frequencies of one method. */
+/**
+ * Path frequencies of one method. Records sit contiguously in
+ * first-sample order; an index of power-of-two slots, at most half
+ * full, holds record positions and is probed linearly from a
+ * multiplicative hash of the path number. The index holds positions,
+ * not pointers, so a copied or moved profile stays valid.
+ */
 class MethodPathProfile
 {
   public:
+    /** A path number and its record; paths() iterates these as
+     *  [number, record]. */
+    using Entry = std::pair<std::uint64_t, PathRecord>;
+
+    /**
+     * The hash's odd multiplier (2^64 / golden ratio): a path's home
+     * slot is the top bits of number * kHashMultiplier.
+     */
+    static constexpr std::uint64_t kHashMultiplier = 0x9e3779b97f4a7c15ull;
+
     /**
      * Record one (or n) executions of a path; returns the record so the
-     * caller can expand it if this is the first sample.
+     * caller can expand it if this is the first sample. The reference
+     * is valid until the next insertion into this profile.
      */
     PathRecord &
     addSample(std::uint64_t path_number, std::uint64_t n = 1)
     {
-        PathRecord &record = paths_[path_number];
+        PathRecord &record = recordAt(insert(path_number));
         record.count += n;
         return record;
+    }
+
+    /**
+     * The position of a path's record in paths(), appending a
+     * zero-count record if the path was never recorded. Positions stay
+     * valid until clear(), across insertions, copies and moves.
+     */
+    std::uint32_t
+    insert(std::uint64_t path_number)
+    {
+        if (!index_.empty()) {
+            const std::uint32_t held = index_[probe(path_number)];
+            if (held != 0)
+                return held - 1;
+        }
+        return append(path_number);
+    }
+
+    /** The record at a position insert() returned. */
+    PathRecord &
+    recordAt(std::uint32_t position)
+    {
+        return records_[position].second;
     }
 
     /** Look up a path record; nullptr if the path was never recorded. */
     const PathRecord *find(std::uint64_t path_number) const;
 
-    /** All recorded paths (unordered). */
-    const std::unordered_map<std::uint64_t, PathRecord> &
-    paths() const
-    {
-        return paths_;
-    }
+    /** All recorded paths, in first-sample order. */
+    const std::vector<Entry> &paths() const { return records_; }
 
     /** Number of distinct paths recorded. */
-    std::size_t numDistinctPaths() const { return paths_.size(); }
+    std::size_t numDistinctPaths() const { return records_.size(); }
 
     /** Sum of all path counts. */
     std::uint64_t totalCount() const;
@@ -75,11 +120,33 @@ class MethodPathProfile
     void ensureExpanded(const PathReconstructor &reconstructor,
                         const KPathScheme *kpath = nullptr);
 
-    /** Drop all records. */
-    void clear() { paths_.clear(); }
+    /** Drop all records (the table keeps its capacity). */
+    void clear();
 
   private:
-    std::unordered_map<std::uint64_t, PathRecord> paths_;
+    /** The slot holding path_number, or the empty slot ending its
+     *  probe sequence. The index must not be empty. */
+    std::size_t
+    probe(std::uint64_t path_number) const
+    {
+        const std::size_t mask = index_.size() - 1;
+        std::size_t slot = (path_number * kHashMultiplier) >> shift_;
+        while (index_[slot] != 0 &&
+               records_[index_[slot] - 1].first != path_number)
+            slot = (slot + 1) & mask;
+        return slot;
+    }
+
+    /** Append a zero-count record for a path not yet recorded. */
+    std::uint32_t append(std::uint64_t path_number);
+
+    std::vector<Entry> records_;
+
+    /** Record position + 1 per slot; 0 marks an empty slot. */
+    std::vector<std::uint32_t> index_;
+
+    /** 64 - log2(index_.size()). */
+    unsigned shift_ = 64;
 };
 
 /**

@@ -150,19 +150,6 @@ Translated::Translated(const bytecode::Method &method, vm::FuseOptions fuse)
 {
 }
 
-namespace {
-
-struct SwitchEveryYieldpoint : vm::ThreadScheduler
-{
-    bool
-    onYieldpoint(std::uint32_t, vm::YieldpointKind, bool) override
-    {
-        return true;
-    }
-};
-
-} // namespace
-
 ParkedRun
 runWithConstantParking(const bytecode::Program &p, vm::EngineKind kind,
                        vm::FuseOptions fuse)

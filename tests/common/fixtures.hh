@@ -5,8 +5,9 @@
  * @file
  * Shared test helpers: canned assembly programs, a random-CFG method
  * generator for property tests, an always-sample controller, the
- * canonical translation the stream proof checks, a run that parks
- * at every yieldpoint, and gtest's printer for edge-profile sets.
+ * canonical translation the stream proof checks, a scheduler that
+ * parks at every yieldpoint and a run under it, and gtest's printer
+ * for edge-profile sets.
  */
 
 #include <cstdint>
@@ -198,6 +199,18 @@ class AlwaysSample final : public core::SamplingController
     std::string name() const override { return "always"; }
 };
 
+/** Parks the running thread at every yieldpoint: each
+ *  Interpreter::resume() returns after at most one. */
+class SwitchEveryYieldpoint final : public vm::ThreadScheduler
+{
+  public:
+    bool
+    onYieldpoint(std::uint32_t, vm::YieldpointKind, bool) override
+    {
+        return true;
+    }
+};
+
 /** One method translated under `fuse` against the canonical version
  *  the static tools prove (analysis::canonicalVersion): full-opt
  *  costs, no layout information. */
@@ -211,10 +224,9 @@ struct Translated
                         vm::FuseOptions fuse = {});
 };
 
-/** A run whose scheduler requests a context switch at every
- *  yieldpoint, so frames park at every opportunity the contract
- *  allows — including with a caller sitting mid-block at an Invoke
- *  while its callee's entry yieldpoint fires. */
+/** A run under SwitchEveryYieldpoint, so frames park at every
+ *  opportunity the contract allows — including with a caller sitting
+ *  mid-block at an Invoke while its callee's entry yieldpoint fires. */
 struct ParkedRun
 {
     /** testing::serializeRun of the finished machine. */

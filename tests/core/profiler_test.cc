@@ -5,7 +5,8 @@
  * bookkeeping and layout-source fallback, the zero-cost property of
  * ground-truth recorders, the cost ordering of the reference
  * profilers, edge profiles derived from the paths of inlined and
- * cloned versions, and the threaded engine's inline path register
+ * cloned versions, PEP's fold of sampled paths at every read of its
+ * edge profile, and the threaded engine's inline path register
  * against the same profiler driven through a forwarding hook.
  */
 
@@ -28,6 +29,7 @@
 #include "testing/observables.hh"
 #include "vm/compiled_method.hh"
 #include "vm/inliner.hh"
+#include "vm/interpreter.hh"
 #include "vm/layout.hh"
 #include "vm/machine.hh"
 #include "workload/suite.hh"
@@ -270,6 +272,111 @@ TEST(Pep, EdgeProfileIsExpansionOfSampledPaths)
     // Rebuild the edge profile from the sampled path records; it must
     // equal the incrementally maintained one exactly.
     EXPECT_EQ(edgeProfileFromPaths(om.machine, pep), pep.edgeProfile());
+}
+
+TEST(Pep, EveryReadSeesEverySample)
+{
+    // PEP folds sampled paths into its edge profile when the profile is
+    // read. Read it between parks at every yieldpoint, through
+    // layoutProfile first at some parks and edgeProfile first at the
+    // others: each read must equal the fold of PEP's own path table,
+    // with inlined bodies, OSR and k-windows in play.
+    std::vector<bytecode::Program> programs = {test::callSwitchProgram()};
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        testing::FuzzSpec spec;
+        spec.seed = seed;
+        programs.push_back(testing::generateProgram(spec));
+    }
+    std::uint64_t own_layout_reads = 0;
+    std::uint64_t inlined_samples = 0;
+    std::uint64_t osrs = 0;
+    for (std::size_t p = 0; p < programs.size(); ++p) {
+        const bytecode::Program &program = programs[p];
+        for (const vm::EngineKind engine :
+             {vm::EngineKind::Switch, vm::EngineKind::Threaded}) {
+            for (const std::uint32_t k : {1u, 2u}) {
+                const std::string where =
+                    "program " + std::to_string(p) + ' ' +
+                    vm::engineKindName(engine) + " k " + std::to_string(k);
+                vm::SimParams params;
+                params.engine = engine;
+                params.enableInlining = true;
+                params.enableOsr = true;
+                params.tickCycles = 2'000;
+                vm::Machine machine(program, params);
+                test::AlwaysSample always;
+                PepOptions options;
+                options.kIterations = k;
+                PepProfiler pep(machine, always, options);
+                machine.addHooks(&pep);
+                machine.addCompileObserver(&pep);
+                test::SwitchEveryYieldpoint scheduler;
+                machine.setScheduler(&scheduler);
+
+                std::uint64_t park = 0;
+                std::uint64_t mismatches = 0;
+                const auto read = [&] {
+                    const profile::EdgeProfileSet want =
+                        edgeProfileFromPaths(machine, pep);
+                    if (park++ % 2 == 0) {
+                        for (std::size_t m = 0; m < machine.numMethods();
+                             ++m) {
+                            const auto method =
+                                static_cast<bytecode::MethodId>(m);
+                            const profile::MethodEdgeProfile *seen =
+                                pep.layoutProfile(method);
+                            if (!seen || seen == &machine.oneTimeEdges()
+                                                      .perMethod[method])
+                                continue;
+                            ++own_layout_reads;
+                            mismatches += *seen != want.perMethod[m];
+                        }
+                    }
+                    mismatches += pep.edgeProfile() != want;
+                };
+                // callSwitchProgram's main loops 12 times, a generated
+                // main's driver 48: run the first often enough to tier
+                // up and take OSR.
+                const int runs = p == 0 ? 12 : 1;
+                vm::Interpreter interp(machine);
+                for (int iteration = 0; iteration < 2; ++iteration) {
+                    for (int run = 0; run < runs; ++run) {
+                        interp.start(program.mainMethod);
+                        while (!interp.resume())
+                            read();
+                        read();
+                    }
+                    EXPECT_EQ(mismatches, 0u) << where << " iteration "
+                                              << iteration;
+                    ASSERT_GT(pep.pepStats().samplesRecorded, 0u) << where;
+                    for (const auto &[key, vp] : pep.versionProfiles()) {
+                        if (vp->state->compiled->inlinedBody)
+                            inlined_samples += vp->paths.totalCount();
+                    }
+
+                    // Cleared, every read is zeros; the next iteration
+                    // must match again.
+                    pep.clearProfiles();
+                    EXPECT_EQ(pep.edgeProfile().totalCount(), 0u) << where;
+                    for (std::size_t m = 0; m < machine.numMethods(); ++m) {
+                        const profile::MethodEdgeProfile *seen =
+                            pep.layoutProfile(
+                                static_cast<bytecode::MethodId>(m));
+                        EXPECT_TRUE(!seen ||
+                                    seen == &machine.oneTimeEdges()
+                                                 .perMethod[m])
+                            << where;
+                    }
+                }
+                osrs += machine.stats().osrs;
+            }
+        }
+    }
+    // The sweep must read PEP's own profile through layoutProfile, and
+    // sample inlined bodies and replace frames.
+    EXPECT_GT(own_layout_reads, 0u);
+    EXPECT_GT(inlined_samples, 0u);
+    EXPECT_GT(osrs, 0u);
 }
 
 TEST(Pep, LayoutSourceFallsBackUntilEvidence)

@@ -1,12 +1,16 @@
 /**
  * @file
  * Edge- and path-profile container tests: branch counters, bias,
- * flipping, merging, lazy expansion, and path->edge accumulation.
+ * flipping, merging, the flat path table, lazy expansion, and
+ * path->edge accumulation.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "bytecode/cfg_builder.hh"
 #include "common/fixtures.hh"
@@ -236,6 +240,112 @@ TEST_F(PathProfileFixture, AccumulateEdgeProfileWeightsByCount)
     for (const cfg::EdgeRef &e : record->cfgEdges)
         EXPECT_EQ(edges.edgeCount(e), 10u);
     EXPECT_EQ(edges.totalCount(), 10u * record->cfgEdges.size());
+}
+
+/**
+ * `n` ids whose hashes share their top 16 bits, `top`: every index of
+ * up to 2^16 slots gives all of them one home slot.
+ */
+std::vector<std::uint64_t>
+collidingIds(std::uint64_t top, std::uint64_t n)
+{
+    // The multiplier is odd, so it is invertible modulo 2^64; each
+    // Newton step doubles the inverse's correct low bits (from 3).
+    constexpr std::uint64_t k = MethodPathProfile::kHashMultiplier;
+    std::uint64_t inverse = k;
+    for (int step = 0; step < 5; ++step)
+        inverse *= 2 - k * inverse;
+    std::vector<std::uint64_t> ids;
+    for (std::uint64_t low = 0; low < n; ++low)
+        ids.push_back(((top << 48) | low) * inverse);
+    return ids;
+}
+
+/** Every record of `profile`, with paths() checked to visit each
+ *  path once and to agree with find(). */
+std::map<std::uint64_t, std::uint64_t>
+countsOf(const MethodPathProfile &profile)
+{
+    std::map<std::uint64_t, std::uint64_t> counts;
+    for (const auto &[number, record] : profile.paths()) {
+        EXPECT_TRUE(counts.emplace(number, record.count).second)
+            << "path " << number << " visited twice";
+        EXPECT_EQ(profile.find(number), &record) << "path " << number;
+    }
+    return counts;
+}
+
+TEST(PathTable, CountsTenThousandIdsExactly)
+{
+    // Dense ids from 0, the top of the 62-bit id space, and 300 ids
+    // that share one home slot — the index's last, so their probe
+    // cluster wraps around to slot 0 — at every size the table grows
+    // through.
+    std::vector<std::uint64_t> ids;
+    for (std::uint64_t n = 0; n < 10'000; ++n)
+        ids.push_back(n);
+    ids.push_back((std::uint64_t{1} << 62) - 1);
+    const std::vector<std::uint64_t> colliding = collidingIds(0xffff, 400);
+    ids.insert(ids.end(), colliding.begin(), colliding.begin() + 300);
+
+    MethodPathProfile profile;
+    std::map<std::uint64_t, std::uint64_t> want;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t i = 0; i < ids.size(); i += pass + 1) {
+            const std::uint64_t n = i % 7 + 1;
+            EXPECT_EQ(profile.addSample(ids[i], n).count, want[ids[i]] += n);
+        }
+    }
+    std::uint64_t total = 0;
+    for (const auto &[number, count] : want)
+        total += count;
+    EXPECT_EQ(profile.numDistinctPaths(), want.size());
+    EXPECT_EQ(profile.totalCount(), total);
+    EXPECT_EQ(countsOf(profile), want);
+
+    // Ids never recorded, among them more of the colliding cluster's.
+    for (std::uint64_t n = 10'000; n < 10'100; ++n)
+        EXPECT_EQ(profile.find(n), nullptr) << n;
+    for (std::size_t i = 300; i < colliding.size(); ++i)
+        EXPECT_EQ(profile.find(colliding[i]), nullptr) << colliding[i];
+
+    // A copy finds every record in its own table, also once its source
+    // is cleared: the index holds positions, not pointers into the
+    // source. A move takes the table along.
+    MethodPathProfile copy = profile;
+    profile.clear();
+    EXPECT_EQ(countsOf(copy), want);
+    const MethodPathProfile moved = std::move(copy);
+    EXPECT_EQ(countsOf(moved), want);
+
+    // Cleared, the table is empty and takes new records again.
+    EXPECT_EQ(profile.numDistinctPaths(), 0u);
+    EXPECT_EQ(profile.totalCount(), 0u);
+    EXPECT_TRUE(profile.paths().empty());
+    EXPECT_EQ(profile.find(0), nullptr);
+    EXPECT_EQ(profile.find(colliding[0]), nullptr);
+    std::map<std::uint64_t, std::uint64_t> again;
+    for (std::size_t i = 0; i < ids.size(); i += 3) {
+        profile.addSample(ids[i], 2);
+        again[ids[i]] += 2;
+    }
+    EXPECT_EQ(profile.numDistinctPaths(), again.size());
+    EXPECT_EQ(countsOf(profile), again);
+}
+
+TEST(PathTable, PositionsOutliveInsertions)
+{
+    // insert() hands out positions that stay valid while later
+    // insertions move every record.
+    MethodPathProfile profile;
+    const std::uint32_t first = profile.insert(42);
+    EXPECT_EQ(profile.insert(42), first);
+    for (std::uint64_t n = 0; n < 1'000; ++n)
+        profile.addSample(n + 100);
+    profile.recordAt(first).count += 3;
+    ASSERT_NE(profile.find(42), nullptr);
+    EXPECT_EQ(profile.find(42)->count, 3u);
+    EXPECT_EQ(profile.paths()[first].first, 42u);
 }
 
 } // namespace
