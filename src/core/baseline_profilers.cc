@@ -1,6 +1,6 @@
 #include "core/baseline_profilers.hh"
 
-#include "vm/inliner.hh"
+#include "core/path_gains.hh"
 
 namespace pep::core {
 
@@ -66,12 +66,10 @@ foldPathEdges(profile::EdgeProfileSet &edges,
               const MethodProfilingState &state,
               const profile::PathRecord &record, std::uint64_t count)
 {
-    // A synthesized (inlined or cloned) version's paths run over its
-    // own CFG; they fold onto the bytecode tables like truth.
-    const vm::InlinedBody *inlined =
-        state.compiled ? state.compiled->inlinedBody.get() : nullptr;
-    for (const cfg::EdgeRef &edge : record.cfgEdges)
-        vm::foldEdge(edges, state.method, inlined, edge, count);
+    forEachBytecodeEdge(state, record,
+                        [&](bytecode::MethodId method, cfg::EdgeRef edge) {
+                            edges.perMethod[method].addEdge(edge, count);
+                        });
 }
 
 profile::EdgeProfileSet

@@ -77,11 +77,11 @@ class InstrEdgeProfiler final : public vm::ExecutionHooks
 
 /**
  * Add `count` executions of one path of `state`'s version to `edges`:
- * each CFG edge of the expanded `record` folds onto its bytecode-level
- * counter through vm::foldEdge, so the branches of an inlined or cloned
- * version count at the bytecode branches they came from (Section 4.3).
- * The one path-to-edge fold: PEP's edge profile and
- * edgeProfileFromPaths both add through it.
+ * each CFG edge of the expanded `record` counts at its bytecode-level
+ * edge (forEachBytecodeEdge, core/path_gains.hh), so the branches of an
+ * inlined or cloned version count at the bytecode branches they came
+ * from (Section 4.3). PEP's edge profile and edgeProfileFromPaths both
+ * add through it.
  */
 void foldPathEdges(profile::EdgeProfileSet &edges,
                    const MethodProfilingState &state,

@@ -91,8 +91,9 @@ PepProfiler::onYieldpoint(const vm::FrameView &frame,
 void
 PepProfiler::recordSample(VersionProfile &vp, std::uint64_t number)
 {
-    const std::uint32_t position = vp.paths.insert(number);
-    profile::PathRecord &record = vp.paths.recordAt(position);
+    // Edges are folded when the profile is read (foldSampledPaths).
+    profile::PathRecord &record =
+        sampled_.count(vp, vp.paths.insert(number));
     if (!record.expanded) {
         // First sample of this path: trace its edges in the P-DAG
         // (Section 3.3) and cache the expansion.
@@ -100,24 +101,16 @@ PepProfiler::recordSample(VersionProfile &vp, std::uint64_t number)
         profile::expandRecord(record, *vp.state->reconstructor, number,
                               &vp.state->kpath);
     }
-    // Edges are folded when the profile is read: a record joins the
-    // unfolded list at its first sample since the last fold.
-    if (record.count == record.folded)
-        unfolded_.push_back({&vp, position});
-    ++record.count;
 }
 
 void
 PepProfiler::foldSampledPaths() const
 {
-    for (const Unfolded &entry : unfolded_) {
-        profile::PathRecord &record =
-            entry.version->paths.recordAt(entry.position);
-        foldPathEdges(edges_, *entry.version->state, record,
-                      record.count - record.folded);
-        record.folded = record.count;
-    }
-    unfolded_.clear();
+    sampled_.drain([this](VersionProfile &vp, std::uint64_t /*number*/,
+                          const profile::PathRecord &record,
+                          std::uint64_t gain) {
+        foldPathEdges(edges_, *vp.state, record, gain);
+    });
 }
 
 const profile::MethodEdgeProfile *
@@ -151,7 +144,7 @@ void
 PepProfiler::clearProfiles()
 {
     clearPathProfiles();
-    unfolded_.clear();
+    sampled_.clear();
     edges_.clear();
     stats_ = PepStats{};
     for (PendingSample &pending : pending_)

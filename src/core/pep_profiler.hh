@@ -27,6 +27,7 @@
 #include <cstdint>
 
 #include "core/path_engine.hh"
+#include "core/path_gains.hh"
 #include "core/sampling.hh"
 #include "profile/edge_profile.hh"
 #include "profile/path_profile.hh"
@@ -126,7 +127,7 @@ class PepProfiler final : public PathEngine, public vm::LayoutSource
     freqProfileFor(bytecode::MethodId method) override;
 
   private:
-    /** Dropping the path records alone would leave unfolded_ naming
+    /** Dropping the path records alone would leave sampled_ naming
      *  records that are gone; clearProfiles() drops both. */
     using PathEngine::clearPathProfiles;
 
@@ -154,23 +155,15 @@ class PepProfiler final : public PathEngine, public vm::LayoutSource
     /** Count one sample of `number` in `vp`'s path table. */
     void recordSample(VersionProfile &vp, std::uint64_t number);
 
-    /** Fold every record in unfolded_ into edges_ with the count it
-     *  gained since its last fold. */
+    /** Fold every record sampled since the last fold into edges_
+     *  with the count it gained. */
     void foldSampledPaths() const;
-
-    /** A path record sampled since the last fold, held by position:
-     *  an insertion into its table may move the records. */
-    struct Unfolded
-    {
-        VersionProfile *version = nullptr;
-        std::uint32_t position = 0;
-    };
 
     SamplingController &controller_;
 
     /** Folded up to the last read (see foldSampledPaths). */
     mutable profile::EdgeProfileSet edges_;
-    mutable std::vector<Unfolded> unfolded_;
+    mutable PathGains sampled_;
     PepStats stats_;
 
     /** Indexed by virtual thread id; single-threaded runs use slot 0. */

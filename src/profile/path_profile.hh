@@ -27,9 +27,11 @@ struct PathRecord
     std::uint64_t count = 0;
 
     /**
-     * The part of count a consumer has already folded into an edge
-     * profile it derives incrementally (core::PepProfiler folds a
-     * record's new samples when its edge profile is read).
+     * The part of count already passed on by a client that hands its
+     * path table's growth on in batches (core::PathGains): PepProfiler
+     * folds a record's new samples into its edge profile when that is
+     * read, the service's StreamRecorder publishes a record's new
+     * completions to its aggregator once per epoch.
      */
     std::uint64_t folded = 0;
 

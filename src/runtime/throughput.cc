@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "core/path_engine.hh"
+#include "core/path_gains.hh"
 #include "profile/path_profile.hh"
 #include "support/panic.hh"
-#include "vm/inliner.hh"
 #include "vm/interpreter.hh"
 
 namespace pep::runtime {
@@ -16,11 +16,13 @@ namespace pep::runtime {
 namespace {
 
 /**
- * A PathEngine that records *every* completed path (and its expanded
- * edges) into the shared aggregator — a worst-case write load for the
- * aggregation strategies: where PEP samples a handful of paths per
- * tick, this hammers the profile on every path completion, so the
- * sharded-vs-mutex gap is fully exposed.
+ * A PathEngine that counts *every* completed path — the heaviest
+ * producer the aggregation strategies face: where PEP samples a
+ * handful of paths per tick, this profiles every completion. A
+ * completion is one probe and one increment of the version's own path
+ * table; publish() hands each path's gain since the last publish to
+ * the shared aggregator as one path record plus one record per folded
+ * bytecode edge, each carrying the gain.
  */
 class StreamRecorder final : public core::PathEngine
 {
@@ -35,46 +37,49 @@ class StreamRecorder final : public core::PathEngine
     {
     }
 
+    /** Path completions, counted where they happen. */
     std::uint64_t pathRecords = 0;
+
+    /** Folded edge executions, counted when they are published. */
     std::uint64_t edgeRecords = 0;
+
+    /** Send every path counted since the last publish to the sink.
+     *  Call before each aggregator flush of this shard. */
+    void
+    publish()
+    {
+        completed_.drain([this](core::VersionProfile &vp,
+                                std::uint64_t path_number,
+                                profile::PathRecord &record,
+                                std::uint64_t gain) {
+            const core::MethodProfilingState &state = *vp.state;
+            if (!record.expanded) {
+                profile::expandRecord(record, *state.reconstructor,
+                                      path_number, &state.kpath);
+            }
+            sink_.recordPath(shard_, state.method, path_number, gain);
+            core::forEachBytecodeEdge(
+                state, record,
+                [&](bytecode::MethodId method, cfg::EdgeRef edge) {
+                    sink_.recordEdge(shard_, method, edge, gain);
+                    edgeRecords += gain;
+                });
+        });
+    }
 
   protected:
     void
     pathCompleted(core::VersionProfile &vp, std::uint64_t path_number,
                   std::uint32_t /*thread*/) override
     {
-        profile::PathRecord &record = vp.paths.addSample(path_number);
-        if (!record.expanded) {
-            profile::expandRecord(record, *vp.state->reconstructor,
-                                  path_number, &vp.state->kpath);
-        }
-        sink_.recordPath(shard_, vp.state->method, path_number);
+        completed_.count(vp, vp.paths.insert(path_number));
         ++pathRecords;
-        recordCfgEdges(*vp.state, record.cfgEdges);
     }
 
   private:
-    /** Fold a path's edges into the aggregator at their bytecode-level
-     *  counters (vm::bytecodeEdge, as PepProfiler does). */
-    void
-    recordCfgEdges(const core::MethodProfilingState &state,
-                   const std::vector<cfg::EdgeRef> &cfg_edges)
-    {
-        const vm::InlinedBody *inlined =
-            state.compiled ? state.compiled->inlinedBody.get()
-                           : nullptr;
-        for (const cfg::EdgeRef &edge : cfg_edges) {
-            const vm::BytecodeEdge folded =
-                vm::bytecodeEdge(state.method, inlined, edge);
-            if (!folded.valid())
-                continue;
-            sink_.recordEdge(shard_, folded.method, folded.edge);
-            ++edgeRecords;
-        }
-    }
-
     ProfileAggregator &sink_;
     const std::uint32_t shard_;
+    core::PathGains completed_;
 };
 
 struct WorkerTally
@@ -85,7 +90,8 @@ struct WorkerTally
 };
 
 /** One worker: a private machine simulating its stream shard,
- *  recording into the shared aggregator, flushing each epoch. */
+ *  publishing its epoch's paths to the shared aggregator and flushing
+ *  at each epoch boundary. */
 void
 workerBody(const RequestStream &stream, const ThroughputOptions &options,
            ProfileAggregator &aggregator, std::uint32_t worker,
@@ -107,10 +113,12 @@ workerBody(const RequestStream &stream, const ThroughputOptions &options,
         }
         ++tally.requests;
         if (++since_flush >= options.epochRequests) {
+            recorder.publish();
             aggregator.flush(worker);
             since_flush = 0;
         }
     }
+    recorder.publish();
     aggregator.flush(worker);
     tally.pathRecords = recorder.pathRecords;
     tally.edgeRecords = recorder.edgeRecords;

@@ -5,8 +5,13 @@
  * @file
  * The parallel throughput mode: N OS worker threads, each with a
  * private Machine, drive disjoint shards of a request stream and
- * record path/edge events into a shared ProfileAggregator, flushing at
- * epoch boundaries. This is the layer where real concurrency exists —
+ * profile every completed path. A worker counts each completion in
+ * its own per-version path table; at every epoch boundary (each
+ * `epochRequests` requests, and once at worker exit) it publishes the
+ * epoch's path counts to a shared ProfileAggregator — one path record
+ * plus one edge record per folded bytecode edge for each path that
+ * completed in the epoch, each carrying the path's count — and then
+ * flushes its shard. This is the layer where real concurrency exists —
  * the cooperative scheduler (coop_scheduler.hh) multiplexes virtual
  * threads over one clock; here separate machines race on wall-clock
  * time and only the aggregator is shared.
@@ -61,7 +66,15 @@ struct ThroughputResult
 {
     double wallSeconds = 0.0;
     std::uint64_t requestsCompleted = 0;
+
+    /** Completed paths, counted where each completes: every one of
+     *  them must reach the totals below. */
     std::uint64_t pathRecords = 0;
+
+    /** Bytecode-edge executions those paths fold onto, counted when
+     *  they are published: a path published with count c adds c per
+     *  folded edge. Both are counts of events, not of aggregator
+     *  calls. */
     std::uint64_t edgeRecords = 0;
     double requestsPerSecond = 0.0;
 

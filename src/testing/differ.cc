@@ -23,6 +23,7 @@
 #include "support/panic.hh"
 #include "testing/observables.hh"
 #include "testing/oracle.hh"
+#include "testing/service_oracle.hh"
 #include "vm/inliner.hh"
 #include "vm/machine.hh"
 
@@ -1176,7 +1177,17 @@ runThreadedDiff(const ThreadedDiffOptions &opts)
                          "per-thread oracle sum vs interleaved truth",
                          report);
 
-    // Check 4: aggregation strategy changes throughput, never counts.
+    // Check 4: aggregation strategy changes throughput, never counts —
+    // and the counts are what each shard completes alone, whatever the
+    // recorder and the aggregator do with them.
+    const ServiceTotals solo =
+        soloServiceTotals(stream, opts.workers, params);
+    auto check_solo = [&](const runtime::ThroughputResult &result,
+                          const std::string &label) {
+        for (const std::string &mismatch :
+             serviceTotalsMismatches(result, solo))
+            addViolation(report, label + " vs solo oracle: " + mismatch);
+    };
     runtime::ThroughputOptions t_options;
     t_options.workers = opts.workers;
     t_options.epochRequests = opts.epochRequests;
@@ -1199,6 +1210,8 @@ runThreadedDiff(const ThreadedDiffOptions &opts)
                          "sharded vs mutex edge totals", report);
     if (sharded.paths != mutex_global.paths)
         addViolation(report, "sharded vs mutex path totals diverge");
+    check_solo(sharded, "sharded");
+    check_solo(mutex_global, "mutex");
     report.blppPaths = sharded.pathRecords;
 
     // Checks 5-6: the ring transport. Ample capacity first — the run
@@ -1224,6 +1237,7 @@ runThreadedDiff(const ThreadedDiffOptions &opts)
             addViolation(report,
                          "drop-free ring vs mutex path totals diverge");
         }
+        check_solo(ring, "drop-free ring");
     } else {
         std::ostringstream os;
         os << "ring (ample) dropped " << ring.transport.dropped

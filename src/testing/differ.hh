@@ -312,12 +312,15 @@ const ThreadedDiffOptions *findThreadedConfig(const std::string &name);
  *     the sum of K per-thread exact-oracle solo runs (thread t replays
  *     its request subsequence alone, same thread id, fresh machine);
  *  4. sharded and mutex-global aggregation over OS worker threads
- *     produce count-for-count identical edge and path totals;
+ *     produce count-for-count identical edge and path totals, equal to
+ *     the per-shard solo oracle's (testing/service_oracle.hh), with
+ *     pathRecords and edgeRecords equal to its path and edge counts;
  *  5. the ring transport conserves samples — produced == consumed +
  *     dropped at quiescence, for both ample and tiny rings (drops must
  *     be *counted*, never silent);
  *  6. a drop-free ring run is count-for-count identical to mutex
- *     aggregation, and a drop-heavy run stays bounded by it.
+ *     aggregation and to the solo oracle, and a drop-heavy run stays
+ *     bounded by mutex aggregation.
  */
 DiffReport runThreadedDiff(const ThreadedDiffOptions &opts);
 

@@ -20,6 +20,7 @@
 #include "runtime/sharded_profile.hh"
 #include "runtime/throughput.hh"
 #include "testing/observables.hh"
+#include "testing/service_oracle.hh"
 #include "vm/interpreter.hh"
 #include "vm/machine.hh"
 
@@ -305,6 +306,56 @@ TEST(RuntimeThroughputTest, ShardedAndMutexProduceIdenticalProfiles)
     EXPECT_EQ(sharded.edgeRecords, mutex_global.edgeRecords);
     EXPECT_EQ(sharded.edges, mutex_global.edges);
     EXPECT_EQ(sharded.paths, mutex_global.paths);
+}
+
+TEST(RuntimeThroughputTest, TotalsMatchPerShardSoloOracle)
+{
+    // Workers publish each epoch's path counts; whatever the epoch
+    // length, engine, compilation or aggregation, every completed path
+    // must reach the totals exactly once. The oracle replays each shard
+    // alone under a full path profiler, bypassing recorder and
+    // aggregator alike. The default ring holds every record a shard
+    // this small produces, so the ring runs cannot drop.
+    runtime::RequestStream stream(smallSpec(43, 96));
+    constexpr std::uint32_t kWorkers = 3;
+    const std::uint32_t past_shard =
+        static_cast<std::uint32_t>(stream.requests().size()) + 1;
+    for (const vm::EngineKind engine :
+         {vm::EngineKind::Switch, vm::EngineKind::Threaded}) {
+        for (const bool inline_and_osr : {false, true}) {
+            vm::SimParams params = fastTickParams();
+            params.engine = engine;
+            params.enableInlining = inline_and_osr;
+            params.enableOsr = inline_and_osr;
+            const testing::ServiceTotals oracle =
+                testing::soloServiceTotals(stream, kWorkers, params);
+            ASSERT_GT(oracle.edges.totalCount(), 0u);
+            for (const std::uint32_t epoch : {1u, 7u, 64u, past_shard}) {
+                for (const auto aggregation :
+                     {runtime::ThroughputOptions::Aggregation::Sharded,
+                      runtime::ThroughputOptions::Aggregation::Mutex,
+                      runtime::ThroughputOptions::Aggregation::Ring}) {
+                    SCOPED_TRACE(
+                        std::string(vm::engineKindName(engine)) +
+                        (inline_and_osr ? ", inlining+OSR" : "") +
+                        ", epochRequests " + std::to_string(epoch) +
+                        ", aggregation " +
+                        std::to_string(static_cast<int>(aggregation)));
+                    runtime::ThroughputOptions options;
+                    options.workers = kWorkers;
+                    options.epochRequests = epoch;
+                    options.aggregation = aggregation;
+                    options.params = params;
+                    const runtime::ThroughputResult result =
+                        runtime::runThroughput(stream, options);
+                    ASSERT_EQ(result.transport.dropped, 0u);
+                    EXPECT_EQ(testing::serviceTotalsMismatches(result,
+                                                               oracle),
+                              std::vector<std::string>{});
+                }
+            }
+        }
+    }
 }
 
 TEST(RuntimeThroughputTest, ThreadedEngineMatchesSwitchTotals)
