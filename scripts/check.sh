@@ -36,7 +36,7 @@ run_suite build-sanitize -DPEP_SANITIZE=ON
 echo "== check.sh: TSan build (runtime suites) =="
 cmake -B build-tsan -S . -DPEP_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$(nproc)" --target runtime_test \
-    parallel_runner_test fusion_test pep_fuzz
+    parallel_runner_test fusion_test pep_fuzz tab_transport tab_concurrency
 ctest --test-dir build-tsan --output-on-failure -L runtime \
     "${CTEST_ARGS[@]}"
 

@@ -36,11 +36,8 @@
 #include <vector>
 
 #include "bytecode/cfg_builder.hh"
-#include "runtime/spsc_ring.hh"
 
 namespace pep::runtime {
-
-struct PathKey; // sharded_profile.hh
 
 /** Windowed path entries decaying below this weight are pruned. */
 inline constexpr double kWindowPruneEpsilon = 1e-6;

@@ -7,7 +7,7 @@ namespace pep::runtime {
 RingAggregator::RingAggregator(
     const std::vector<const bytecode::MethodCfg *> &cfgs,
     std::uint32_t shards, const RingOptions &options)
-    : options_(options), globalEdges_(cfgs)
+    : ProfileAggregator(cfgs, shards), options_(options)
 {
     PEP_ASSERT(shards > 0);
     lanes_.reserve(shards);
@@ -28,7 +28,7 @@ RingAggregator::~RingAggregator()
 }
 
 void
-RingAggregator::push(std::uint32_t shard, const SampleRecord &record)
+RingAggregator::record(std::uint32_t shard, const SampleRecord &record)
 {
     Lane &lane = *lanes_[shard];
     const std::uint64_t nth =
@@ -48,27 +48,9 @@ RingAggregator::push(std::uint32_t shard, const SampleRecord &record)
 }
 
 void
-RingAggregator::recordEdge(std::uint32_t shard,
-                           bytecode::MethodId method, cfg::EdgeRef edge,
-                           std::uint64_t n)
-{
-    PEP_ASSERT(shard < lanes_.size());
-    push(shard, SampleRecord::forEdge(method, edge, n));
-}
-
-void
-RingAggregator::recordPath(std::uint32_t shard,
-                           bytecode::MethodId method,
-                           std::uint64_t path_number, std::uint64_t n)
-{
-    PEP_ASSERT(shard < lanes_.size());
-    push(shard, SampleRecord::forPath(method, path_number, n));
-}
-
-void
 RingAggregator::flush(std::uint32_t shard)
 {
-    PEP_ASSERT(shard < lanes_.size());
+    checkShard(shard);
     Lane &lane = *lanes_[shard];
     lane.epochMarks.fetch_add(1, std::memory_order_relaxed);
     if (!lane.ring.tryPush(SampleRecord::epochMark()))
@@ -78,25 +60,21 @@ RingAggregator::flush(std::uint32_t shard)
 void
 RingAggregator::apply(std::uint32_t shard, const SampleRecord &record)
 {
+    // The entry points checked the record before it was pushed.
     switch (record.kind) {
       case SampleRecord::Kind::Edge:
-        PEP_ASSERT(record.method < globalEdges_.perMethod.size());
-        globalEdges_.perMethod[record.method].addEdge(record.edge,
-                                                      record.count);
         windows_[shard].addEdge(record.method, record.edge,
                                 record.count);
         break;
       case SampleRecord::Kind::Path:
-        PEP_ASSERT(record.method < globalEdges_.perMethod.size());
-        globalPaths_[PathKey{record.method, record.pathNumber}] +=
-            record.count;
         windows_[shard].addPath(record.method, record.pathNumber,
                                 record.count);
         break;
       case SampleRecord::Kind::EpochMark:
         windows_[shard].advance();
-        break;
+        return;
     }
+    add(record);
 }
 
 bool
@@ -139,7 +117,7 @@ RingAggregator::collectorBody()
 void
 RingAggregator::quiesce()
 {
-    if (quiesced_)
+    if (!collector_.joinable())
         return;
     stopRequested_.store(true, std::memory_order_release);
     collector_.join();
@@ -150,21 +128,6 @@ RingAggregator::quiesce()
     }
     for (const WindowedProfile &window : windows_)
         mergedWindow_.merge(window);
-    quiesced_ = true;
-}
-
-const profile::EdgeProfileSet &
-RingAggregator::globalEdges() const
-{
-    PEP_ASSERT(quiesced_);
-    return globalEdges_;
-}
-
-const PathTotals &
-RingAggregator::globalPaths() const
-{
-    PEP_ASSERT(quiesced_);
-    return globalPaths_;
 }
 
 RingTransportStats
@@ -193,7 +156,7 @@ RingAggregator::stats() const
 const WindowedProfile &
 RingAggregator::window(std::uint32_t shard) const
 {
-    PEP_ASSERT(quiesced_);
+    PEP_ASSERT(quiescent());
     PEP_ASSERT(shard < windows_.size());
     return windows_[shard];
 }
@@ -201,7 +164,7 @@ RingAggregator::window(std::uint32_t shard) const
 const WindowedProfile &
 RingAggregator::mergedWindow() const
 {
-    PEP_ASSERT(quiesced_);
+    PEP_ASSERT(quiescent());
     return mergedWindow_;
 }
 

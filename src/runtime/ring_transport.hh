@@ -6,16 +6,17 @@
  * The production sample transport: per-worker bounded SPSC ring
  * buffers (spsc_ring.hh) carrying compact SampleRecords from mutators
  * to one dedicated collector thread, which folds them into the global
- * profile and into per-shard windowed-decay profiles
- * (profile_window.hh). This is the third Aggregation strategy behind
- * the ProfileAggregator interface — the one shaped like a real
- * continuous profiler rather than a benchmark baseline:
+ * profile (through the same ProfileAggregator::add every strategy
+ * uses) and into per-shard windowed-decay profiles
+ * (profile_window.hh). Of the strategies behind ProfileAggregator
+ * this is the one shaped like a real continuous profiler rather than
+ * a benchmark baseline:
  *
- *  - **Producers never block.** recordEdge/recordPath try one
- *    lock-free push; on a full ring the record is dropped and the
- *    shard's drop counter bumped. No lock, no wait, no allocation on
- *    the mutator's path — the service's tail latency cannot be held
- *    hostage by the profiler.
+ *  - **Producers never block.** recordEdge/recordPath check the
+ *    record and try one lock-free push; on a full ring the record is
+ *    dropped and the shard's drop counter bumped. No lock, no wait,
+ *    no allocation on the mutator's path — the service's tail latency
+ *    cannot be held hostage by the profiler.
  *  - **Drops are observable, never silent.** Every lane keeps
  *    produced / dropped counters (the ring itself carries the
  *    consumed position), and the conservation law
@@ -37,7 +38,7 @@
  * the collector is the only consumer. quiesce() must be called after
  * all producers stop and before reading globalEdges()/globalPaths() —
  * it drains every ring, joins the collector, and merges the per-shard
- * windows into the merged snapshot.
+ * windows; reading either before it panics.
  */
 
 #include <atomic>
@@ -104,12 +105,6 @@ class RingAggregator final : public ProfileAggregator
     RingAggregator(const RingAggregator &) = delete;
     RingAggregator &operator=(const RingAggregator &) = delete;
 
-    void recordEdge(std::uint32_t shard, bytecode::MethodId method,
-                    cfg::EdgeRef edge, std::uint64_t n = 1) override;
-    void recordPath(std::uint32_t shard, bytecode::MethodId method,
-                    std::uint64_t path_number,
-                    std::uint64_t n = 1) override;
-
     /** Enqueue an EpochMark: the shard's window advances when the
      *  collector drains it. Never blocks; a full ring drops the mark
      *  (counted — the window just advances one epoch late). */
@@ -118,11 +113,6 @@ class RingAggregator final : public ProfileAggregator
     /** Drain all rings, stop the collector, merge windows. Idempotent;
      *  producers must already have stopped. */
     void quiesce() override;
-
-    const profile::EdgeProfileSet &globalEdges() const override;
-    const PathTotals &globalPaths() const override;
-
-    std::string name() const override { return "ring"; }
 
     /** Safe to call from any thread at any time (monitor threads poll
      *  this mid-run; every field is an atomic read). */
@@ -156,7 +146,12 @@ class RingAggregator final : public ProfileAggregator
         std::atomic<std::uint64_t> consumedSamples{0};
     };
 
-    void push(std::uint32_t shard, const SampleRecord &record);
+    /** Push onto the shard's ring; a full ring drops and counts. */
+    void record(std::uint32_t shard, const SampleRecord &record) override;
+
+    /** Collecting until quiesce() joins the collector. */
+    bool quiescent() const override { return !collector_.joinable(); }
+
     void collectorBody();
 
     /** Pop-and-apply every buffered record once; true if any drained. */
@@ -167,15 +162,12 @@ class RingAggregator final : public ProfileAggregator
     RingOptions options_;
     std::vector<std::unique_ptr<Lane>> lanes_;
 
-    // Collector-owned state: touched only by the collector thread
-    // until quiesce() joins it.
-    profile::EdgeProfileSet globalEdges_;
-    PathTotals globalPaths_;
+    // Collector-owned state (with the base's global profile): touched
+    // only by the collector thread until quiesce() joins it.
     std::vector<WindowedProfile> windows_;
     WindowedProfile mergedWindow_;
 
     std::atomic<bool> stopRequested_{false};
-    bool quiesced_ = false;
     std::thread collector_;
 };
 

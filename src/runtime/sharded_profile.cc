@@ -4,88 +4,121 @@
 
 namespace pep::runtime {
 
-ShardedAggregator::ShardedAggregator(
+ProfileAggregator::ProfileAggregator(
     const std::vector<const bytecode::MethodCfg *> &cfgs,
     std::uint32_t shards)
-    : globalEdges_(cfgs)
+    : numShards_(shards), edges_(cfgs)
 {
-    PEP_ASSERT(shards > 0);
-    shards_.resize(shards);
-    for (Shard &shard : shards_)
-        shard.edges = profile::EdgeProfileSet(cfgs);
 }
 
 void
-ShardedAggregator::recordEdge(std::uint32_t shard,
+ProfileAggregator::checkShard(std::uint32_t shard) const
+{
+    // An out-of-range worker index is a caller bug; indexing a shard
+    // or lane array with it would be silent UB.
+    PEP_ASSERT(numShards_ == 0 || shard < numShards_);
+}
+
+void
+ProfileAggregator::recordEdge(std::uint32_t shard,
                               bytecode::MethodId method,
                               cfg::EdgeRef edge, std::uint64_t n)
 {
-    // An out-of-range worker index is a caller bug; indexing shards_
-    // unchecked would be silent UB, so every entry point asserts.
-    PEP_ASSERT(shard < shards_.size());
-    Shard &s = shards_[shard];
-    s.edges.perMethod[method].addEdge(edge, n);
-    ++s.records;
+    checkShard(shard);
+    PEP_ASSERT(method < edges_.perMethod.size());
+    // The table is shaped like the method's CFG. Its shape never
+    // changes, so reading it here races with no fold.
+    const auto &counts = edges_.perMethod[method].counts();
+    PEP_ASSERT(edge.src < counts.size());
+    PEP_ASSERT(edge.index < counts[edge.src].size());
+    record(shard, SampleRecord::forEdge(method, edge, n));
 }
 
 void
-ShardedAggregator::recordPath(std::uint32_t shard,
+ProfileAggregator::recordPath(std::uint32_t shard,
                               bytecode::MethodId method,
                               std::uint64_t path_number, std::uint64_t n)
 {
-    PEP_ASSERT(shard < shards_.size());
-    Shard &s = shards_[shard];
-    s.paths[PathKey{method, path_number}] += n;
-    ++s.records;
+    checkShard(shard);
+    PEP_ASSERT(method < edges_.perMethod.size());
+    record(shard, SampleRecord::forPath(method, path_number, n));
+}
+
+const profile::EdgeProfileSet &
+ProfileAggregator::globalEdges() const
+{
+    PEP_ASSERT(quiescent());
+    return edges_;
+}
+
+const PathTotals &
+ProfileAggregator::globalPaths() const
+{
+    PEP_ASSERT(quiescent());
+    return paths_;
+}
+
+void
+ProfileAggregator::add(const SampleRecord &record)
+{
+    switch (record.kind) {
+      case SampleRecord::Kind::Edge:
+        edges_.perMethod[record.method].addEdge(record.edge,
+                                                record.count);
+        return;
+      case SampleRecord::Kind::Path:
+        paths_[PathKey{record.method, record.pathNumber}] +=
+            record.count;
+        return;
+      case SampleRecord::Kind::EpochMark:
+        break;
+    }
+    PEP_PANIC("an epoch mark carries no counts");
+}
+
+ShardedAggregator::ShardedAggregator(
+    const std::vector<const bytecode::MethodCfg *> &cfgs,
+    std::uint32_t shards)
+    : ProfileAggregator(cfgs, shards)
+{
+    PEP_ASSERT(shards > 0);
+    shards_.resize(shards);
+}
+
+void
+ShardedAggregator::record(std::uint32_t shard, const SampleRecord &record)
+{
+    shards_[shard].records.push_back(record);
 }
 
 void
 ShardedAggregator::flush(std::uint32_t shard)
 {
-    PEP_ASSERT(shard < shards_.size());
-    Shard &s = shards_[shard];
-    if (s.records == 0)
+    checkShard(shard);
+    std::vector<SampleRecord> &records = shards_[shard].records;
+    if (records.empty())
         return;
     {
         std::lock_guard<std::mutex> lock(flushMutex_);
-        globalEdges_.merge(s.edges);
-        for (const auto &[key, count] : s.paths)
-            globalPaths_[key] += count;
+        for (const SampleRecord &record : records)
+            add(record);
         flushes_.fetch_add(1, std::memory_order_relaxed);
     }
-    s.edges.clear();
-    s.paths.clear();
-    s.records = 0;
+    records.clear();
 }
 
 MutexAggregator::MutexAggregator(
     const std::vector<const bytecode::MethodCfg *> &cfgs)
-    : edges_(cfgs)
+    : ProfileAggregator(cfgs, /*shards=*/0)
 {
 }
 
 void
-MutexAggregator::recordEdge(std::uint32_t /*shard*/,
-                            bytecode::MethodId method, cfg::EdgeRef edge,
-                            std::uint64_t n)
+MutexAggregator::record(std::uint32_t /*shard*/,
+                        const SampleRecord &record)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    edges_.perMethod[method].addEdge(edge, n);
-}
-
-void
-MutexAggregator::recordPath(std::uint32_t /*shard*/,
-                            bytecode::MethodId method,
-                            std::uint64_t path_number, std::uint64_t n)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    paths_[PathKey{method, path_number}] += n;
-}
-
-void
-MutexAggregator::flush(std::uint32_t /*shard*/)
-{
-    // Every record is already global.
+    add(record);
 }
 
 } // namespace pep::runtime

@@ -5,20 +5,27 @@
  * @file
  * Concurrent profile aggregation for the parallel throughput mode.
  *
- * Two strategies behind one interface:
+ * Every strategy takes the same record — a runtime::SampleRecord
+ * (spsc_ring.hh), checked on the caller's thread by the entry points
+ * of ProfileAggregator — and folds it once, through
+ * ProfileAggregator::add, into the one global profile the base class
+ * owns. The strategies differ only in when and on which thread that
+ * fold runs:
  *
- *  - ShardedAggregator: each worker records into its own cache-line-
- *    padded shard without synchronization, and publishes shard-local
- *    counts into the global profile only at epoch boundaries (the
- *    flush takes a short global lock and uses EdgeProfileSet::merge).
- *    Workers never touch each other's shards, so the hot record path
+ *  - ShardedAggregator: each worker appends its records to its own
+ *    cache-line-padded buffer without synchronization, and at each
+ *    epoch boundary applies the buffer under one short global lock.
+ *    Workers never touch each other's buffers, so the hot record path
  *    is contention- and false-sharing-free.
  *
- *  - MutexAggregator: the textbook baseline — one global profile, one
- *    mutex, every record takes the lock. Correct, slow under
- *    contention; the benchmark measures the gap.
+ *  - MutexAggregator: the textbook baseline — every record takes the
+ *    one lock and is folded at once. Correct, slow under contention;
+ *    the benchmark measures the gap.
  *
- * Both produce identical totals for identical inputs (asserted by the
+ *  - RingAggregator (ring_transport.hh): records travel through
+ *    per-worker SPSC rings to a collector thread, which folds them.
+ *
+ * All produce identical totals for identical inputs (asserted by the
  * differ and tests/runtime): aggregation strategy must never change
  * *what* is counted, only how fast.
  */
@@ -27,12 +34,11 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bytecode/cfg_builder.hh"
 #include "profile/edge_profile.hh"
+#include "runtime/spsc_ring.hh"
 
 namespace pep::runtime {
 
@@ -56,47 +62,35 @@ struct PathKey
     }
 };
 
-struct PathKeyHash
-{
-    std::size_t
-    operator()(const PathKey &key) const
-    {
-        // splitmix64-style finalizer over the packed key.
-        std::uint64_t x =
-            (static_cast<std::uint64_t>(key.method) << 40) ^
-            key.number;
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ull;
-        x ^= x >> 27;
-        return static_cast<std::size_t>(x * 0x94d049bb133111ebull);
-    }
-};
-
 /** Path counters, ordered for deterministic iteration/serialization. */
 using PathTotals = std::map<PathKey, std::uint64_t>;
 
 /**
  * Where concurrent workers record profile events. `shard` is the
- * caller's worker index; implementations may ignore it (MutexAggregator)
- * or use it to index private storage (ShardedAggregator — each shard
- * must be driven by at most one thread at a time).
+ * caller's worker index; a strategy may ignore it (MutexAggregator)
+ * or use it to index private storage (ShardedAggregator, and the
+ * ring's lanes — each shard must be driven by at most one thread at a
+ * time).
  */
 class ProfileAggregator
 {
   public:
     virtual ~ProfileAggregator() = default;
 
-    virtual void recordEdge(std::uint32_t shard,
-                            bytecode::MethodId method, cfg::EdgeRef edge,
-                            std::uint64_t n = 1) = 0;
+    /**
+     * Record `n` crossings of `edge` / completions of path
+     * `path_number`. A shard index the strategy does not have, a
+     * method past the program, or an edge past the method's CFG is a
+     * caller bug: it panics here, on the caller's thread, before the
+     * strategy sees the record.
+     */
+    void recordEdge(std::uint32_t shard, bytecode::MethodId method,
+                    cfg::EdgeRef edge, std::uint64_t n = 1);
+    void recordPath(std::uint32_t shard, bytecode::MethodId method,
+                    std::uint64_t path_number, std::uint64_t n = 1);
 
-    virtual void recordPath(std::uint32_t shard,
-                            bytecode::MethodId method,
-                            std::uint64_t path_number,
-                            std::uint64_t n = 1) = 0;
-
-    /** Epoch boundary: publish the shard's local counts globally. A
-     *  worker must flush its shard once more after its last record. */
+    /** Epoch boundary: publish the shard's records globally. A worker
+     *  must flush its shard once more after its last record. */
     virtual void flush(std::uint32_t shard) = 0;
 
     /** Drain any background collection and stop it. Must be called
@@ -107,15 +101,40 @@ class ProfileAggregator
     virtual void quiesce() {}
 
     /** Global profiles. Only meaningful when all workers have flushed
-     *  and stopped and quiesce() ran; not synchronized with
-     *  recording. */
-    virtual const profile::EdgeProfileSet &globalEdges() const = 0;
-    virtual const PathTotals &globalPaths() const = 0;
+     *  and stopped and quiesce() ran (asserted where the strategy can
+     *  tell); not synchronized with recording. */
+    const profile::EdgeProfileSet &globalEdges() const;
+    const PathTotals &globalPaths() const;
 
-    virtual std::string name() const = 0;
+  protected:
+    /** Size the global profile for `cfgs`. Entry points accept shard
+     *  indices below `shards`; 0 accepts any (the strategy ignores the
+     *  index). */
+    ProfileAggregator(const std::vector<const bytecode::MethodCfg *> &cfgs,
+                      std::uint32_t shards);
+
+    /** Take one checked Edge or Path record from shard `shard`. */
+    virtual void record(std::uint32_t shard,
+                        const SampleRecord &record) = 0;
+
+    /** False while background collection may still write the global
+     *  profile (the ring before quiesce()). */
+    virtual bool quiescent() const { return true; }
+
+    /** Panic unless the entry points accept `shard`. */
+    void checkShard(std::uint32_t shard) const;
+
+    /** Fold one Edge or Path record into the global profile. Callers
+     *  serialize their calls. */
+    void add(const SampleRecord &record);
+
+  private:
+    const std::uint32_t numShards_;
+    profile::EdgeProfileSet edges_;
+    PathTotals paths_;
 };
 
-/** Shard-local accumulation with epoch-boundary merge. */
+/** Per-shard record buffers, applied at the epoch boundary. */
 class ShardedAggregator final : public ProfileAggregator
 {
   public:
@@ -123,22 +142,9 @@ class ShardedAggregator final : public ProfileAggregator
         const std::vector<const bytecode::MethodCfg *> &cfgs,
         std::uint32_t shards);
 
-    void recordEdge(std::uint32_t shard, bytecode::MethodId method,
-                    cfg::EdgeRef edge, std::uint64_t n = 1) override;
-    void recordPath(std::uint32_t shard, bytecode::MethodId method,
-                    std::uint64_t path_number,
-                    std::uint64_t n = 1) override;
+    /** Apply the shard's buffered records under the global lock and
+     *  empty the buffer; an empty buffer is a no-op and no flush. */
     void flush(std::uint32_t shard) override;
-
-    const profile::EdgeProfileSet &
-    globalEdges() const override
-    {
-        return globalEdges_;
-    }
-
-    const PathTotals &globalPaths() const override { return globalPaths_; }
-
-    std::string name() const override { return "sharded"; }
 
     /** Completed epoch flushes across all shards. Safe to poll from a
      *  monitor thread mid-run: the counter is atomic (workers
@@ -152,23 +158,21 @@ class ShardedAggregator final : public ProfileAggregator
     }
 
   private:
+    void record(std::uint32_t shard, const SampleRecord &record) override;
+
     /**
-     * One worker's private accumulator. alignas(64) keeps each shard
-     * on its own cache line(s): without the padding, adjacent shards'
-     * hot counters share lines and every increment ping-pongs the line
+     * One worker's record buffer. alignas(64) keeps each shard's
+     * vector on its own cache line: without the padding, adjacent
+     * shards' size fields share a line and every append ping-pongs it
      * between cores (false sharing) — the failure mode the sharded
      * design exists to avoid.
      */
     struct alignas(64) Shard
     {
-        profile::EdgeProfileSet edges;
-        std::unordered_map<PathKey, std::uint64_t, PathKeyHash> paths;
-        std::uint64_t records = 0;
+        std::vector<SampleRecord> records;
     };
 
     std::vector<Shard> shards_;
-    profile::EdgeProfileSet globalEdges_;
-    PathTotals globalPaths_;
     std::mutex flushMutex_;
     std::atomic<std::uint64_t> flushes_{0};
 };
@@ -180,26 +184,12 @@ class MutexAggregator final : public ProfileAggregator
     explicit MutexAggregator(
         const std::vector<const bytecode::MethodCfg *> &cfgs);
 
-    void recordEdge(std::uint32_t shard, bytecode::MethodId method,
-                    cfg::EdgeRef edge, std::uint64_t n = 1) override;
-    void recordPath(std::uint32_t shard, bytecode::MethodId method,
-                    std::uint64_t path_number,
-                    std::uint64_t n = 1) override;
-    void flush(std::uint32_t shard) override;
-
-    const profile::EdgeProfileSet &
-    globalEdges() const override
-    {
-        return edges_;
-    }
-
-    const PathTotals &globalPaths() const override { return paths_; }
-
-    std::string name() const override { return "mutex"; }
+    /** Every record is already global. */
+    void flush(std::uint32_t /*shard*/) override {}
 
   private:
-    profile::EdgeProfileSet edges_;
-    PathTotals paths_;
+    void record(std::uint32_t shard, const SampleRecord &record) override;
+
     std::mutex mutex_;
 };
 

@@ -3,11 +3,13 @@
 
 /**
  * @file
- * The sample transport's wire format and queue: a compact profile
- * sample record and a bounded lock-free single-producer /
- * single-consumer ring buffer, the way production sampling profilers
- * move samples from mutators to a collector (spprof's fixed-slot ring
- * with explicit dropped-sample accounting is the model).
+ * The service's profile record and the sample transport's queue: a
+ * compact profile sample record — the one record every
+ * ProfileAggregator takes (sharded_profile.hh) — and a bounded
+ * lock-free single-producer / single-consumer ring buffer, the way
+ * production sampling profilers move samples from mutators to a
+ * collector (spprof's fixed-slot ring with explicit dropped-sample
+ * accounting is the model).
  *
  * Two rules govern the design, both load-bearing for a profiler that
  * runs inside a service indefinitely:
@@ -40,7 +42,9 @@
 namespace pep::runtime {
 
 /**
- * One profile event in flight from a mutator to the collector. Plain
+ * One profile event, as every aggregator takes it: a sharded shard
+ * buffers it until its epoch flush, the mutex baseline folds it at
+ * once, and the ring carries it from a mutator to the collector. Plain
  * 32-byte POD — slots are preallocated and records are copied in/out
  * whole, so pushing is a handful of stores.
  */

@@ -17,10 +17,12 @@
  * time and only the aggregator is shared.
  *
  * Workers are deterministic in *what* they record (each machine's
- * simulation is seeded), so the merged totals are independent of both
- * the aggregation strategy and OS scheduling; only the wall time
- * varies. runThroughput() with Aggregation::Sharded and ::Mutex must
- * produce count-for-count identical profiles.
+ * simulation is seeded), and every aggregation strategy folds the same
+ * records through the one ProfileAggregator::add, so the merged totals
+ * are independent of both the strategy and OS scheduling; only the
+ * wall time varies. runThroughput() with Aggregation::Sharded, ::Mutex
+ * and a drop-free ::Ring must produce count-for-count identical
+ * profiles.
  */
 
 #include <cstdint>

@@ -10,8 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "bytecode/assembler.hh"
 #include "bytecode/cfg_builder.hh"
@@ -265,20 +263,14 @@ expectFlatEdgeNumbering(const MethodCfg &cfg, const std::string &what)
 
 TEST(CfgBuilder, EdgeBaseIsSuccessorPrefixSum)
 {
-    const std::filesystem::path dir =
-        std::filesystem::path(PEP_SOURCE_DIR) / "examples" / "programs";
     std::size_t methods = 0;
-    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
-        if (entry.path().extension() != ".pepasm")
-            continue;
-        std::ifstream in(entry.path());
-        std::ostringstream text;
-        text << in.rdbuf();
-        const Program program = assembleOrDie(text.str());
+    for (const auto &[name, text] : test::readPepasmFiles(
+             std::filesystem::path(PEP_SOURCE_DIR) / "examples" /
+             "programs")) {
+        const Program program = assembleOrDie(text);
         for (const Method &method : program.methods) {
             expectFlatEdgeNumbering(buildCfg(method),
-                                    entry.path().filename().string() +
-                                        ": " + method.name);
+                                    name + ": " + method.name);
             ++methods;
         }
     }

@@ -1,5 +1,8 @@
 #include "common/fixtures.hh"
 
+#include <fstream>
+#include <sstream>
+
 #include "analysis/verify/stream_proof.hh"
 #include "bytecode/verifier.hh"
 #include "support/panic.hh"
@@ -169,6 +172,43 @@ runWithConstantParking(const bytecode::Program &p, vm::EngineKind kind,
     machine.setScheduler(nullptr);
     run.state = testing::serializeRun(machine);
     return run;
+}
+
+std::map<std::string, std::string>
+readPepasmFiles(const std::filesystem::path &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() != ".pepasm")
+            continue;
+        std::ifstream in(entry.path());
+        std::ostringstream text;
+        text << in.rdbuf();
+        files[entry.path().filename().string()] = text.str();
+    }
+    return files;
+}
+
+void
+forEachMalformedVariant(
+    const std::string &text, std::uint64_t seed, int corruptions,
+    const std::function<void(const std::string &input,
+                             const std::string &how)> &visit)
+{
+    for (std::size_t length = 0; length < text.size(); ++length)
+        visit(text.substr(0, length), "prefix " + std::to_string(length));
+    if (text.empty())
+        return;
+    support::Rng rng(seed);
+    std::string corrupt = text;
+    for (int i = 0; i < corruptions; ++i) {
+        const std::size_t at = rng.nextBounded(text.size());
+        corrupt[at] = static_cast<char>(rng.nextBounded(256));
+        visit(corrupt, "byte " + std::to_string(at) + " = " +
+                           std::to_string(static_cast<unsigned char>(
+                               corrupt[at])));
+        corrupt[at] = text[at];
+    }
 }
 
 } // namespace pep::test

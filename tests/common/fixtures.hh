@@ -6,11 +6,15 @@
  * Shared test helpers: canned assembly programs, a random-CFG method
  * generator for property tests, an always-sample controller, the
  * canonical translation the stream proof checks, a scheduler that
- * parks at every yieldpoint and a run under it, and gtest's printer
- * for edge-profile sets.
+ * parks at every yieldpoint and a run under it, a directory's
+ * `.pepasm` files and malformed variants of a text for parser property
+ * tests, and gtest's printer for edge-profile sets.
  */
 
 #include <cstdint>
+#include <filesystem>
+#include <functional>
+#include <map>
 #include <ostream>
 #include <string>
 
@@ -241,6 +245,20 @@ ParkedRun runWithConstantParking(const bytecode::Program &p,
                                  vm::EngineKind kind,
                                  vm::FuseOptions fuse =
                                      vm::defaultFuseOptions());
+
+/** The text of every `.pepasm` file in `dir`, keyed by file name. */
+std::map<std::string, std::string>
+readPepasmFiles(const std::filesystem::path &dir);
+
+/**
+ * Hand `visit` every proper prefix of `text` (a file cut short), then
+ * `corruptions` copies of it with one byte replaced by a seeded
+ * random value. `how` names the variant for a failure message.
+ */
+void forEachMalformedVariant(
+    const std::string &text, std::uint64_t seed, int corruptions,
+    const std::function<void(const std::string &input,
+                             const std::string &how)> &visit);
 
 } // namespace pep::test
 

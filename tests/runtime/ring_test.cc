@@ -355,25 +355,65 @@ TEST_F(RuntimeRingProfileTest, WindowAdvancesWithEpochMarksInOrder)
 
 TEST_F(RuntimeRingProfileTest, OutOfRangeShardIsRejected)
 {
-    // An out-of-range worker index is a caller bug; it must panic at
-    // the API boundary, not scribble past the lane/shard arrays.
+    // An out-of-range worker index, method, block or successor index
+    // is a caller bug. Every strategy must panic at the call, on the
+    // caller's thread — not scribble past the lane/shard arrays or a
+    // method's edge table, nor (for the ring) die later on the
+    // collector thread.
+    const auto past_method = static_cast<bytecode::MethodId>(cfgs_.size());
+    const cfg::Graph &graph = cfgs_[method_].graph;
+    const cfg::EdgeRef past_block{
+        static_cast<cfg::BlockId>(graph.numBlocks()), 0};
+    const cfg::EdgeRef past_succ{
+        edge_.src, static_cast<std::uint32_t>(graph.succs(edge_.src).size())};
+    const auto expect_rejected = [&](runtime::ProfileAggregator &aggregator,
+                                     bool checks_shard) {
+        if (checks_shard) {
+            EXPECT_THROW(aggregator.recordEdge(2, method_, edge_),
+                         support::PanicError);
+            EXPECT_THROW(aggregator.recordPath(2, method_, 1),
+                         support::PanicError);
+            EXPECT_THROW(aggregator.flush(2), support::PanicError);
+        }
+        EXPECT_THROW(aggregator.recordEdge(0, past_method, edge_),
+                     support::PanicError);
+        EXPECT_THROW(aggregator.recordPath(0, past_method, 1),
+                     support::PanicError);
+        EXPECT_THROW(aggregator.recordEdge(0, method_, past_block),
+                     support::PanicError);
+        EXPECT_THROW(aggregator.recordEdge(0, method_, past_succ),
+                     support::PanicError);
+        EXPECT_THROW(aggregator.recordEdge(0, method_, {edge_.src, 7}),
+                     support::PanicError);
+    };
+
     runtime::RingOptions options;
     runtime::RingAggregator ring(cfgPtrs_, 2, options);
-    EXPECT_THROW(ring.recordEdge(2, method_, edge_),
-                 support::PanicError);
-    EXPECT_THROW(ring.recordPath(2, method_, 1), support::PanicError);
-    EXPECT_THROW(ring.flush(2), support::PanicError);
+    expect_rejected(ring, /*checks_shard=*/true);
+    EXPECT_THROW(ring.globalEdges(), support::PanicError)
+        << "the collector may still be writing before quiesce()";
+    EXPECT_THROW(ring.globalPaths(), support::PanicError);
+    EXPECT_THROW(ring.mergedWindow(), support::PanicError);
     ring.quiesce();
     EXPECT_EQ(ring.stats().produced, 0u)
         << "rejected calls must not touch the lanes";
+    EXPECT_EQ(ring.globalEdges().totalCount(), 0u);
+    EXPECT_TRUE(ring.globalPaths().empty());
 
     runtime::ShardedAggregator sharded(cfgPtrs_, 2);
-    EXPECT_THROW(sharded.recordEdge(2, method_, edge_),
-                 support::PanicError);
-    EXPECT_THROW(sharded.recordPath(2, method_, 1),
-                 support::PanicError);
-    EXPECT_THROW(sharded.flush(2), support::PanicError);
-    EXPECT_EQ(sharded.flushes(), 0u);
+    expect_rejected(sharded, /*checks_shard=*/true);
+    sharded.flush(0);
+    sharded.flush(1);
+    EXPECT_EQ(sharded.flushes(), 0u)
+        << "rejected calls must not reach the shard buffers";
+
+    // The mutex baseline ignores the shard index, and checks the rest.
+    runtime::MutexAggregator mutex_global(cfgPtrs_);
+    expect_rejected(mutex_global, /*checks_shard=*/false);
+    EXPECT_EQ(mutex_global.globalEdges().totalCount(), 0u);
+    EXPECT_TRUE(mutex_global.globalPaths().empty());
+    mutex_global.recordPath(2, method_, 1);
+    EXPECT_EQ(mutex_global.globalPaths().size(), 1u);
 }
 
 TEST_F(RuntimeRingProfileTest, MonitorThreadPollsShardedStatsMidRun)

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <exception>
+#include <filesystem>
 
 #include "common/fixtures.hh"
 #include "testing/generator.hh"
@@ -189,6 +191,53 @@ TEST(AdviceProperty, RejectsOutOfRangeLinesInValidAdvice)
         const ParseAdviceResult parsed = parseAdvice(text, cfgs);
         EXPECT_FALSE(parsed.ok) << "accepted spliced line: " << bad;
         EXPECT_FALSE(parsed.error.empty());
+    }
+}
+
+/**
+ * Malformed-input property: every prefix of each example program's
+ * recorded advice and thousands of seeded single-byte corruptions of
+ * it come back from parseAdvice either parsed or rejected with a
+ * diagnostic — never an exception, and (under the sanitizer builds)
+ * never a memory error.
+ */
+TEST(AdviceProperty, MalformedRecordedAdviceIsDiagnosedNotThrown)
+{
+    const auto files = test::readPepasmFiles(
+        std::filesystem::path(PEP_SOURCE_DIR) / "examples" / "programs");
+    ASSERT_FALSE(files.empty());
+    std::uint64_t seed = 1;
+    for (const auto &[name, source] : files) {
+        SimParams params;
+        params.tickCycles = 20'000;
+        Machine machine(bytecode::assembleOrDie(source), params);
+        machine.runIteration();
+        std::vector<bytecode::MethodCfg> cfgs;
+        for (std::size_t m = 0; m < machine.numMethods(); ++m) {
+            cfgs.push_back(
+                machine.info(static_cast<bytecode::MethodId>(m)).cfg);
+        }
+        const std::string text = serializeAdvice(machine.recordAdvice());
+        ASSERT_TRUE(parseAdvice(text, cfgs).ok) << name;
+
+        std::size_t rejected = 0;
+        test::forEachMalformedVariant(
+            text, seed++, 2000,
+            [&](const std::string &input, const std::string &how) {
+                try {
+                    const ParseAdviceResult parsed =
+                        parseAdvice(input, cfgs);
+                    if (!parsed.ok) {
+                        ++rejected;
+                        EXPECT_FALSE(parsed.error.empty())
+                            << name << ", " << how;
+                    }
+                } catch (const std::exception &e) {
+                    ADD_FAILURE() << name << ", " << how
+                                  << ": threw " << e.what();
+                }
+            });
+        EXPECT_GT(rejected, 0u) << name;
     }
 }
 
