@@ -2,7 +2,7 @@
  * @file
  * google-benchmark microbenchmarks for PEP's building blocks: P-DAG
  * construction, path numbering, greedy reconstruction (first-sample
- * slow path vs the cached common case), sampling controllers, and raw
+ * slow path vs the cached common case), the sampling countdown, and raw
  * interpreter throughput. These quantify design choices the paper
  * relies on qualitatively (e.g., caching a path's edge expansion after
  * its first sample, Section 4.3).
@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bytecode/cfg_builder.hh"
+#include "core/pep_profiler.hh"
 #include "core/sampling.hh"
 #include "profile/numbering.hh"
 #include "profile/path_profile.hh"
@@ -25,14 +26,22 @@ using namespace pep;
 
 namespace {
 
-/** A reasonably branchy method to exercise the algorithms. */
-const bytecode::Method &
-sampleMethod()
+/** A suite program with reasonably branchy methods. */
+const bytecode::Program &
+sampleProgram()
 {
     static const bytecode::Program program = [] {
         workload::WorkloadSpec spec = workload::standardSuite()[4];
         return workload::generateWorkload(spec);
     }();
+    return program;
+}
+
+/** A reasonably branchy method to exercise the algorithms. */
+const bytecode::Method &
+sampleMethod()
+{
+    const bytecode::Program &program = sampleProgram();
     bytecode::MethodId id = 0;
     program.findMethod("hot_0", id);
     return program.methods[id];
@@ -152,16 +161,26 @@ BENCHMARK(BM_SampleRecording)->Arg(0)->Arg(1);
 void
 BM_SamplingControllers(benchmark::State &state)
 {
+    // The countdown step of every sampling opportunity
+    // (vm::PathRegisterHooks::sampleOpportunity), under PEP(64,17)
+    // (arg 0) or AG(64,17) (arg 1), with a tick — the controller's
+    // next burst — every 1024 opportunities. No path completes, so
+    // no sample reaches a path table.
     core::SimplifiedArnoldGrove simplified(64, 17);
     core::FullArnoldGrove full(64, 17);
     core::SamplingController &controller =
         state.range(0) == 0
             ? static_cast<core::SamplingController &>(simplified)
             : static_cast<core::SamplingController &>(full);
+    vm::Machine machine(sampleProgram(), vm::SimParams{});
+    core::PepProfiler pep(machine, controller);
+    const vm::FrameView frame;
     std::uint64_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            controller.onOpportunity((i++ & 1023) == 0));
+        if ((i++ & 1023) == 0)
+            pep.onYieldpoint(frame, vm::YieldpointKind::LoopHeader, true);
+        else
+            benchmark::DoNotOptimize(pep.sampleOpportunity(0));
     }
 }
 BENCHMARK(BM_SamplingControllers)->Arg(0)->Arg(1);

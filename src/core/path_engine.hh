@@ -8,16 +8,18 @@
  * profile::PlanState), and executes the path-register semantics.
  * Subclasses decide what happens when a path completes (store always =
  * BLPP/perfect, through pathCompleted; store at samples = PEP, which
- * takes completions as stores into a per-thread slot and reads it at
- * sampling yieldpoints; store for free = ground truth).
+ * takes completions as stores into a per-thread slot that the
+ * register's sampling countdown reads; store for free = ground truth).
  *
  * The register runs in one of two places (docs/ENGINE.md, "Inline path
  * registers"). Under the threaded engine the first path engine
  * attached to a machine runs inline: the frames carry the registers,
  * the engine translates each version's template stream against the
  * plan this class hands it (planFor) and executes that plan's tables,
- * and this class is entered only at OSR, at armed yieldpoints and —
- * unless it stores completions — where a path completes. Otherwise —
+ * and this class is entered only at OSR, at ticks and the sampling
+ * opportunities a tick waits for, from the countdown to record a
+ * sample or arm the next burst, and — unless it samples completions —
+ * where a path completes. Otherwise —
  * the switch engine, a second path engine, or one wrapped in another
  * hook — it is driven by the ExecutionHooks events and keeps one
  * PathRegister per frame itself. Both run vm::PathRegisterHooks' code,
@@ -191,7 +193,7 @@ class PathEngine : public vm::PathRegisterHooks, public vm::CompileObserver
      * (BackEdgeTruncate mode), and at OSR for a flushed k-window.
      * `thread` is the virtual mutator thread whose path register
      * completed. Every profiler that stores each path overrides it;
-     * one that storeCompletions() never receives it (the default
+     * one that sampleCompletions() never receives it (the default
      * panics).
      */
     virtual void pathCompleted(VersionProfile &vp,

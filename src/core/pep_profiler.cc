@@ -19,79 +19,40 @@ PepProfiler::PepProfiler(vm::Machine &machine,
             &machine.info(static_cast<bytecode::MethodId>(m)).cfg);
     }
     edges_ = profile::EdgeProfileSet(cfgs);
-    storeCompletions(machine.samplingOpportunityCounts(),
-                     stats_.pathsCompleted);
-    rearm();
-}
-
-void
-PepProfiler::rearm()
-{
-    setYieldpointsArmed(ticksPending_ > 0 || !controller_.dormant());
-}
-
-PepProfiler::PendingSample &
-PepProfiler::pendingFor(std::uint32_t thread)
-{
-    if (pending_.size() <= thread)
-        pending_.resize(thread + 1);
-    return pending_[thread];
+    const vm::CostModel &cost = machine.params().cost;
+    sampleCompletions(machine.samplingOpportunityCounts(),
+                      {&stats_.pathsCompleted, &stats_.strides,
+                       &stats_.samplesTaken, &stats_.samplesRecorded},
+                      cost.strideHandlerCost, cost.sampleHandlerCost);
+    startBurst(controller_.next());
 }
 
 void
 PepProfiler::onYieldpoint(const vm::FrameView &frame,
                           vm::YieldpointKind kind, bool tick_fired)
 {
-    PendingSample &pending = pendingFor(frame.thread);
-    if (tick_fired && !pending.tickPending) {
-        pending.tickPending = true;
-        ++ticksPending_;
-    }
-
     // Sampling opportunities are exactly the locations where BLPP
-    // would update the path profile: loop headers and method exits.
+    // would update the path profile: loop headers and method exits. A
+    // tick anywhere else waits for its thread's next one. One mutator
+    // thread's tick or completion never acts at another thread's
+    // opportunity; the countdown is shared — one switch/sample flag
+    // for the whole VM, as in the paper.
     if (kind == vm::YieldpointKind::MethodEntry) {
-        rearm();
+        if (tick_fired)
+            holdTick(frame.thread);
         return;
     }
-
-    const bool tick = pending.tickPending;
-    if (tick) {
-        pending.tickPending = false;
-        --ticksPending_;
-    }
-    const SampleAction action = controller_.onOpportunity(tick);
-
-    const vm::CostModel &cost = vm_.params().cost;
-    switch (action) {
-      case SampleAction::Idle:
-        break;
-      case SampleAction::Stride:
-        ++stats_.strides;
-        charge(cost.strideHandlerCost);
-        break;
-      case SampleAction::Sample: {
-        ++stats_.samplesTaken;
-        charge(cost.sampleHandlerCost);
-        // A completed path is sampleable only at the yieldpoint
-        // directly following its completion.
-        const vm::PathCompletion &latest = latestCompletion(frame.thread);
-        if (latest.plan && latest.opportunity ==
-                               vm_.samplingOpportunities(frame.thread)) {
-            ++stats_.samplesRecorded;
-            recordSample(static_cast<VersionProfile &>(*latest.plan),
-                         latest.number);
-        }
-        break;
-      }
-    }
-    rearm();
+    const bool held = releaseTick(frame.thread);
+    if (tick_fired || held)
+        startBurst(controller_.tick());
+    charge(sampleOpportunity(frame.thread));
 }
 
 void
-PepProfiler::recordSample(VersionProfile &vp, std::uint64_t number)
+PepProfiler::onPathSampled(vm::PathPlan &plan, std::uint64_t number)
 {
     // Edges are folded when the profile is read (foldSampledPaths).
+    auto &vp = static_cast<VersionProfile &>(plan);
     profile::PathRecord &record =
         sampled_.count(vp, vp.paths.insert(number));
     if (!record.expanded) {
@@ -147,11 +108,7 @@ PepProfiler::clearProfiles()
     sampled_.clear();
     edges_.clear();
     stats_ = PepStats{};
-    for (PendingSample &pending : pending_)
-        pending = PendingSample{};
-    clearCompletions();
-    ticksPending_ = 0;
-    rearm();
+    clearThreads();
 }
 
 } // namespace pep::core

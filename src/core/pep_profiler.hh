@@ -8,15 +8,19 @@
  * its register operations: the register stores its number (a k-window
  * id for k > 1) into the thread's latest-completion slot and counts it
  * in PepStats::pathsCompleted, with no call into this class
- * (vm::PathRegisterHooks::storeCompletions). On every loop-header and
- * method-exit yieldpoint the just-completed path is in that slot; when
- * the sampling controller says "sample", the handler only counts: one
- * probe of the version's path table and one increment (reconstructing
- * the edge sequence the first time a path is seen, cached thereafter —
- * Section 4.3). The continuous edge profile is folded where it is
- * read: every accessor first adds each path sampled since the last
- * read, once, with the count it gained, so every read equals
- * edgeProfileFromPaths over this profiler's own path table.
+ * (vm::PathRegisterHooks::sampleCompletions). On every loop-header and
+ * method-exit yieldpoint the just-completed path is in that slot, and
+ * the register's sampling countdown decides what the handler does:
+ * idle, stride or sample, counted in PepStats with no call either.
+ * This class hands the countdown its bursts — from the sampling
+ * controller, at ticks and when a burst runs out — and records a
+ * sample that found a path: one probe of the version's path table and
+ * one increment (reconstructing the edge sequence the first time a
+ * path is seen, cached thereafter — Section 4.3). The continuous edge
+ * profile is folded where it is read: every accessor first adds each
+ * path sampled since the last read, once, with the count it gained,
+ * so every read equals edgeProfileFromPaths over this profiler's own
+ * path table.
  *
  * PepProfiler is also a LayoutSource: when the VM recompiles a method,
  * it supplies its continuous edge profile (falling back to the one-time
@@ -81,15 +85,20 @@ class PepProfiler final : public PathEngine, public vm::LayoutSource
                 const PepOptions &options = {});
 
     /**
-     * Sampling decisions happen at yieldpoints. The threaded engine
-     * calls this only at ticks and while yieldpointsArmed(): the
-     * controller is mid-burst or some thread carries a tick to its next
-     * opportunity. Everywhere else the call would consult a dormant
-     * controller, get Idle and change nothing — the stored completion
-     * expires by itself (Machine::samplingOpportunities moves on).
+     * A tick arms the controller's burst at its thread's next sampling
+     * opportunity, and every opportunity runs one countdown step. The
+     * switch engine calls this at every yieldpoint; the threaded
+     * engine only at ticks and at an opportunity a tick waits for
+     * (tickHeld), running the countdown step itself everywhere else.
      */
     void onYieldpoint(const vm::FrameView &frame,
                       vm::YieldpointKind kind, bool tick_fired) override;
+
+    /** Count the sample in the path's version table. */
+    void onPathSampled(vm::PathPlan &plan, std::uint64_t number) override;
+
+    /** The controller's next burst. */
+    vm::SampleBurst onBurstEnd() override { return controller_.next(); }
 
     // LayoutSource
     const profile::MethodEdgeProfile *
@@ -119,7 +128,9 @@ class PepProfiler final : public PathEngine, public vm::LayoutSource
 
     const PepStats &pepStats() const { return stats_; }
 
-    /** Drop collected profiles (e.g., between replay iterations). */
+    /** Drop collected profiles, stats, stored completions and held
+     *  ticks (e.g., between replay iterations). A burst in progress
+     *  runs on. */
     void clearProfiles();
 
   protected:
@@ -131,30 +142,6 @@ class PepProfiler final : public PathEngine, public vm::LayoutSource
      *  records that are gone; clearProfiles() drops both. */
     using PathEngine::clearPathProfiles;
 
-    /**
-     * Per-virtual-thread sampling state beside the register's
-     * latest-completion slot (sampleable only at its thread's next
-     * sampling opportunity): the tick signal carried from any
-     * yieldpoint to that thread's next opportunity. One mutator
-     * thread's completion must never be sampled against another
-     * thread's yieldpoint, so both are keyed by FrameView::thread. The
-     * sampling *controller* stays shared — one switch/sample flag for
-     * the whole VM, as in the paper.
-     */
-    struct PendingSample
-    {
-        bool tickPending = false;
-    };
-
-    PendingSample &pendingFor(std::uint32_t thread);
-
-    /** Recompute yieldpointsArmed() after the controller or a tick
-     *  flag moved. */
-    void rearm();
-
-    /** Count one sample of `number` in `vp`'s path table. */
-    void recordSample(VersionProfile &vp, std::uint64_t number);
-
     /** Fold every record sampled since the last fold into edges_
      *  with the count it gained. */
     void foldSampledPaths() const;
@@ -165,12 +152,6 @@ class PepProfiler final : public PathEngine, public vm::LayoutSource
     mutable profile::EdgeProfileSet edges_;
     mutable PathGains sampled_;
     PepStats stats_;
-
-    /** Indexed by virtual thread id; single-threaded runs use slot 0. */
-    std::vector<PendingSample> pending_;
-
-    /** Threads whose tickPending is set. */
-    std::uint32_t ticksPending_ = 0;
 };
 
 } // namespace pep::core

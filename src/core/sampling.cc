@@ -13,32 +13,13 @@ SimplifiedArnoldGrove::SimplifiedArnoldGrove(std::uint32_t samples,
     PEP_ASSERT(samples >= 1 && stride >= 1);
 }
 
-SampleAction
-SimplifiedArnoldGrove::onOpportunity(bool tick_pending)
+vm::SampleBurst
+SimplifiedArnoldGrove::tick()
 {
-    if (tick_pending) {
-        // New tick: choose the rotating initial stride and arm a burst
-        // of SAMPLES samples (restarts any burst in progress).
-        toSkip_ = rotation_ - 1;
-        rotation_ = rotation_ % stride_ + 1;
-        remaining_ = samples_;
-    }
-    if (remaining_ == 0)
-        return SampleAction::Idle;
-    if (toSkip_ > 0) {
-        --toSkip_;
-        return SampleAction::Stride;
-    }
-    --remaining_;
-    return SampleAction::Sample;
-}
-
-void
-SimplifiedArnoldGrove::reset()
-{
-    toSkip_ = 0;
-    remaining_ = 0;
-    rotation_ = 1;
+    // The rotating initial stride, then a burst of SAMPLES samples.
+    const vm::SampleBurst burst{rotation_ - 1, samples_};
+    rotation_ = rotation_ % stride_ + 1;
+    return burst;
 }
 
 std::string
@@ -56,32 +37,22 @@ FullArnoldGrove::FullArnoldGrove(std::uint32_t samples,
     PEP_ASSERT(samples >= 1 && stride >= 1);
 }
 
-SampleAction
-FullArnoldGrove::onOpportunity(bool tick_pending)
+vm::SampleBurst
+FullArnoldGrove::tick()
 {
-    if (tick_pending) {
-        toSkip_ = rotation_ - 1;
-        rotation_ = rotation_ % stride_ + 1;
-        remaining_ = samples_;
-    }
-    if (remaining_ == 0)
-        return SampleAction::Idle;
-    if (toSkip_ > 0) {
-        --toSkip_;
-        return SampleAction::Stride;
-    }
-    --remaining_;
-    if (remaining_ > 0)
-        toSkip_ = stride_ - 1; // stride before the next sample too
-    return SampleAction::Sample;
+    const vm::SampleBurst burst{rotation_ - 1, 1};
+    rotation_ = rotation_ % stride_ + 1;
+    owed_ = samples_ - 1;
+    return burst;
 }
 
-void
-FullArnoldGrove::reset()
+vm::SampleBurst
+FullArnoldGrove::next()
 {
-    toSkip_ = 0;
-    remaining_ = 0;
-    rotation_ = 1;
+    if (owed_ == 0)
+        return {};
+    --owed_;
+    return {stride_ - 1, 1}; // stride before the next sample too
 }
 
 std::string

@@ -3,11 +3,14 @@
 
 /**
  * @file
- * Sampling controllers (paper Section 4.4). A controller is consulted
- * at every *sampling opportunity* — a loop-header or method-exit
- * yieldpoint, exactly the locations where BLPP would update the path
- * profile — and decides whether the yieldpoint handler runs and
- * whether it records a sample.
+ * Sampling controllers (paper Section 4.4). A *sampling opportunity*
+ * is a loop-header or method-exit yieldpoint — exactly the locations
+ * where BLPP would update the path profile. What the handler does at
+ * each one is decided by a countdown the path register owns
+ * (vm::PathRegisterHooks::sampleOpportunity): stride over some
+ * opportunities, then sample some. A controller is the source of
+ * those bursts: the profiler asks it when a timer tick reaches an
+ * opportunity, when a burst runs out, and once when it is built.
  *
  *  - TimerSampling == PEP(1,1): one sample at the first opportunity
  *    after each timer tick.
@@ -24,39 +27,24 @@
 #include <cstdint>
 #include <string>
 
+#include "vm/hooks.hh"
+
 namespace pep::core {
 
-/** What happens at one sampling opportunity. */
-enum class SampleAction : std::uint8_t
-{
-    Idle,   ///< flag clear; only the (always present) flag check ran
-    Stride, ///< handler ran but skipped the sample
-    Sample, ///< handler ran and recorded a sample
-};
-
-/** Decides handler behaviour at sampling opportunities. */
+/** Hands out the bursts of sampling opportunities a profiler runs. */
 class SamplingController
 {
   public:
     virtual ~SamplingController() = default;
 
-    /**
-     * Called at each opportunity. `tick_pending` is true if a timer
-     * tick fired since the previous opportunity.
-     */
-    virtual SampleAction onOpportunity(bool tick_pending) = 0;
+    /** A timer tick reached a sampling opportunity: the burst that
+     *  replaces the one in progress, starting at that opportunity. */
+    virtual vm::SampleBurst tick() = 0;
 
-    /** Reset to the dormant state (e.g., between iterations). */
-    virtual void reset() = 0;
-
-    /**
-     * True when onOpportunity(false) would return Idle and change no
-     * state — the controller waits for a tick. PEP then lets the
-     * threaded engine skip the opportunities in between
-     * (PathRegisterHooks::yieldpointsArmed). The default never claims
-     * it, which is always correct.
-     */
-    virtual bool dormant() const { return false; }
+    /** No burst is left — the last one took its last sample, or the
+     *  profiler was just built: the next burst, or an empty one to
+     *  wait for the next tick. */
+    virtual vm::SampleBurst next() { return {}; }
 
     /** Configuration name for reports, e.g. "PEP(64,17)". */
     virtual std::string name() const = 0;
@@ -66,56 +54,46 @@ class SamplingController
 class NeverSample final : public SamplingController
 {
   public:
-    SampleAction
-    onOpportunity(bool) override
-    {
-        return SampleAction::Idle;
-    }
-
-    void reset() override {}
-
-    bool dormant() const override { return true; }
-
+    vm::SampleBurst tick() override { return {}; }
     std::string name() const override { return "instr-only"; }
 };
 
 /** Simplified Arnold-Grove PEP(SAMPLES, STRIDE); PEP(1,1) is
- *  timer-based sampling. */
+ *  timer-based sampling. Each tick's burst: a rotating stride, then
+ *  SAMPLES samples. */
 class SimplifiedArnoldGrove final : public SamplingController
 {
   public:
     SimplifiedArnoldGrove(std::uint32_t samples, std::uint32_t stride);
 
-    SampleAction onOpportunity(bool tick_pending) override;
-    void reset() override;
-    bool dormant() const override { return remaining_ == 0; }
+    vm::SampleBurst tick() override;
     std::string name() const override;
 
   private:
     const std::uint32_t samples_;
     const std::uint32_t stride_;
-    std::uint32_t toSkip_ = 0;
-    std::uint32_t remaining_ = 0;
     std::uint32_t rotation_ = 1;
 };
 
-/** Original Arnold-Grove: stride before every sample. */
+/** Original Arnold-Grove: stride before every sample. A tick's
+ *  SAMPLES samples come as that many bursts of one sample each, the
+ *  first after the rotating stride, the rest after STRIDE-1. */
 class FullArnoldGrove final : public SamplingController
 {
   public:
     FullArnoldGrove(std::uint32_t samples, std::uint32_t stride);
 
-    SampleAction onOpportunity(bool tick_pending) override;
-    void reset() override;
-    bool dormant() const override { return remaining_ == 0; }
+    vm::SampleBurst tick() override;
+    vm::SampleBurst next() override;
     std::string name() const override;
 
   private:
     const std::uint32_t samples_;
     const std::uint32_t stride_;
-    std::uint32_t toSkip_ = 0;
-    std::uint32_t remaining_ = 0;
     std::uint32_t rotation_ = 1;
+
+    /** One-sample bursts still owed to the current tick. */
+    std::uint32_t owed_ = 0;
 };
 
 } // namespace pep::core

@@ -20,9 +20,10 @@ namespace {
  * producer the aggregation strategies face: where PEP samples a
  * handful of paths per tick, this profiles every completion. A
  * completion is one probe and one increment of the version's own path
- * table; publish() hands each path's gain since the last publish to
- * the shared aggregator as one path record plus one record per folded
- * bytecode edge, each carrying the gain.
+ * table; publish() hands the epoch's gains to the shared aggregator:
+ * one path record per path that completed, then one edge record per
+ * distinct bytecode edge those paths fold onto, each carrying the
+ * summed gain.
  */
 class StreamRecorder final : public core::PathEngine
 {
@@ -35,6 +36,9 @@ class StreamRecorder final : public core::PathEngine
                      profile::PlacementKind::Direct),
           sink_(sink), shard_(shard)
     {
+        edgeGains_.resize(machine.numMethods());
+        for (bytecode::MethodId m = 0; m < machine.numMethods(); ++m)
+            edgeGains_[m].assign(machine.info(m).cfg.edgeBase.back(), 0);
     }
 
     /** Path completions, counted where they happen. */
@@ -61,10 +65,19 @@ class StreamRecorder final : public core::PathEngine
             core::forEachBytecodeEdge(
                 state, record,
                 [&](bytecode::MethodId method, cfg::EdgeRef edge) {
-                    sink_.recordEdge(shard_, method, edge, gain);
+                    std::uint64_t &sum = edgeGain(method, edge);
+                    if (sum == 0)
+                        touched_.push_back({method, edge});
+                    sum += gain;
                     edgeRecords += gain;
                 });
         });
+        for (const auto &[method, edge] : touched_) {
+            std::uint64_t &sum = edgeGain(method, edge);
+            sink_.recordEdge(shard_, method, edge, sum);
+            sum = 0;
+        }
+        touched_.clear();
     }
 
   protected:
@@ -77,9 +90,22 @@ class StreamRecorder final : public core::PathEngine
     }
 
   private:
+    std::uint64_t &
+    edgeGain(bytecode::MethodId method, cfg::EdgeRef edge)
+    {
+        return edgeGains_[method][vm_.info(method).cfg.flatEdgeId(edge)];
+    }
+
     ProfileAggregator &sink_;
     const std::uint32_t shard_;
     core::PathGains completed_;
+
+    /** This epoch's gain per bytecode edge, indexed [method]
+     *  [MethodCfg::flatEdgeId]; zero outside publish(). */
+    std::vector<std::vector<std::uint64_t>> edgeGains_;
+
+    /** The edges with a nonzero gain, in first-touched order. */
+    std::vector<std::pair<bytecode::MethodId, cfg::EdgeRef>> touched_;
 };
 
 struct WorkerTally

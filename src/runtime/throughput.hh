@@ -8,10 +8,11 @@
  * profile every completed path. A worker counts each completion in
  * its own per-version path table; at every epoch boundary (each
  * `epochRequests` requests, and once at worker exit) it publishes the
- * epoch's path counts to a shared ProfileAggregator — one path record
- * plus one edge record per folded bytecode edge for each path that
- * completed in the epoch, each carrying the path's count — and then
- * flushes its shard. This is the layer where real concurrency exists —
+ * epoch's counts to a shared ProfileAggregator — one path record for
+ * each path that completed in the epoch, carrying the path's count,
+ * and one edge record for each distinct bytecode edge those paths fold
+ * onto, carrying the counts summed over them — and then flushes its
+ * shard. This is the layer where real concurrency exists —
  * the cooperative scheduler (coop_scheduler.hh) multiplexes virtual
  * threads over one clock; here separate machines race on wall-clock
  * time and only the aggregator is shared.

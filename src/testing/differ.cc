@@ -279,10 +279,11 @@ struct EngineRun
 };
 
 /** Run the program on a fresh machine pinned to `kind`, with the same
- *  hook set either engine run gets. */
+ *  hook set every engine run gets, PEP configuration `first` attached
+ *  first. */
 EngineRun
 runEngineOnce(const bytecode::Program &program, const DiffOptions &opts,
-              vm::EngineKind kind)
+              vm::EngineKind kind, std::size_t first)
 {
     EngineRun result;
 
@@ -310,15 +311,18 @@ runEngineOnce(const bytecode::Program &program, const DiffOptions &opts,
     // keeping the check-7 contract meaningful for optimized runs.
     const PepStack stack = buildPepStack(machine, opts);
 
-    // The PEPs are attached first, so the threaded machine runs the
-    // first one's register inline (docs/ENGINE.md) and drives the
-    // others and the full profiler by hooks — the opposite of
-    // runDiff's main machine, which attaches the full profiler first.
-    // The switch machine drives all of them by hooks and is the
-    // reference either way.
-    for (const auto &pep : stack.peps) {
-        machine.addHooks(pep.get());
-        machine.addCompileObserver(pep.get());
+    // The PEPs are attached first, `first` ahead of the others, so the
+    // threaded machine runs that one's register and sampling countdown
+    // inline (docs/ENGINE.md) and drives the others and the full
+    // profiler by hooks — the opposite of runDiff's main machine, which
+    // attaches the full profiler first. The switch machine drives all
+    // of them by hooks and is the reference either way. Observables
+    // list the PEPs in configuration order whatever the attach order.
+    for (std::size_t p = 0; p < stack.peps.size(); ++p) {
+        core::PepProfiler *pep =
+            stack.peps[(first + p) % stack.peps.size()].get();
+        machine.addHooks(pep);
+        machine.addCompileObserver(pep);
     }
     machine.addHooks(&oracle);
     machine.addCompileObserver(&oracle);
@@ -371,37 +375,57 @@ firstBlobDiff(const std::string &a, const std::string &b,
     }
 }
 
+std::string
+pepTag(const PepConfig &config)
+{
+    std::ostringstream tag;
+    tag << "pep(" << config.samples << ',' << config.stride << ')';
+    return tag.str();
+}
+
 /**
- * Check 7: run the program once per execution engine on otherwise-
- * identical machines and byte-compare every observable. A run that
- * dies (e.g. the runaway-cycle guard) must die identically on both
- * engines; the engine-divergence injection seeds the threaded run's
- * Irnd stream differently, so this check must report a divergence.
+ * Check 7: run the program on a switch machine and, once per PEP
+ * configuration, on a threaded machine that runs that configuration
+ * inline, all otherwise identical, and byte-compare every observable
+ * of each threaded run with the switch run's. A run that dies (e.g.
+ * the runaway-cycle guard) must die identically on both engines; the
+ * engine-divergence injection seeds the threaded runs' Irnd stream
+ * differently, so this check must report a divergence.
  */
 void
 runEngineCrossCheck(const bytecode::Program &program,
                     const DiffOptions &opts, DiffReport &report)
 {
     const EngineRun sw =
-        runEngineOnce(program, opts, vm::EngineKind::Switch);
-    const EngineRun th =
-        runEngineOnce(program, opts, vm::EngineKind::Threaded);
-    if (sw.death != th.death) {
-        addViolation(report,
-                     "engines: switch run [" +
-                         (sw.death.empty() ? "clean" : sw.death) +
-                         "] but threaded run [" +
-                         (th.death.empty() ? "clean" : th.death) + ']');
-    } else if (!sw.death.empty()) {
-        report.notes.push_back(
-            "engines: both engine runs died identically (" + sw.death +
-            "); byte comparison skipped");
-    } else if (sw.blob != th.blob) {
-        addViolation(report,
-                     "engines: switch and threaded observables "
-                     "diverge: " +
-                         firstBlobDiff(sw.blob, th.blob, "switch",
-                                       "threaded"));
+        runEngineOnce(program, opts, vm::EngineKind::Switch, 0);
+    for (std::size_t p = 0; p < std::max<std::size_t>(
+                                    opts.pepConfigs.size(), 1);
+         ++p) {
+        const EngineRun th =
+            runEngineOnce(program, opts, vm::EngineKind::Threaded, p);
+        const std::string threaded =
+            opts.pepConfigs.empty()
+                ? std::string("threaded")
+                : "threaded (" + pepTag(opts.pepConfigs[p]) + " inline)";
+        if (sw.death != th.death) {
+            addViolation(report,
+                         "engines: switch run [" +
+                             (sw.death.empty() ? "clean" : sw.death) +
+                             "] but " + threaded + " run [" +
+                             (th.death.empty() ? "clean" : th.death) +
+                             ']');
+        } else if (!sw.death.empty()) {
+            report.notes.push_back(
+                "engines: both engine runs died identically (" +
+                sw.death + "); byte comparison skipped");
+            return;
+        } else if (sw.blob != th.blob) {
+            addViolation(report,
+                         "engines: switch and " + threaded +
+                             " observables diverge: " +
+                             firstBlobDiff(sw.blob, th.blob, "switch",
+                                           threaded));
+        }
     }
 }
 
@@ -430,14 +454,6 @@ bytecodeLevelTruth(const vm::Machine &machine)
         }
     }
     return true;
-}
-
-std::string
-pepTag(const PepConfig &config)
-{
-    std::ostringstream tag;
-    tag << "pep(" << config.samples << ',' << config.stride << ')';
-    return tag.str();
 }
 
 } // namespace

@@ -15,9 +15,11 @@
  * registers"): the frame carries the path register, the engine
  * executes the register code defined once in PathRegisterHooks — only
  * on the edges whose template carries a path-work bit — and the
- * profiler is entered at OSR, at the yieldpoints it armed, and where
- * a path completes unless it takes completions as stores (PEP does:
- * the register writes the thread's PathCompletion slot instead).
+ * profiler is entered at OSR, at ticks, and where a path completes
+ * unless it samples completions (PEP does: the register writes the
+ * thread's PathCompletion slot instead, and the sampling countdown in
+ * PathRegisterHooks calls in only to record a sample or to ask for
+ * the next burst).
  */
 
 #include <cstdint>
@@ -210,10 +212,32 @@ struct PathCompletion
     PathPlan *plan = nullptr; ///< null: none since the slot was cleared
     std::uint64_t number = 0; ///< path number; k-window id for k > 1
 
-    /** The thread's Machine::samplingOpportunities when it was stored:
-     *  the completion is sampleable only while the count still reads
-     *  this. */
+    /** The thread's Machine::samplingOpportunityCounts entry when it
+     *  was stored: the completion is sampleable only while the count
+     *  still reads this. */
     std::uint64_t opportunity = 0;
+};
+
+/**
+ * A run of sampling opportunities as a sampling controller hands it
+ * out: the handler strides over the first `strides` (it runs but takes
+ * no sample), then samples the next `samples`. A burst with no samples
+ * leaves every opportunity idle until the next tick.
+ */
+struct SampleBurst
+{
+    std::uint64_t strides = 0;
+    std::uint64_t samples = 0;
+};
+
+/** The counts a sampling profiler keeps (core::PepStats' fields),
+ *  which the register and the sampling countdown bump in place. */
+struct SampleCounters
+{
+    std::uint64_t *completed = nullptr; ///< paths completed
+    std::uint64_t *strides = nullptr;   ///< opportunities strided over
+    std::uint64_t *taken = nullptr;     ///< samples taken
+    std::uint64_t *recorded = nullptr;  ///< samples that found a path
 };
 
 /**
@@ -222,29 +246,33 @@ struct PathCompletion
  * as the machine's inline path profiler: the interpreter executes the
  * register code below from each frame's PathRegister (r = 0 at push,
  * flat edge actions at the edge templates whose path-work bit is set,
- * header actions at header transfers, the exit path at return) and
- * calls in only at OSR, at the yieldpoints where a tick fired or
- * yieldpointsArmed(), and — unless it stores completions — where a
- * path completes. It then receives no other ExecutionHooks event.
- * Under the switch engine — the reference — and for every further path
- * profiler it is an ordinary hook that runs the same functions from
- * registers of its own; the engines' byte-identity contract (differ
- * check 7) covers both.
+ * header actions at header transfers, the exit path at return) and the
+ * sampling countdown at every other sampling opportunity, and calls in
+ * only at OSR, at the yieldpoints where a tick fired or tickHeld(), and
+ * — unless it samples completions — where a path completes. It then
+ * receives no other ExecutionHooks event. Under the switch engine —
+ * the reference — and for every further path profiler it is an
+ * ordinary hook that runs the same functions from registers of its
+ * own; the engines' byte-identity contract (differ check 7) covers
+ * both.
  *
  * Where a path ends — at a header, a truncated back edge, frame exit
  * or a window flush — the register folds it into the frame's k-window
  * and, when a window closes, completes it: by a store into the
- * thread's PathCompletion slot for a profiler that storeCompletions()
+ * thread's PathCompletion slot for a profiler that sampleCompletions()
  * (PEP reads the slot only at samples), by onPathCompleted otherwise.
  *
- * An implementation whose onYieldpoint does anything at a yieldpoint
- * without a tick must keep yieldpointsArmed() true until it no longer
- * does: the threaded engine skips the call otherwise.
+ * Such a sampling profiler's per-opportunity state is one countdown,
+ * owned here and run by sampleOpportunity: strides left, then samples
+ * left. The profiler arms it with startBurst when a tick reaches a
+ * sampling opportunity (from its onYieldpoint, which the engine calls
+ * at every tick and wherever tickHeld()); onBurstEnd arms the next
+ * burst when one runs out. No one else keeps a copy of it.
  */
 class PathRegisterHooks : public ExecutionHooks
 {
   public:
-    // The machine holds the address, and storeCompletions() may point
+    // The machine holds the address, and sampleCompletions() points
     // into the derived object.
     PathRegisterHooks(const PathRegisterHooks &) = delete;
     PathRegisterHooks &operator=(const PathRegisterHooks &) = delete;
@@ -257,7 +285,7 @@ class PathRegisterHooks : public ExecutionHooks
     /** A path completed in a frame bound to `plan`: `id` is its number
      *  (r + endAdd at a header or truncated back edge, r at exit), or
      *  for k > 1 the id of the k-window it closed. A profiler that
-     *  storeCompletions() never receives it. */
+     *  sampleCompletions() never receives it. */
     virtual void onPathCompleted(PathPlan &plan, std::uint64_t id,
                                  std::uint32_t thread) = 0;
 
@@ -266,6 +294,20 @@ class PathRegisterHooks : public ExecutionHooks
     virtual void frameReplaced(PathRegister &reg, PathPlan *plan,
                                cfg::BlockId header,
                                std::uint32_t thread) = 0;
+
+    /** A sample found the path `id`, completed in a frame bound to
+     *  `plan`, still sampleable: record it. Only a profiler that
+     *  starts bursts receives it. */
+    virtual void
+    onPathSampled(PathPlan &plan, std::uint64_t id)
+    {
+        (void)plan;
+        (void)id;
+    }
+
+    /** The countdown took its burst's last sample: the next burst, or
+     *  an empty one to idle until the next tick. */
+    virtual SampleBurst onBurstEnd() { return {}; }
 
     /** Frame push: bind `plan` and r = 0. Returns the cycles the
      *  register operations cost (the callers charge them). */
@@ -313,10 +355,52 @@ class PathRegisterHooks : public ExecutionHooks
         flushWindow(reg, thread);
     }
 
-    /** False while onYieldpoint does nothing at a yieldpoint without a
-     *  tick (PEP: its controller is dormant and no thread holds a tick
-     *  for its next sampling opportunity). */
-    bool yieldpointsArmed() const { return yieldpointsArmed_; }
+    /** True while a tick waits for `thread`'s next sampling
+     *  opportunity: the engine enters onYieldpoint there instead of
+     *  running sampleOpportunity. */
+    bool
+    tickHeld(std::uint32_t thread) const
+    {
+        return ticksHeld_ != 0 && thread < threads_.size() &&
+               threads_[thread].tickHeld;
+    }
+
+    /**
+     * One step of the countdown at a sampling opportunity (a
+     * loop-header, method-exit or back-edge yieldpoint) of `thread`
+     * that no tick reached. A stride counts; a sample counts and, when
+     * the thread's latest completion is still sampleable (no
+     * opportunity of its thread since it completed), counts as
+     * recorded and goes to onPathSampled; a burst's last sample asks
+     * onBurstEnd for the next one. Returns the handler's cycles (the
+     * callers charge them): 0 at an idle opportunity, which changes
+     * nothing.
+     */
+    std::uint32_t
+    sampleOpportunity(std::uint32_t thread)
+    {
+        if (countdown_.samples == 0)
+            return 0;
+        if (countdown_.strides != 0) {
+            --countdown_.strides;
+            ++*counters_.strides;
+            return strideCost_;
+        }
+        ++*counters_.taken;
+        if (thread < threads_.size()) {
+            // A thread that completed a path has run an interpreter,
+            // which sized its opportunity count.
+            const PathCompletion &latest = threads_[thread].latest;
+            if (latest.plan && latest.opportunity ==
+                                   (*opportunities_)[thread]) {
+                ++*counters_.recorded;
+                onPathSampled(*latest.plan, latest.number);
+            }
+        }
+        if (--countdown_.samples == 0)
+            countdown_ = onBurstEnd();
+        return sampleCost_;
+    }
 
   protected:
     /** `add_cost` / `reset_cost`: cycles of r += v and r = c (zero for
@@ -326,32 +410,59 @@ class PathRegisterHooks : public ExecutionHooks
     {
     }
 
-    void setYieldpointsArmed(bool armed) { yieldpointsArmed_ = armed; }
-
     /**
-     * Receive completions as stores instead of onPathCompleted calls:
-     * each one overwrites its thread's latestCompletion() and counts in
-     * `completed`. `opportunities` is the machine's per-thread
+     * Sample completions instead of receiving them: each completion
+     * overwrites its thread's latest-completion slot and counts in
+     * `counters.completed`, with no call, and sampleOpportunity counts
+     * into `counters`, a stride costing `stride_cost` cycles and a
+     * sample `sample_cost`. `opportunities` is the machine's per-thread
      * sampling-opportunity counts (Machine::samplingOpportunityCounts).
      * Both must outlive this object.
      */
     void
-    storeCompletions(const std::vector<std::uint64_t> &opportunities,
-                     std::uint64_t &completed)
+    sampleCompletions(const std::vector<std::uint64_t> &opportunities,
+                      const SampleCounters &counters,
+                      std::uint32_t stride_cost, std::uint32_t sample_cost)
     {
         opportunities_ = &opportunities;
-        completed_ = &completed;
+        counters_ = counters;
+        strideCost_ = stride_cost;
+        sampleCost_ = sample_cost;
     }
 
-    /** The latest completion of `thread` (an empty slot if none). */
-    const PathCompletion &
-    latestCompletion(std::uint32_t thread) const
+    /** Replace the burst in progress (a tick, or the first burst). */
+    void startBurst(const SampleBurst &burst) { countdown_ = burst; }
+
+    /** A tick fired at a yieldpoint of `thread` that is no sampling
+     *  opportunity: it waits for the thread's next one. */
+    void
+    holdTick(std::uint32_t thread)
     {
-        static const PathCompletion kNone;
-        return thread < completions_.size() ? completions_[thread] : kNone;
+        bool &held = threadSlot(thread).tickHeld;
+        ticksHeld_ += !held;
+        held = true;
     }
 
-    void clearCompletions() { completions_.clear(); }
+    /** Whether a tick waited for this opportunity of `thread`; it no
+     *  longer does. */
+    bool
+    releaseTick(std::uint32_t thread)
+    {
+        if (!tickHeld(thread))
+            return false;
+        threads_[thread].tickHeld = false;
+        --ticksHeld_;
+        return true;
+    }
+
+    /** Forget every thread's latest completion and held tick. The
+     *  countdown runs on. */
+    void
+    clearThreads()
+    {
+        threads_.clear();
+        ticksHeld_ = 0;
+    }
 
     /** Complete the frame's partial k-window (frame exit, OSR) as a
      *  short k-path — or drop it under truncateWindowInjection_. */
@@ -369,6 +480,21 @@ class PathRegisterHooks : public ExecutionHooks
     bool truncateWindowInjection_ = false;
 
   private:
+    /** One virtual thread's sampling state. */
+    struct ThreadSlot
+    {
+        PathCompletion latest;
+        bool tickHeld = false;
+    };
+
+    ThreadSlot &
+    threadSlot(std::uint32_t thread)
+    {
+        if (threads_.size() <= thread)
+            threads_.resize(thread + 1);
+        return threads_[thread];
+    }
+
     std::uint32_t
     endSegment(PathRegister &reg, std::uint64_t end_add,
                std::uint64_t restart, std::uint32_t thread)
@@ -397,14 +523,12 @@ class PathRegisterHooks : public ExecutionHooks
     void
     complete(PathPlan &plan, std::uint64_t id, std::uint32_t thread)
     {
-        if (!completed_) {
+        if (!counters_.completed) {
             onPathCompleted(plan, id, thread);
             return;
         }
-        ++*completed_;
-        if (completions_.size() <= thread)
-            completions_.resize(thread + 1);
-        PathCompletion &slot = completions_[thread];
+        ++*counters_.completed;
+        PathCompletion &slot = threadSlot(thread).latest;
         slot.plan = &plan;
         slot.number = id;
         slot.opportunity = thread < opportunities_->size()
@@ -414,14 +538,24 @@ class PathRegisterHooks : public ExecutionHooks
 
     const std::uint32_t addCost_;
     const std::uint32_t resetCost_;
-    bool yieldpointsArmed_ = false;
 
-    /** Set by storeCompletions (null: completions are calls). */
+    /** Set by sampleCompletions (null `completed`: completions are
+     *  calls). */
     const std::vector<std::uint64_t> *opportunities_ = nullptr;
-    std::uint64_t *completed_ = nullptr;
+    SampleCounters counters_;
+    std::uint32_t strideCost_ = 0;
+    std::uint32_t sampleCost_ = 0;
 
-    /** Indexed by virtual thread; grown on first completion. */
-    std::vector<PathCompletion> completions_;
+    /** The one sampling countdown (see the class comment). */
+    SampleBurst countdown_;
+
+    /** Indexed by virtual thread; grown on first completion or held
+     *  tick. */
+    std::vector<ThreadSlot> threads_;
+
+    /** Threads whose tickHeld is set: while 0, which is nearly always,
+     *  tickHeld answers without touching threads_. */
+    std::uint32_t ticksHeld_ = 0;
 };
 
 /** Notified when the machine (re)compiles a method. */

@@ -213,12 +213,17 @@ Interpreter::yieldpoint(YieldpointKind kind, cfg::BlockId block)
     const FrameView fv = view(f);
     for (ExecutionHooks *hooks : vm_.hooks_)
         hooks->onYieldpoint(fv, kind, tick_fired);
-    // The inline path profiler sees only the yieldpoints where it can
-    // act; at the others its onYieldpoint would change nothing.
-    if (PathRegisterHooks *paths = vm_.pathHooks_;
-        paths && (tick_fired || paths->yieldpointsArmed()))
-        paths->onYieldpoint(fv, kind, tick_fired);
-    if (kind != YieldpointKind::MethodEntry)
+    // The inline path profiler is entered at a tick and at the sampling
+    // opportunity a held tick waits for; every other opportunity runs
+    // its sampling countdown here.
+    const bool opportunity = kind != YieldpointKind::MethodEntry;
+    if (PathRegisterHooks *paths = vm_.pathHooks_) {
+        if (tick_fired || (opportunity && paths->tickHeld(thread_)))
+            paths->onYieldpoint(fv, kind, tick_fired);
+        else if (opportunity)
+            vm_.cycles_ += paths->sampleOpportunity(thread_);
+    }
+    if (opportunity)
         ++vm_.opportunities_[thread_];
 
     // On-stack replacement: at a loop-header yieldpoint after a tick,

@@ -288,20 +288,13 @@ class Machine
 
     /**
      * Sampling opportunities — loop-header, method-exit and back-edge
-     * yieldpoints — that virtual thread `thread` has executed. A path
-     * completed while this reads n is sampleable only at the yieldpoint
-     * that still reads n: the next opportunity of its own thread (the
-     * count moves on right after that yieldpoint's hooks).
+     * yieldpoints — that each virtual thread that has run executed,
+     * indexed by thread. A path completed while its thread's count
+     * reads n is sampleable only at the yieldpoint that still reads n:
+     * the next opportunity of its own thread (the count moves on right
+     * after that yieldpoint's hooks). A path register that samples
+     * completions reads it (vm::PathRegisterHooks::sampleCompletions).
      */
-    std::uint64_t
-    samplingOpportunities(std::uint32_t thread) const
-    {
-        return thread < opportunities_.size() ? opportunities_[thread] : 0;
-    }
-
-    /** samplingOpportunities() of every virtual thread that has run,
-     *  indexed by thread (a path register that stores completions
-     *  reads it; vm::PathRegisterHooks::storeCompletions). */
     const std::vector<std::uint64_t> &
     samplingOpportunityCounts() const
     {
@@ -413,7 +406,7 @@ class Machine
     std::vector<ExecutionHooks *> hooks_;
     PathRegisterHooks *pathHooks_ = nullptr;
 
-    /** Per virtual thread, see samplingOpportunities(). */
+    /** Per virtual thread, see samplingOpportunityCounts(). */
     std::vector<std::uint64_t> opportunities_;
     std::vector<CompileObserver *> observers_;
     std::vector<CompilePass *> compilePasses_;

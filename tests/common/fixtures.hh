@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <string>
@@ -190,16 +191,17 @@ bytecode::Method randomStructuredMethod(support::Rng &rng,
 bytecode::Program randomStructuredProgram(std::uint64_t seed,
                                           std::uint32_t max_elements);
 
-/** Samples at every opportunity. */
+/** Samples at every opportunity: one unbounded burst, from the
+ *  profiler's construction and again at every tick. */
 class AlwaysSample final : public core::SamplingController
 {
   public:
-    core::SampleAction
-    onOpportunity(bool) override
+    vm::SampleBurst tick() override { return next(); }
+    vm::SampleBurst
+    next() override
     {
-        return core::SampleAction::Sample;
+        return {0, std::numeric_limits<std::uint64_t>::max()};
     }
-    void reset() override {}
     std::string name() const override { return "always"; }
 };
 

@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "bytecode/assembler.hh"
 #include "common/fixtures.hh"
@@ -662,14 +665,37 @@ class ForwardingHooks final : public vm::ExecutionHooks
     vm::ExecutionHooks &inner_;
 };
 
+/** The sampling controllers the inline-vs-hook sweeps run: none, one
+ *  sample a tick, a rotating stride before a burst, a stride before
+ *  every sample, and an unbounded burst armed at construction. */
+constexpr std::size_t kSweepControllers = 5;
+
+std::unique_ptr<SamplingController>
+sweepController(std::size_t index)
+{
+    switch (index) {
+      case 0:
+        return std::make_unique<NeverSample>();
+      case 1:
+        return std::make_unique<SimplifiedArnoldGrove>(1, 1);
+      case 2:
+        return std::make_unique<SimplifiedArnoldGrove>(64, 17);
+      case 3:
+        return std::make_unique<FullArnoldGrove>(4, 3);
+      default:
+        return std::make_unique<test::AlwaysSample>();
+    }
+}
+
 /** One PEP configuration of the inline-vs-hook sweeps. */
 struct PepRun
 {
     vm::EngineKind engine = vm::EngineKind::Switch;
     bool osr = false;
     std::uint32_t k = 1;
-    std::uint32_t samples = 64;
-    std::uint32_t stride = 17;
+
+    /** sweepController's index. */
+    std::size_t controller = 0;
 
     /** Behind a ForwardingHooks wrapper instead of attached directly. */
     bool wrapped = false;
@@ -680,11 +706,12 @@ struct PepOutcome
 {
     std::string observables;
     std::uint64_t samplesRecorded = 0;
+    std::uint64_t strides = 0;
     std::uint64_t osrs = 0;
 };
 
-/** Attach PEP as `run` says, let `body` drive the machine, and collect
- *  the outcome. */
+/** Attach PEP as `run` says, let `body(machine, pep)` drive the
+ *  machine, and collect the outcome. */
 template <typename Body>
 PepOutcome
 runPep(const bytecode::Program &program, const PepRun &run,
@@ -695,30 +722,36 @@ runPep(const bytecode::Program &program, const PepRun &run,
     params.enableOsr = run.osr;
     params.tickCycles = tick_cycles;
     vm::Machine machine(program, params);
-    SimplifiedArnoldGrove controller(run.samples, run.stride);
+    const std::unique_ptr<SamplingController> controller =
+        sweepController(run.controller);
     PepOptions options;
     options.scheme = profile::NumberingScheme::Smart;
     options.kIterations = run.k;
-    PepProfiler pep(machine, controller, options);
+    PepProfiler pep(machine, *controller, options);
     ForwardingHooks wrapper(pep);
     machine.addHooks(run.wrapped ? static_cast<vm::ExecutionHooks *>(&wrapper)
                                  : &pep);
     machine.addCompileObserver(&pep);
-    body(machine);
+    body(machine, pep);
     return {testing::serializeRun(machine, {.peps = {&pep}}),
-            pep.pepStats().samplesRecorded, machine.stats().osrs};
+            pep.pepStats().samplesRecorded, pep.pepStats().strides,
+            machine.stats().osrs};
 }
 
-TEST(PathEngine, InlineRegisterMatchesHookDrivenRegister)
+/**
+ * Run `body` under every PEP configuration of the program sweep — the
+ * wide switch and ten generated programs, OSR off and on, each k in
+ * `ks`, every sweep controller — on both engines, attached directly and
+ * wrapped, and require byte-identical observables per configuration.
+ * Attached directly, PEP runs inline under the threaded engine and
+ * through hooks under the switch engine; wrapped, it runs through
+ * hooks under both. Returns the outcome totals.
+ */
+template <typename Body>
+PepOutcome
+sweepProgramsInlineVsHooks(std::initializer_list<std::uint32_t> ks, Body body)
 {
-    // Attached directly, PEP runs inline under the threaded engine and
-    // through hooks under the switch engine; wrapped, it runs through
-    // hooks under both. Every variant must leave byte-identical
-    // observables: the same arithmetic, the same completions, and the
-    // same sampleability rule, whichever yieldpoints core was skipped
-    // at.
-    std::uint64_t samples = 0;
-    std::uint64_t osrs = 0;
+    PepOutcome total;
     std::vector<bytecode::Program> programs = {test::wideSwitchProgram()};
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
         testing::FuzzSpec spec;
@@ -730,28 +763,25 @@ TEST(PathEngine, InlineRegisterMatchesHookDrivenRegister)
     for (std::size_t seed = 0; seed < programs.size(); ++seed) {
         const bytecode::Program &program = programs[seed];
         for (const bool osr : {false, true}) {
-            for (const std::uint32_t k : {1u, 2u, 4u}) {
-                for (const auto &[s, t] :
-                     {std::pair{1u, 1u}, std::pair{64u, 17u}}) {
+            for (const std::uint32_t k : ks) {
+                for (std::size_t c = 0; c < kSweepControllers; ++c) {
                     std::string reference;
                     for (const vm::EngineKind engine :
                          {vm::EngineKind::Switch,
                           vm::EngineKind::Threaded}) {
                         for (const bool wrapped : {true, false}) {
-                            const PepRun run{engine, osr, k, s, t, wrapped};
-                            const PepOutcome outcome = runPep(
-                                program, run, 9'000, [](vm::Machine &m) {
-                                    for (int it = 0; it < 3; ++it)
-                                        m.runIteration();
-                                });
-                            samples += outcome.samplesRecorded;
-                            osrs += outcome.osrs;
+                            const PepRun run{engine, osr, k, c, wrapped};
+                            const PepOutcome outcome =
+                                runPep(program, run, 9'000, body);
+                            total.samplesRecorded += outcome.samplesRecorded;
+                            total.strides += outcome.strides;
+                            total.osrs += outcome.osrs;
                             if (reference.empty())
                                 reference = outcome.observables;
                             EXPECT_EQ(outcome.observables, reference)
                                 << "seed " << seed << " osr " << osr
-                                << " k " << k << " PEP(" << s << ','
-                                << t << ") "
+                                << " k " << k << ' '
+                                << sweepController(c)->name() << ' '
                                 << vm::engineKindName(engine)
                                 << (wrapped ? " wrapped" : " direct");
                         }
@@ -760,9 +790,42 @@ TEST(PathEngine, InlineRegisterMatchesHookDrivenRegister)
             }
         }
     }
-    // The sweep must actually sample and replace frames.
-    EXPECT_GT(samples, 0u);
-    EXPECT_GT(osrs, 0u);
+    return total;
+}
+
+TEST(PathEngine, InlineRegisterMatchesHookDrivenRegister)
+{
+    // Every variant must leave byte-identical observables: the same
+    // arithmetic, the same completions, the same countdown and the
+    // same sampleability rule, whichever yieldpoints core was skipped
+    // at.
+    const PepOutcome total = sweepProgramsInlineVsHooks(
+        {1, 2, 4}, [](vm::Machine &machine, PepProfiler &) {
+            for (int it = 0; it < 3; ++it)
+                machine.runIteration();
+        });
+    // The sweep must actually sample, stride and replace frames.
+    EXPECT_GT(total.samplesRecorded, 0u);
+    EXPECT_GT(total.strides, 0u);
+    EXPECT_GT(total.osrs, 0u);
+}
+
+TEST(PathEngine, InlineRegisterMatchesHooksAcrossClearProfiles)
+{
+    // perfbench's replay drops PEP's profiles between iterations. The
+    // countdown has one owner and runs on across the clear, mid-burst
+    // included, for both engines alike; a copy of it that the clear
+    // reset on one side only would desynchronize them.
+    const PepOutcome total = sweepProgramsInlineVsHooks(
+        {1, 4}, [](vm::Machine &machine, PepProfiler &pep) {
+            for (int it = 0; it < 3; ++it) {
+                if (it > 0)
+                    pep.clearProfiles();
+                machine.runIteration();
+            }
+        });
+    EXPECT_GT(total.samplesRecorded, 0u);
+    EXPECT_GT(total.strides, 0u);
 }
 
 TEST(PathEngine, LateAdoptionRetranslatesAgainstThePlan)
@@ -809,16 +872,15 @@ TEST(PathEngine, InlineRegisterMatchesHooksUnderCooperativeThreads)
     std::uint64_t samples = 0;
     for (const std::uint32_t threads : {1u, 3u}) {
         for (const bool osr : {false, true}) {
-            for (const auto &[s, t] :
-                 {std::pair{1u, 1u}, std::pair{64u, 17u}}) {
+            for (std::size_t c = 0; c < kSweepControllers; ++c) {
                 std::string reference;
                 for (const vm::EngineKind engine :
                      {vm::EngineKind::Switch, vm::EngineKind::Threaded}) {
                     for (const bool wrapped : {true, false}) {
-                        const PepRun run{engine, osr, 1, s, t, wrapped};
+                        const PepRun run{engine, osr, 1, c, wrapped};
                         const PepOutcome outcome = runPep(
                             stream.program(), run, 5'000,
-                            [&](vm::Machine &machine) {
+                            [&](vm::Machine &machine, PepProfiler &) {
                                 runtime::CoopScheduler scheduler(
                                     machine, {threads, 77});
                                 scheduler.assignRoundRobin(stream);
@@ -828,8 +890,8 @@ TEST(PathEngine, InlineRegisterMatchesHooksUnderCooperativeThreads)
                         if (reference.empty())
                             reference = outcome.observables;
                         EXPECT_EQ(outcome.observables, reference)
-                            << threads << " threads, osr " << osr
-                            << ", PEP(" << s << ',' << t << ") "
+                            << threads << " threads, osr " << osr << ", "
+                            << sweepController(c)->name() << ' '
                             << vm::engineKindName(engine)
                             << (wrapped ? " wrapped" : " direct");
                     }

@@ -4,6 +4,9 @@
  * Figure 5: timer-based sampling (one sample per tick), simplified
  * Arnold-Grove (rotating initial stride, then a burst of consecutive
  * samples), and original Arnold-Grove (stride between every sample).
+ * Every sequence is driven through PEP's sampling countdown
+ * (vm::PathRegisterHooks::sampleOpportunity), the one place the
+ * controllers' bursts are spent.
  */
 
 #include <gtest/gtest.h>
@@ -12,65 +15,79 @@
 #include <initializer_list>
 #include <string>
 
+#include "common/fixtures.hh"
+#include "core/pep_profiler.hh"
 #include "core/sampling.hh"
 
 namespace pep::core {
 namespace {
 
-/** Drive a controller over opportunities; encode actions as chars:
- *  '.' idle, 's' stride, 'X' sample. Index 0 carries the tick. */
-std::string
-drive(SamplingController &controller, std::size_t opportunities,
-      std::size_t tick_every = 0)
+/**
+ * A PEP profiler on an idle machine, fed yieldpoints through
+ * PepProfiler::onYieldpoint — the entry the switch engine calls at
+ * every yieldpoint, which runs the countdown step the threaded engine
+ * runs inline. Each opportunity's action is read off PepStats and
+ * encoded as a char: '.' idle, 's' stride, 'X' sample.
+ */
+class Countdown
 {
-    std::string actions;
-    for (std::size_t i = 0; i < opportunities; ++i) {
-        const bool tick =
-            (i == 0) || (tick_every != 0 && i % tick_every == 0);
-        switch (controller.onOpportunity(tick)) {
-          case SampleAction::Idle:
-            actions.push_back('.');
-            break;
-          case SampleAction::Stride:
-            actions.push_back('s');
-            break;
-          case SampleAction::Sample:
-            actions.push_back('X');
-            break;
-        }
+  public:
+    explicit Countdown(SamplingController &controller)
+        : machine_(test::figure1Program(), vm::SimParams{}),
+          pep_(machine_, controller)
+    {
     }
-    return actions;
-}
 
-/** Like drive(), but ticks fire at exactly the listed opportunity
- *  indices — for golden sequences with a tick landing mid-burst. */
-std::string
-driveTicksAt(SamplingController &controller, std::size_t opportunities,
-             std::initializer_list<std::size_t> ticks)
-{
-    std::string actions;
-    for (std::size_t i = 0; i < opportunities; ++i) {
-        const bool tick =
-            std::find(ticks.begin(), ticks.end(), i) != ticks.end();
-        switch (controller.onOpportunity(tick)) {
-          case SampleAction::Idle:
-            actions.push_back('.');
-            break;
-          case SampleAction::Stride:
-            actions.push_back('s');
-            break;
-          case SampleAction::Sample:
-            actions.push_back('X');
-            break;
-        }
+    /** One yieldpoint of `kind`; `tick` says whether a tick fired. */
+    char
+    step(bool tick,
+         vm::YieldpointKind kind = vm::YieldpointKind::LoopHeader)
+    {
+        const PepStats before = pep_.pepStats();
+        pep_.onYieldpoint(vm::FrameView{}, kind, tick);
+        const PepStats &after = pep_.pepStats();
+        if (after.samplesTaken != before.samplesTaken)
+            return 'X';
+        return after.strides != before.strides ? 's' : '.';
     }
-    return actions;
-}
+
+    /** `opportunities` steps; index 0 carries a tick, and so does
+     *  every multiple of `tick_every` when it is nonzero. */
+    std::string
+    drive(std::size_t opportunities, std::size_t tick_every = 0)
+    {
+        std::string actions;
+        for (std::size_t i = 0; i < opportunities; ++i) {
+            actions.push_back(
+                step(i == 0 || (tick_every != 0 && i % tick_every == 0)));
+        }
+        return actions;
+    }
+
+    /** Like drive(), but ticks fire at exactly the listed opportunity
+     *  indices — for golden sequences with a tick landing mid-burst. */
+    std::string
+    driveTicksAt(std::size_t opportunities,
+                 std::initializer_list<std::size_t> ticks)
+    {
+        std::string actions;
+        for (std::size_t i = 0; i < opportunities; ++i) {
+            actions.push_back(
+                step(std::find(ticks.begin(), ticks.end(), i) !=
+                     ticks.end()));
+        }
+        return actions;
+    }
+
+  private:
+    vm::Machine machine_;
+    PepProfiler pep_;
+};
 
 TEST(NeverSampleTest, AlwaysIdle)
 {
     NeverSample controller;
-    EXPECT_EQ(drive(controller, 10), "..........");
+    EXPECT_EQ(Countdown(controller).drive(10), "..........");
     EXPECT_EQ(controller.name(), "instr-only");
 }
 
@@ -80,14 +97,14 @@ TEST(SimplifiedAg, TimerConfigTakesOneSamplePerTick)
     // tick, idle otherwise.
     SimplifiedArnoldGrove controller(1, 1);
     EXPECT_EQ(controller.name(), "PEP(1,1)");
-    EXPECT_EQ(drive(controller, 12, 6), "X.....X.....");
+    EXPECT_EQ(Countdown(controller).drive(12, 6), "X.....X.....");
 }
 
 TEST(SimplifiedAg, BurstOfConsecutiveSamples)
 {
     // PEP(4,1): no striding, four consecutive samples per tick.
     SimplifiedArnoldGrove controller(4, 1);
-    EXPECT_EQ(drive(controller, 12, 0), "XXXX........");
+    EXPECT_EQ(Countdown(controller).drive(12, 0), "XXXX........");
 }
 
 TEST(SimplifiedAg, StrideRotatesAcrossTicks)
@@ -96,10 +113,11 @@ TEST(SimplifiedAg, StrideRotatesAcrossTicks)
     // 4 consecutive samples. Second tick: rotation 2 -> one stride.
     // Third tick: rotation 3 -> two strides. Fourth: back to 1.
     SimplifiedArnoldGrove controller(4, 3);
-    EXPECT_EQ(drive(controller, 8, 0), "XXXX....");   // tick @0, rot 1
-    EXPECT_EQ(drive(controller, 8, 0), "sXXXX...");   // rot 2
-    EXPECT_EQ(drive(controller, 8, 0), "ssXXXX..");   // rot 3
-    EXPECT_EQ(drive(controller, 8, 0), "XXXX....");   // rot 1 again
+    Countdown countdown(controller);
+    EXPECT_EQ(countdown.drive(8, 0), "XXXX....");   // tick @0, rot 1
+    EXPECT_EQ(countdown.drive(8, 0), "sXXXX...");   // rot 2
+    EXPECT_EQ(countdown.drive(8, 0), "ssXXXX..");   // rot 3
+    EXPECT_EQ(countdown.drive(8, 0), "XXXX....");   // rot 1 again
 }
 
 TEST(SimplifiedAg, NoStridingAfterFirstSample)
@@ -107,7 +125,7 @@ TEST(SimplifiedAg, NoStridingAfterFirstSample)
     // The simplification: once the first sample of a tick is taken,
     // every subsequent opportunity samples until the burst ends.
     SimplifiedArnoldGrove controller(3, 5);
-    const std::string actions = drive(controller, 12, 0);
+    const std::string actions = Countdown(controller).drive(12, 0);
     const auto first_sample = actions.find('X');
     ASSERT_NE(first_sample, std::string::npos);
     EXPECT_EQ(actions.substr(first_sample, 3), "XXX");
@@ -116,26 +134,33 @@ TEST(SimplifiedAg, NoStridingAfterFirstSample)
 TEST(SimplifiedAg, TickDuringBurstRestartsIt)
 {
     SimplifiedArnoldGrove controller(4, 1);
-    EXPECT_EQ(controller.onOpportunity(true), SampleAction::Sample);
-    EXPECT_EQ(controller.onOpportunity(false), SampleAction::Sample);
+    Countdown countdown(controller);
+    EXPECT_EQ(countdown.step(true), 'X');
+    EXPECT_EQ(countdown.step(false), 'X');
     // New tick mid-burst: burst restarts with a full sample budget
     // (one sample consumed by the restarting opportunity itself).
-    EXPECT_EQ(controller.onOpportunity(true), SampleAction::Sample);
-    for (int i = 0; i < 3; ++i) {
-        EXPECT_EQ(controller.onOpportunity(false),
-                  SampleAction::Sample);
-    }
-    EXPECT_EQ(controller.onOpportunity(false), SampleAction::Idle);
+    EXPECT_EQ(countdown.step(true), 'X');
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(countdown.step(false), 'X');
+    EXPECT_EQ(countdown.step(false), '.');
 }
 
-TEST(SimplifiedAg, ResetReturnsToDormant)
+TEST(SimplifiedAg, TickAtMethodEntryWaitsForTheNextOpportunity)
 {
-    SimplifiedArnoldGrove controller(4, 3);
-    (void)drive(controller, 3, 0);
-    controller.reset();
-    // No tick -> idle; rotation starts over at 1.
-    EXPECT_EQ(controller.onOpportunity(false), SampleAction::Idle);
-    EXPECT_EQ(drive(controller, 5, 0), "XXXX.");
+    // A method-entry yieldpoint is no sampling opportunity: its tick
+    // arms the burst at the thread's next loop header or method exit.
+    SimplifiedArnoldGrove controller(2, 1);
+    Countdown countdown(controller);
+    for (const vm::YieldpointKind kind :
+         {vm::YieldpointKind::LoopHeader, vm::YieldpointKind::MethodExit}) {
+        EXPECT_EQ(countdown.step(true, vm::YieldpointKind::MethodEntry),
+                  '.');
+        EXPECT_EQ(countdown.step(false, vm::YieldpointKind::MethodEntry),
+                  '.');
+        EXPECT_EQ(countdown.step(false, kind), 'X');
+        EXPECT_EQ(countdown.step(false), 'X');
+        EXPECT_EQ(countdown.step(false), '.');
+    }
 }
 
 TEST(FullAg, StridesBetweenEverySample)
@@ -144,23 +169,24 @@ TEST(FullAg, StridesBetweenEverySample)
     // strides before each subsequent sample.
     FullArnoldGrove controller(4, 3);
     EXPECT_EQ(controller.name(), "AG(4,3)");
-    EXPECT_EQ(drive(controller, 12, 0), "XssXssXssX..");
+    EXPECT_EQ(Countdown(controller).drive(12, 0), "XssXssXssX..");
 }
 
 TEST(FullAg, RotationShiftsFirstSample)
 {
     FullArnoldGrove controller(2, 3);
-    EXPECT_EQ(drive(controller, 6, 0), "XssX.."); // rotation 1
-    EXPECT_EQ(drive(controller, 6, 0), "sXssX."); // rotation 2
-    EXPECT_EQ(drive(controller, 7, 0), "ssXssX."); // rotation 3
+    Countdown countdown(controller);
+    EXPECT_EQ(countdown.drive(6, 0), "XssX.."); // rotation 1
+    EXPECT_EQ(countdown.drive(6, 0), "sXssX."); // rotation 2
+    EXPECT_EQ(countdown.drive(7, 0), "ssXssX."); // rotation 3
 }
 
 TEST(FullAg, SameSampleCountAsSimplified)
 {
     SimplifiedArnoldGrove simplified(8, 5);
     FullArnoldGrove full(8, 5);
-    const std::string a = drive(simplified, 64, 0);
-    const std::string b = drive(full, 64, 0);
+    const std::string a = Countdown(simplified).drive(64, 0);
+    const std::string b = Countdown(full).drive(64, 0);
     EXPECT_EQ(std::count(a.begin(), a.end(), 'X'), 8);
     EXPECT_EQ(std::count(b.begin(), b.end(), 'X'), 8);
     // ...but full AG runs the handler more often (more strides).
@@ -174,7 +200,7 @@ TEST(SimplifiedAg, GoldenSequenceAcrossTicks)
     // rotation 1 (no initial stride): three consecutive samples, then
     // idle.  Tick at 5 uses rotation 2: one stride, then the burst.
     SimplifiedArnoldGrove controller(3, 4);
-    EXPECT_EQ(driveTicksAt(controller, 16, {0, 5}),
+    EXPECT_EQ(Countdown(controller).driveTicksAt(16, {0, 5}),
               "XXX..sXXX.......");
 }
 
@@ -184,7 +210,7 @@ TEST(SimplifiedAg, GoldenSequenceTickMidBurst)
     // samples) restarts the controller: the new rotation (2) inserts
     // one stride, then a fresh full burst of three samples runs.
     SimplifiedArnoldGrove controller(3, 4);
-    EXPECT_EQ(driveTicksAt(controller, 7, {0, 2}), "XXsXXX.");
+    EXPECT_EQ(Countdown(controller).driveTicksAt(7, {0, 2}), "XXsXXX.");
 }
 
 TEST(FullAg, GoldenSequenceTickMidBurst)
@@ -195,7 +221,7 @@ TEST(FullAg, GoldenSequenceTickMidBurst)
     // in-progress stride count with the new rotation's (one stride),
     // then each subsequent sample is separated by three strides.
     FullArnoldGrove controller(3, 4);
-    EXPECT_EQ(driveTicksAt(controller, 16, {0, 2}),
+    EXPECT_EQ(Countdown(controller).driveTicksAt(16, {0, 2}),
               "XssXsssXsssX....");
 }
 
@@ -211,8 +237,8 @@ TEST(Controllers, SampleCountsAgreeWhenBurstsComplete)
     SimplifiedArnoldGrove simplified(5, 3);
     FullArnoldGrove full(5, 3);
     const auto ticks = {std::size_t{0}, std::size_t{40}};
-    const std::string a = driveTicksAt(simplified, 80, ticks);
-    const std::string b = driveTicksAt(full, 80, ticks);
+    const std::string a = Countdown(simplified).driveTicksAt(80, ticks);
+    const std::string b = Countdown(full).driveTicksAt(80, ticks);
     EXPECT_EQ(std::count(a.begin(), a.end(), 'X'), 10);
     EXPECT_EQ(std::count(b.begin(), b.end(), 'X'), 10);
     // Second tick uses rotation 2 in both: one initial stride.
@@ -224,15 +250,10 @@ TEST(Controllers, SamplesPerTickIsExactlyConfigured)
 {
     for (const std::uint32_t samples : {1u, 16u, 64u}) {
         SimplifiedArnoldGrove controller(samples, 17);
-        std::size_t taken = 0;
         // One tick, then plenty of opportunities.
-        for (std::size_t i = 0; i < 200; ++i) {
-            if (controller.onOpportunity(i == 0) ==
-                SampleAction::Sample) {
-                ++taken;
-            }
-        }
-        EXPECT_EQ(taken, samples);
+        const std::string actions = Countdown(controller).drive(200, 0);
+        EXPECT_EQ(std::count(actions.begin(), actions.end(), 'X'),
+                  static_cast<std::ptrdiff_t>(samples));
     }
 }
 
